@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.t is not None and not math.isfinite(self.t):
+            raise ValueError(f"time must be finite, got {self.t}")
         if self.t is not None and self.t < 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
 
@@ -273,3 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -293,18 +293,35 @@ def _is_conjugate_symmetric(c: CoefficientSequence, rtol: float = 1e-12) -> bool
     return c.conjugate_symmetry_defect() <= rtol * scale
 
 
+def _forward(f: SampledFunction, real: bool) -> np.ndarray:
+    """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn."""
+    axes = tuple(range(f.grid.dims))
+    if real:
+        return np.fft.rfftn(f.values.real, axes=axes)
+    return np.fft.fftn(f.values, axes=axes)
+
+
+def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool) -> np.ndarray:
+    """Inverse of _forward; the result is a real array when real is set."""
+    axes = tuple(range(grid.dims))
+    if real:
+        return np.fft.irfftn(spec, s=grid.sizes, axes=axes)
+    return np.fft.ifftn(spec, axes=axes)
+
+
 def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Periodic convolution (f * g)(x) = integral f(y) g(x - y) dy.
 
     Computed as the discrete circular convolution scaled by the cell volume;
-    coefficient-wise this equals 2pi^d * f_hat(n) * g_hat(n).
+    coefficient-wise this equals 2pi^d * f_hat(n) * g_hat(n). Two real-kind
+    operands go through real FFTs, so their convolution is exactly real.
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch: convolution operands must share a grid")
-    spec = np.fft.fftn(f.values) * np.fft.fftn(g.values)
-    vals = np.fft.ifftn(spec) * f.grid.cell_volume
-    kind = "real" if f.kind == "real" and g.kind == "real" else "complex"
-    return SampledFunction(f.grid, vals, kind=kind)
+    real = f.kind == "real" and g.kind == "real"
+    spec = _forward(f, real) * _forward(g, real)
+    vals = _inverse(spec, f.grid, real) * f.grid.cell_volume
+    return SampledFunction(f.grid, vals, kind="real" if real else "complex")
 
 
 def convolve_direct(f: SampledFunction, g: SampledFunction) -> SampledFunction:

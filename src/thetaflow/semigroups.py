@@ -13,6 +13,13 @@ the heat multiplier tensorizes to exp(-t * sum n_j^2) while the
 subordinated multiplier exp(-t * sqrt(sum n_j^2)) does not factor; the
 two flows coincide only on one axis.
 
+Every flow is diagonal in Fourier space with a symbol that depends on
+|n|^2 alone, so all of them go through one spectral core: the symbol is
+evaluated once per distinct |n|^2 on the grid and applied with a real
+FFT pair for real-kind data (a complex pair otherwise). Subordination is
+summed at the symbol level, S(|n|^2) = sum_i c_i exp(-tau_i |n|^2) over
+the quadrature nodes, and then applied with that single FFT pair.
+
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
 order, making results independent of any parallel schedule.
@@ -23,12 +30,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
-from .fourier import PeriodicGrid, SampledFunction, circular_convolve
+from .fourier import PeriodicGrid, SampledFunction, _forward, _inverse, circular_convolve
 
 MULTIPLIER_KINDS = ("heat", "poisson", "laplacian", "heat_d", "poisson_d")
 
@@ -44,13 +51,58 @@ class SubordinationError(RuntimeError):
     """Raised when the subordination quadrature misses its requested accuracy."""
 
 
+def _require_time(t: float, positive: bool = False) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    if t < 0 or (positive and t == 0):
+        raise ValueError(
+            f"time must be {'positive' if positive else 'nonnegative'}, got {t}")
+
+
+@lru_cache(maxsize=16)
+def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct |n|^2 on a grid, and for each FFT mode the index of its |n|^2.
+
+    half selects the rfftn layout, whose last axis holds n = 0 .. N/2; the
+    full fftn layout is used otherwise. Both layouts have the same distinct
+    values, so a symbol evaluated on them serves either one. The tables
+    are cached per grid shape and returned read-only.
+    """
+    grid = PeriodicGrid(sizes)
+    total = np.zeros((), dtype=np.int64)
+    for axis, size in enumerate(sizes):
+        last = axis == len(sizes) - 1
+        n = np.arange(size // 2 + 1) if half and last else grid.frequencies(axis)
+        shape = [1] * len(sizes)
+        shape[axis] = n.size
+        total = total + (n * n).reshape(shape)
+    n2, index = np.unique(total, return_inverse=True)
+    n2 = n2.astype(float)
+    index = index.reshape(total.shape)
+    n2.flags.writeable = False
+    index.flags.writeable = False
+    return n2, index
+
+
+def _apply_symbol(f: SampledFunction, symbol: np.ndarray) -> SampledFunction:
+    """Scale each mode n of f by symbol[k], where |n|^2 is the k-th distinct value.
+
+    Real-kind data goes through rfftn/irfftn, so its output is exactly real.
+    """
+    real = f.kind == "real"
+    _, index = _mode_table(f.grid.sizes, real)
+    spec = _forward(f, real) * symbol[index]
+    return f.with_values(_inverse(spec, f.grid, real))
+
+
 @dataclass(frozen=True)
 class MultiplierSpec:
     """A Fourier multiplier symbol: kind plus time parameter.
 
     Kinds: 'heat' exp(-n^2 t) and 'poisson' exp(-|n| t) on 1-d grids,
     'heat_d' exp(-t sum n_j^2) and 'poisson_d' exp(-t sqrt(sum n_j^2)) in
-    any dimension, and 'laplacian' -(sum n_j^2), which ignores t.
+    any dimension, and 'laplacian' -(sum n_j^2), which ignores t. The time
+    must be finite.
     """
 
     kind: str
@@ -59,41 +111,33 @@ class MultiplierSpec:
     def __post_init__(self):
         if self.kind not in MULTIPLIER_KINDS:
             raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if self.kind != "laplacian" and self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
+        if self.kind != "laplacian":
+            _require_time(self.t)
+        elif not math.isfinite(self.t):
+            raise ValueError(f"time must be finite, got {self.t}")
 
-    def on_grid(self, grid: PeriodicGrid) -> np.ndarray:
-        """Symbol values on the grid's FFT-layout mode array."""
+    def _on_distinct_modes(self, grid: PeriodicGrid) -> np.ndarray:
         if self.kind in ("heat", "poisson") and grid.dims != 1:
             raise ValueError(f"multiplier kind {self.kind!r} expects a 1-d grid")
-        n2 = _squared_mode_sum(grid)
+        n2, _ = _mode_table(grid.sizes, False)
         if self.kind in ("heat", "heat_d"):
             return np.exp(-self.t * n2)
         if self.kind in ("poisson", "poisson_d"):
             return np.exp(-self.t * np.sqrt(n2))
         return -n2
 
-
-def _squared_mode_sum(grid: PeriodicGrid) -> np.ndarray:
-    total = np.zeros(grid.sizes)
-    for axis in range(grid.dims):
-        n = grid.frequencies(axis).astype(float)
-        shape = [1] * grid.dims
-        shape[axis] = n.size
-        total = total + (n * n).reshape(shape)
-    return total
+    def on_grid(self, grid: PeriodicGrid) -> np.ndarray:
+        """Symbol values on the grid's FFT-layout mode array."""
+        return self._on_distinct_modes(grid)[_mode_table(grid.sizes, False)[1]]
 
 
 def apply_multiplier(f: SampledFunction, spec: MultiplierSpec) -> SampledFunction:
     """Scale the Fourier modes of f by the symbol of spec."""
-    symbol = spec.on_grid(f.grid)
-    vals = np.fft.ifftn(np.fft.fftn(f.values) * symbol)
-    return f.with_values(vals)
+    return _apply_symbol(f, spec._on_distinct_modes(f.grid))
 
 
 def _evolve_heat(f: SampledFunction, t: float) -> SampledFunction:
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if t == 0.0:
         return f
     return apply_multiplier(f, MultiplierSpec("heat_d", t))
@@ -115,8 +159,7 @@ def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
     """Poisson flow on the circle: mode n scaled by exp(-|n| t)."""
     if f.grid.dims != 1:
         raise ValueError("poisson_evolve_multiplier expects a 1-d grid")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if t == 0.0:
         return f
     return apply_multiplier(f, MultiplierSpec("poisson", t))
@@ -126,8 +169,7 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
     """Closed-form Poisson kernel (1/2pi)(1 - r^2)/(1 - 2r cos x + r^2), r = exp(-t)."""
     if grid.dims != 1:
         raise ValueError("poisson_kernel expects a 1-d grid")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _require_time(t, positive=True)
     r = math.exp(-t)
     x = grid.points
     vals = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(x) + r * r) / (2.0 * np.pi)
@@ -136,8 +178,7 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
 
 def poisson_evolve_kernel(f: SampledFunction, t: float) -> SampledFunction:
     """Poisson flow by circular convolution with the closed-form kernel."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _require_time(t, positive=True)
     return circular_convolve(f, poisson_kernel(t, f.grid))
 
 
@@ -150,10 +191,12 @@ class SubordinationQuadrature:
     the remaining [0, eps) piece is replaced analytically by its
     mean-value limit. rule 'adaptive' integrates the same substituted
     integrand with an adaptive vector routine (nodes is then ignored).
+    Either rule yields a symbol S(|n|^2) that approximates exp(-t|n|).
 
-    tol, when set, requests an error check: the result is recomputed at
-    half the node count and a SubordinationError is raised if the
-    discrepancy exceeds tol.
+    tol, when set, requests an error check: the Bochner defect
+    sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes of the input,
+    which bounds the sup-norm quadrature error of the result, must not
+    exceed tol, or a SubordinationError is raised.
     """
 
     rule: str = "gauss_legendre"
@@ -188,73 +231,88 @@ def _gauss_nodes(eps: float, s_max: float, nodes: int) -> tuple[np.ndarray, np.n
     return np.concatenate(ss), np.concatenate(ww)
 
 
-def bochner_scalar(lam: float, quad: Optional[SubordinationQuadrature] = None) -> float:
-    """Evaluate (2/sqrt(pi)) * integral_0^inf exp(-s^2 - lam^2/4s^2) ds.
+def _subordination_symbol(n2: np.ndarray, t: float,
+                          quad: SubordinationQuadrature) -> np.ndarray:
+    """S(|n|^2) = erf(eps) [n = 0] + sum_i c_i exp(-tau_i |n|^2), tau_i = t^2 / 4 s_i^2.
 
-    Equals exp(-lam); the quadrature's scalar sanity check.
+    The quadrature of the subordination integral, carried out on symbol
+    values: node i contributes the heat symbol at time tau_i with weight
+    c_i = (2/sqrt(pi)) w_i exp(-s_i^2).
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    quad = quad or SubordinationQuadrature()
-    s_max = math.sqrt(quad.u_max)
-    eps = min(lam / _TAIL_DECAY, s_max / 2) if lam > 0 else min(0.1, s_max / 2)
-    s, w = _gauss_nodes(eps, s_max, quad.nodes)
-    total = 2.0 / math.sqrt(math.pi) * float(
-        np.sum(w * np.exp(-s * s - lam * lam / (4.0 * s * s)))
-    )
-    if lam == 0.0:
-        total += math.erf(eps)
-    return total
-
-
-def _subordinate_once(f: SampledFunction, t: float,
-                      quad: SubordinationQuadrature, nodes: int) -> np.ndarray:
     s_max = math.sqrt(quad.u_max)
     eps = min(t / _TAIL_DECAY, s_max / 2)
-    mean = complex(np.asarray(f.values).mean())
     # Analytic small-s piece: the evolution time t^2/4s^2 blows up there,
     # where the heat flow has already flattened f to its mean.
-    acc = np.full(f.grid.sizes, math.erf(eps) * mean, dtype=complex)
+    acc = np.where(n2 == 0, math.erf(eps), 0.0)
     if quad.rule == "gauss_legendre":
-        s, w = _gauss_nodes(eps, s_max, nodes)
+        s, w = _gauss_nodes(eps, s_max, quad.nodes)
         coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
         for si, ci in zip(s, coef):
-            acc += ci * theta_evolve_d(f, t * t / (4.0 * si * si)).values
+            acc += ci * np.exp(-(t * t / (4.0 * si * si)) * n2)
         return acc
+
+    # scipy.integrate costs most of the package's import time and only
+    # this rule needs it.
+    from scipy.integrate import quad_vec
 
     def integrand(s: float) -> np.ndarray:
         scale = 2.0 / math.sqrt(math.pi) * math.exp(-s * s)
-        return scale * theta_evolve_d(f, t * t / (4.0 * s * s)).values
+        return scale * np.exp(-(t * t / (4.0 * s * s)) * n2)
 
-    part, err = quad_vec(integrand, eps, s_max, epsabs=1e-12, epsrel=1e-12)
-    if quad.tol is not None and err > quad.tol:
-        raise SubordinationError(
-            f"adaptive quadrature error estimate {err:.3e} exceeds requested "
-            f"{quad.tol:.3e} (t = {t})"
-        )
+    part, _ = quad_vec(integrand, eps, s_max, epsabs=1e-12, epsrel=1e-12)
     return acc + part
+
+
+def _bochner_defect(f: SampledFunction, n2: np.ndarray, symbol: np.ndarray,
+                    t: float) -> float:
+    """Sum over the modes of f of |f_hat(n)| * |S(|n|^2) - exp(-t|n|)|.
+
+    Applying the symbol S to f misses the Poisson flow of f by
+    sum_n f_hat(n) (S(|n|^2) - exp(-t|n|)) exp(i n.x), so this bounds the
+    sup-norm quadrature error of the result (FFT round-off aside).
+    """
+    _, index = _mode_table(f.grid.sizes, False)
+    amplitude = np.abs(_forward(f, False)) / f.grid.npoints
+    weight = np.bincount(index.ravel(), weights=amplitude.ravel(), minlength=n2.size)
+    return float(weight @ np.abs(symbol - np.exp(-t * np.sqrt(n2))))
+
+
+def bochner_scalar(lam: float, quad: Optional[SubordinationQuadrature] = None) -> float:
+    """Evaluate (2/sqrt(pi)) * integral_0^inf exp(-s^2 - lam^2/4s^2) ds.
+
+    Equals exp(-lam); the quadrature's scalar sanity check. It evaluates
+    the symbol that subordinate applies: at t = lam on a mode with |n| = 1,
+    or, for lam = 0, on the mode n = 0 (at t = 1).
+    """
+    if not lam >= 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    quad = quad or SubordinationQuadrature()
+    if lam == 0.0:
+        return float(_subordination_symbol(np.zeros(1), 1.0, quad)[0])
+    return float(_subordination_symbol(np.ones(1), lam, quad)[0])
 
 
 def subordinate(f: SampledFunction, t: float,
                 quad: Optional[SubordinationQuadrature] = None) -> SampledFunction:
     """Poisson flow built from the heat flow by the subordination integral.
 
-    Combines heat evolutions at times t^2/4s^2 over the quadrature nodes;
-    must reproduce the direct exp(-|n| t) multiplier up to quadrature error.
+    Sums the heat symbols at times t^2/4s^2 over the quadrature nodes and
+    applies the result with one FFT pair; must reproduce the direct
+    exp(-|n| t) multiplier up to quadrature error. The time must be
+    positive and finite.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _require_time(t, positive=True)
     quad = quad or SubordinationQuadrature()
-    vals = _subordinate_once(f, t, quad, quad.nodes)
-    if quad.tol is not None and quad.rule == "gauss_legendre":
-        coarse = _subordinate_once(f, t, quad, max(8, quad.nodes // 2))
-        est = float(np.max(np.abs(vals - coarse)))
+    n2, _ = _mode_table(f.grid.sizes, False)
+    symbol = _subordination_symbol(n2, t, quad)
+    if quad.tol is not None:
+        est = _bochner_defect(f, n2, symbol, t)
         if est > quad.tol:
             raise SubordinationError(
                 f"estimated quadrature error {est:.3e} exceeds requested "
-                f"{quad.tol:.3e} (nodes = {quad.nodes}, t = {t})"
+                f"{quad.tol:.3e} (rule {quad.rule!r}, nodes = {quad.nodes}, t = {t})"
             )
-    return f.with_values(vals)
+    return _apply_symbol(f, symbol)
 
 
 def poisson_evolve_d(f: SampledFunction, t: float,
@@ -266,15 +324,15 @@ def poisson_evolve_d(f: SampledFunction, t: float,
     cross-checked against the subordination route and a SubordinationError
     is raised on disagreement beyond the plan's tolerance.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if t == 0.0:
         return f
     out = apply_multiplier(f, MultiplierSpec("poisson_d", t))
     if quad is not None:
         tol = quad.tol if quad.tol is not None else 1e-6
-        via_heat = _subordinate_once(f, t, quad, quad.nodes)
-        gap = float(np.max(np.abs(out.values - via_heat)))
+        n2, _ = _mode_table(f.grid.sizes, False)
+        via_heat = _apply_symbol(f, _subordination_symbol(n2, t, quad))
+        gap = float(np.max(np.abs(out.values - via_heat.values)))
         if gap > tol:
             raise SubordinationError(
                 f"direct multiplier and subordination route disagree by {gap:.3e} "

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ from thetaflow.io import (
 )
 from thetaflow.theta import ThetaParams, theta3_series
 from thetaflow.ultradist import GrowthClass, PowerRule, UltraDistribution
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports thetaflow from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def _write_cos(path, n=128, k=1):
@@ -283,3 +298,32 @@ class TestCommands:
         monkeypatch.setenv("THETA_TOL", "-1")
         assert main(["theta", "eval", "--x", "0.0", "--q", "0.5"]) == 1
         assert "THETA_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [["heat"], ["poisson", "--method", "subordination"]])
+    def test_non_finite_time_exits_one(self, tmp_path, capsys, command, t):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        assert main([*command, "--init", str(init), f"--t={t}",
+                     "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_check_thm1_large_grid_stays_real(self, capsys):
+        # Complex-FFT round-off times the n^2 Laplacian symbol once broke
+        # the real-kind invariant at this size.
+        assert main(["check", "--suite", "thm1", "--n", "16384"]) == 0
+        assert "all pass" in capsys.readouterr().out
+
+
+class TestProcess:
+    def test_module_entry_point(self):
+        proc = _run_python("-m", "thetaflow.cli", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: thetaflow")
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        proc = _run_python("-c", "import sys, thetaflow; "
+                                 "print('scipy.integrate' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

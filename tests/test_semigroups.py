@@ -9,6 +9,7 @@ from thetaflow.semigroups import (
     MultiplierSpec,
     SubordinationError,
     SubordinationQuadrature,
+    apply_multiplier,
     bochner_scalar,
     generator_apply,
     heat_residual,
@@ -210,6 +211,22 @@ class TestSubordination:
         with pytest.raises(ValueError, match="positive"):
             subordinate(_cos(_grid()), 0.0)
 
+    def test_tolerance_met_on_wide_band_2d_input(self):
+        # The error estimate bounds the actual error: here ~1e-12, well
+        # inside a 1e-6 request.
+        g = PeriodicGrid((256, 256))
+        f = random_bandlimited(g, 64, np.random.default_rng(12))
+        out = subordinate(f, 0.8, SubordinationQuadrature(tol=1e-6))
+        direct = poisson_evolve_d(f, 0.8)
+        assert np.max(np.abs(out.values - direct.values)) < 1e-10
+
+    def test_adaptive_rule_tolerance(self):
+        g = _grid()
+        out = subordinate(_cos(g), 0.7, SubordinationQuadrature(rule="adaptive", tol=1e-8))
+        assert np.max(np.abs(out.values.real - math.exp(-0.7) * np.cos(g.points))) < 1e-8
+        with pytest.raises(SubordinationError, match="estimated"):
+            subordinate(_cos(g), 0.7, SubordinationQuadrature(rule="adaptive", tol=1e-18))
+
 
 class TestGenerator:
     def test_cosine_eigenfunction(self):
@@ -360,3 +377,45 @@ class TestMultidim:
         assert out.kind == "real"
         with pytest.raises(SubordinationError, match="disagree"):
             poisson_evolve_d(f, 0.6, SubordinationQuadrature(tol=1e-14))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", NON_FINITE)
+    @pytest.mark.parametrize("kind", ["heat", "poisson_d", "laplacian"])
+    def test_multiplier_spec(self, kind, t):
+        with pytest.raises(ValueError, match="finite"):
+            MultiplierSpec(kind, t)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    @pytest.mark.parametrize("flow", [theta_evolve, theta_evolve_d, subordinate,
+                                      poisson_evolve_d, poisson_evolve_multiplier,
+                                      poisson_evolve_kernel])
+    def test_flows(self, flow, t):
+        with pytest.raises(ValueError, match="finite"):
+            flow(_cos(_grid(16)), t)
+
+
+class TestRealPath:
+    @pytest.mark.parametrize("op", [
+        lambda f: apply_multiplier(f, MultiplierSpec("poisson_d", 0.3)),
+        generator_apply,
+        lambda f: circular_convolve(f, kernel(0.1, f.grid)),
+    ])
+    @pytest.mark.parametrize("sizes", [(256,), (32, 48)])
+    def test_real_kind_output_is_exactly_real(self, op, sizes):
+        f = random_bandlimited(PeriodicGrid(sizes), 6, np.random.default_rng(13))
+        out = op(f)
+        assert out.kind == "real"
+        assert not np.any(out.values.imag)
+
+    def test_matches_complex_path(self):
+        g = PeriodicGrid((32, 48))
+        f = random_bandlimited(g, 6, np.random.default_rng(14))
+        fc = SampledFunction(g, f.values, kind="complex")
+        for op in (generator_apply, lambda h: theta_evolve_d(h, 0.2),
+                   lambda h: subordinate(h, 0.8)):
+            ref = op(fc).values
+            assert np.max(np.abs(op(f).values - ref)) < 1e-13 * np.max(np.abs(ref))
