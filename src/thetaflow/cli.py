@@ -64,8 +64,8 @@ def _env_tolerance() -> float:
     if raw is None:
         return DEFAULT_TOL
     tol = float(raw)
-    if tol <= 0:
-        raise ValueError(f"THETA_TOL must be positive, got {raw}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"THETA_TOL must be positive and finite, got {raw}")
     return tol
 
 

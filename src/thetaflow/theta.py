@@ -7,21 +7,32 @@ for a real nome 0 <= q < 1. The kernel of the heat flow on the circle is
 K_t(x) = theta3(x, exp(-t)) / (2pi); it has unit mass and is nonnegative
 (each factor of the product form is nonnegative), which is what makes the
 flow conservative and positivity-preserving.
+
+The kernel is sampled through whichever of two forms needs fewer array
+passes. The cosine series needs about sqrt(ln(2/tol) / t) terms, which is
+many when t is small; the Jacobi imaginary transformation (DLMF 20.7(viii))
+
+theta3(x, exp(-t)) = sqrt(pi/t) * sum_k exp(-(x - 2pi k)^2 / 4t)
+
+writes the kernel as a periodised Gaussian whose images fall off like
+exp(-pi^2 k^2 / t), so a couple of them suffice there. The image sum is
+positive term by term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .fourier import TWO_PI, PeriodicGrid, SampledFunction
 
-# Below this time the nome exp(-t) is so close to 1 that the series needs
-# thousands of terms and the sampled kernel is a near-delta; grid-kernel
-# construction is refused rather than silently degraded.
+# Below this time the kernel is a near-delta of width sqrt(2t) < 0.045 that
+# coarse grids cannot resolve, so its sampled mass and convolutions degrade;
+# grid-kernel construction is refused rather than silently degraded. (The
+# image sum evaluates the kernel cheaply at any t; the cap is about the grid.)
 MIN_KERNEL_TIME = 1e-3
 
 
@@ -36,8 +47,8 @@ class ThetaParams:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise ValueError(f"nome out of range: q = {self.q} not in [0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -126,22 +137,64 @@ def theta3_bound(params: ThetaParams) -> float:
     return float(theta3_series(0.0, params))
 
 
+def _series_terms(t: float, tol: float) -> int:
+    """Terms the cosine series keeps at q = exp(-t): #{n >= 1 : 2 q^(n^2) >= tol}."""
+    return math.isqrt(int(math.log(2.0 / tol) / t)) if tol <= 2.0 else 0
+
+
+def _image_terms(t: float, tol: float) -> int:
+    """Smallest K >= 1 whose image-sum tail bound is below tol.
+
+    Summing the images k = 1-K .. K of a reduced angle in [0, 2pi) leaves
+    out, on either side, Gaussians centred at least 2pi K away, so the tail
+    is at most 2 sqrt(pi/t) exp(-pi^2 K^2 / t) / (1 - exp(-pi^2 / t)). The
+    bound is solved for K in logarithms, which neither overflow nor underflow.
+    """
+    log_prefactor = (math.log(2.0) + 0.5 * math.log(math.pi / t)
+                     - math.log(-math.expm1(-math.pi ** 2 / t)))
+    excess = max(log_prefactor - math.log(tol), 0.0)
+    return math.floor(math.sqrt(t * excess) / math.pi) + 1
+
+
+def _theta3_images(x, t: float, tol: float):
+    """theta3(x, exp(-t)) as the periodised Gaussian sqrt(pi/t) sum_k exp(-(x - 2pi k)^2 / 4t).
+
+    Sums the images k = 1-K .. K of the reduced angle with K from
+    _image_terms, so the absolute truncation error stays below tol, as in
+    the series. Every term is nonnegative, so no clamp is needed.
+    """
+    xr = _reduce_angle(np.asarray(x, dtype=float))
+    total = np.zeros_like(xr)
+    terms = _image_terms(t, tol)
+    for k in range(1 - terms, terms + 1):
+        total = total + np.exp(-(xr - TWO_PI * k) ** 2 / (4.0 * t))
+    return math.sqrt(math.pi / t) * total
+
+
 def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
     """Diffusion kernel K_t on the grid.
 
     For a d-dimensional grid the kernel is the product of the per-axis
     1-d kernels: K_t(x) = (2pi)^-d * prod_i theta3(x_i, exp(-t)).
+    Each axis factor comes from the image sum when its 2K images are fewer
+    array passes than the series terms (small t), and from the cosine
+    series otherwise; both truncate at the absolute tolerance tol.
     Unit mass and pointwise nonnegativity hold at the discrete level.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}; t=0 is the Dirac comb")
     if t < MIN_KERNEL_TIME:
         raise ValueError(
             f"time {t} below the kernel construction cap {MIN_KERNEL_TIME}; "
-            "the series converges too slowly for an accurate sampled kernel"
+            "the kernel is too narrow to be resolved by a sampled grid"
         )
     params = ThetaParams.from_time(t, tol=tol)
-    factors = [theta3_series(grid.axis_points(a), params) / TWO_PI
-               for a in range(grid.dims)]
+    if 2 * _image_terms(t, tol) < _series_terms(t, tol):
+        theta = partial(_theta3_images, t=t, tol=tol)
+    else:
+        theta = partial(theta3_series, params=params)
+    factors = [theta(grid.axis_points(a)) / TWO_PI for a in range(grid.dims)]
     vals = reduce(np.multiply.outer, factors)
     return SampledFunction(grid, vals.astype(complex), kind="real")

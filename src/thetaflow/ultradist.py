@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import TWO_PI, CoefficientSequence
+from .semigroups import _require_time
 
 GROWTH_KINDS = ("test", "dual")
 
@@ -41,6 +42,7 @@ class GrowthClass:
 
     kind 'test' requires base in (0, 1); kind 'dual' admits base >= 1
     (base exactly 1 covers bounded sequences such as the Dirac comb).
+    The base must be finite and the constant a nonnegative number;
     constant == 0 marks the degenerate all-zero fit.
     """
 
@@ -56,10 +58,12 @@ class GrowthClass:
             raise ValueError(f"test kind requires base in (0, 1), got {self.base}")
         if self.kind == "dual" and self.base < 1.0:
             raise ValueError(f"dual kind requires base >= 1, got {self.base}")
+        if not math.isfinite(self.base):
+            raise ValueError(f"base must be finite, got {self.base}")
         if int(self.order) != self.order or self.order < 1:
             raise ValueError(f"order must be an integer >= 1, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
-        if self.constant < 0:
+        if not self.constant >= 0:
             raise ValueError(f"constant must be nonnegative, got {self.constant}")
 
     @property
@@ -346,8 +350,7 @@ def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
     Dual classes of order k > 2 with an infinite tail are refused: no
     finite t makes exp(-n^2 t) dominate base^(|n|^k) beyond the window.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if t == 0.0:
         return F
     g = F.declared_class
@@ -407,6 +410,8 @@ def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,
     ts = sorted((float(t) for t in t_list), reverse=True)
     if not ts or ts[-1] <= 0:
         raise ValueError("t_list must be nonempty and strictly positive")
+    for t in ts:
+        _require_time(t)
     mags = []
     for t in ts:
         res = _pair_core(F.coeffs, f, F.declared_class, f_class, pair_tol,
@@ -421,8 +426,7 @@ def evolution_deficit_pair(F: UltraDistribution, f: CoefficientSequence, t: floa
                            f_class: Optional[GrowthClass] = None,
                            tol: float = 1e-14, max_terms: int = 100_000) -> PairingResult:
     """<evolved F - F, f> for a single time, via the weighted pairing."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _require_time(t, positive=True)
     return _pair_core(F.coeffs, f, F.declared_class, f_class, tol, max_terms,
                       weight=lambda n: math.expm1(-float(n) ** 2 * t))
 
@@ -491,8 +495,7 @@ def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,
     evolving F, and smoothing f's coefficients by exp(-n^2 t); the routes
     must agree, and positivity holds when every pairing is >= -tol.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if trial_count < 1:
         raise ValueError("trial_count must be at least 1")
     rng = np.random.default_rng(seed)

@@ -299,6 +299,12 @@ class TestCommands:
         assert main(["theta", "eval", "--x", "0.0", "--q", "0.5"]) == 1
         assert "THETA_TOL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_env_tolerance_must_be_finite(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("THETA_TOL", raw)
+        assert main(["theta", "eval", "--x", "0.0", "--q", "0.5"]) == 1
+        assert "THETA_TOL" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", [["heat"], ["poisson", "--method", "subordination"]])
     def test_non_finite_time_exits_one(self, tmp_path, capsys, command, t):

@@ -37,6 +37,19 @@ def _cos(grid, k=1):
     return SampledFunction.from_callable(grid, lambda x: np.cos(k * x))
 
 
+def _count_rfftn(monkeypatch):
+    """Record every np.fft.rfftn call from here on; returns the record list."""
+    calls = []
+    original = np.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    return calls
+
+
 class TestMultiplierSpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -275,6 +288,20 @@ class TestHeatResidual:
         with pytest.warns(UserWarning, match="spacing"):
             heat_residual(_cos(g), (0.1, 0.3, 0.5))
 
+    def test_one_forward_transform(self, monkeypatch):
+        g = PeriodicGrid((64, 48))
+        f = random_bandlimited(g, 6, np.random.default_rng(21))
+        ts = (0.3 - 2e-4, 0.3 - 1e-4, 0.3, 0.3 + 1e-4)
+        states = [theta_evolve_d(f, t).values for t in ts]
+        ref = max(
+            float(np.max(np.abs((states[i + 1] - states[i - 1]) / (ts[i + 1] - ts[i - 1])
+                                - generator_apply(theta_evolve_d(f, ts[i])).values)))
+            for i in (1, 2))
+        calls = _count_rfftn(monkeypatch)
+        resid = heat_residual(f, ts)
+        assert len(calls) == 1
+        assert abs(resid - ref) <= 1e-11
+
     def test_validation(self):
         g = _grid()
         with pytest.raises(ValueError, match="at least 3"):
@@ -314,6 +341,17 @@ class TestMaximalFunction:
     def test_empty_times_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             maximal_function(_cos(_grid()), [])
+
+    def test_one_forward_transform(self, monkeypatch):
+        g = PeriodicGrid((64, 48))
+        f = random_bandlimited(g, 6, np.random.default_rng(22))
+        ref = np.zeros(g.sizes)
+        for t in np.geomspace(1e-3, 10.0, 64):
+            ref = np.maximum(ref, np.abs(theta_evolve_d(f, t).values))
+        calls = _count_rfftn(monkeypatch)
+        star = maximal_function(f)
+        assert len(calls) == 1
+        assert np.max(np.abs(star.values.real - ref)) <= 1e-15
 
 
 class TestMultidim:
@@ -396,6 +434,14 @@ class TestNonFiniteTime:
     def test_flows(self, flow, t):
         with pytest.raises(ValueError, match="finite"):
             flow(_cos(_grid(16)), t)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_sampled_times(self, t):
+        # -inf is refused by the positivity check before the finiteness one.
+        with pytest.raises(ValueError, match="finite|positive"):
+            maximal_function(_cos(_grid(16)), [0.1, t])
+        with pytest.raises(ValueError, match="finite|positive"):
+            heat_residual(_cos(_grid(16)), (0.1, 0.2, t) if t > 0 else (t, 0.1, 0.2))
 
 
 class TestRealPath:

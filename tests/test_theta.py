@@ -9,11 +9,15 @@ from thetaflow.fourier import PeriodicGrid
 from thetaflow.theta import (
     MIN_KERNEL_TIME,
     ThetaParams,
+    _image_terms,
+    _series_terms,
     kernel,
     theta3_bound,
     theta3_product,
     theta3_series,
 )
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def series_oracle(x, q, terms=200):
@@ -47,6 +51,15 @@ class TestThetaParams:
     def test_from_time_rejects_zero(self):
         with pytest.raises(ValueError, match="Dirac comb"):
             ThetaParams.from_time(0.0)
+
+    @pytest.mark.parametrize("tol", NON_FINITE)
+    def test_non_finite_tol_rejected(self, tol):
+        # A nan tol used to run max_terms array passes before failing, and
+        # an infinite one silently truncated theta3 to 1.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ThetaParams(0.5, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ThetaParams.from_time(0.5, tol=tol)
 
 
 class TestSeries:
@@ -186,3 +199,81 @@ class TestKernel:
     def test_multidim_kernel_mass(self):
         g = PeriodicGrid((64, 64))
         assert kernel(0.7, g).integral() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", NON_FINITE + [0.0, -1e-14])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            kernel(0.5, PeriodicGrid.line(64), tol=tol)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            kernel(t, PeriodicGrid.line(64))
+
+
+def _image_sum(x, t, images=range(-3, 5)):
+    """Closed-form periodised Gaussian sqrt(pi/t) sum_k exp(-(x - 2pi k)^2 / 4t)."""
+    return math.sqrt(math.pi / t) * sum(np.exp(-(x - 2 * np.pi * k) ** 2 / (4.0 * t))
+                                        for k in images)
+
+
+class TestKernelRoute:
+    TIMES = np.geomspace(1e-3, 3.0, 25)
+
+    def test_pass_counts(self):
+        # Image passes 2K against series terms at tol = 1e-14.
+        for t, images, terms in ((1e-3, 2, 181), (1e-2, 2, 57), (1.0, 4, 5), (1.5, 6, 4)):
+            assert 2 * _image_terms(t, 1e-14) == images
+            assert _series_terms(t, 1e-14) == terms
+
+    def test_series_terms_match_the_series_loop(self):
+        for t in self.TIMES:
+            q, n = math.exp(-t), 1
+            while 2.0 * q ** (n * n) >= 1e-14:
+                n += 1
+            assert _series_terms(t, 1e-14) == n - 1
+
+    def test_image_terms_is_smallest_meeting_tol(self):
+        def bound(k, t):
+            return (2 * math.sqrt(math.pi / t) * math.exp(-math.pi ** 2 * k * k / t)
+                    / -math.expm1(-math.pi ** 2 / t))
+        for t in (0.5, 1.0, 3.0, 10.0, 100.0):
+            for tol in (1e-6, 1e-14):
+                k = _image_terms(t, tol)
+                assert bound(k, t) < tol
+                assert k == 1 or bound(k - 1, t) >= tol
+
+    def test_times_span_the_crossover(self):
+        picks = {2 * _image_terms(t, 1e-14) < _series_terms(t, 1e-14) for t in self.TIMES}
+        assert picks == {True, False}
+
+    @pytest.mark.parametrize("sizes", [(512,), (96, 64)])
+    def test_matches_series(self, sizes):
+        g = PeriodicGrid(sizes)
+        for t in self.TIMES:
+            p = ThetaParams.from_time(t)
+            factors = [theta3_series(g.axis_points(a), p) / (2 * np.pi)
+                       for a in range(g.dims)]
+            ref = factors[0] if g.dims == 1 else np.multiply.outer(*factors)
+            vals = kernel(t, g).values.real
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(ref)
+
+    def test_small_time_on_fine_line(self, monkeypatch):
+        # At t = 1e-3 the image route runs no cosine pass; its values are
+        # nonnegative without a clamp.
+        cos_calls = []
+
+        def counting_cos(*args, **kwargs):
+            cos_calls.append(1)
+            return original_cos(*args, **kwargs)
+
+        original_cos = np.cos
+        monkeypatch.setattr(np, "cos", counting_cos)
+        g = PeriodicGrid.line(65536)
+        vals = kernel(1e-3, g).values.real
+        monkeypatch.undo()
+        assert not cos_calls
+        exact = _image_sum(g.points, 1e-3) / (2 * np.pi)
+        assert np.max(np.abs(vals - exact)) <= 1e-14 * np.max(exact)
+        assert float(np.min(vals)) >= 0.0
+        assert kernel(1e-3, g).integral() == pytest.approx(1.0, abs=1e-13)

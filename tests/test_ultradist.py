@@ -24,6 +24,7 @@ from thetaflow.ultradist import (
 )
 
 TWO_PI = 2 * math.pi
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def seq_from_rule(hw, rule):
@@ -46,6 +47,17 @@ class TestGrowthClass:
             GrowthClass("dual", 0.8, 1)
         with pytest.raises(ValueError, match="order"):
             GrowthClass("test", 0.5, 0)
+
+    @pytest.mark.parametrize("kind", ["test", "dual"])
+    @pytest.mark.parametrize("base", NON_FINITE)
+    def test_non_finite_base_rejected(self, kind, base):
+        with pytest.raises(ValueError, match="base"):
+            GrowthClass(kind, base, 1, 1.0)
+
+    @pytest.mark.parametrize("kind, base", [("test", 0.5), ("dual", 2.0)])
+    def test_nan_constant_rejected(self, kind, base):
+        with pytest.raises(ValueError, match="constant"):
+            GrowthClass(kind, base, 1, math.nan)
 
     def test_bound_overflow_is_inf(self):
         g = GrowthClass("dual", 2.0, 2, 1.0)
@@ -135,6 +147,12 @@ class TestFitGrowth:
     def test_all_zero_degenerate(self):
         g = fit_growth(CoefficientSequence(5, np.zeros(11, dtype=complex)), 2)
         assert g.degenerate and g.kind == "test" and g.base == 0.5
+
+    @pytest.mark.parametrize("rule, k", [(PowerRule(3.0, 1), 1), (PowerRule(0.5, 2), 2),
+                                         (PowerRule(1.0, 1), 1)])
+    def test_fit_is_finite(self, rule, k):
+        g = fit_growth(seq_from_rule(6, rule), k)
+        assert math.isfinite(g.base) and g.constant >= 0
 
     def test_small_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -400,3 +418,34 @@ class TestPositivity:
             {0: 0.05, 1: -0.5, -1: -0.5}))
         res = positivity_check(F, t=0.01, trial_count=40)
         assert not res.positive
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_evolve_ultra(self, t):
+        F = UltraDistribution(seq_from_rule(4, PowerRule(2.0, 1)))
+        with pytest.raises(ValueError, match="time must be finite"):
+            evolve_ultra(F, t)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_evolution_deficit_pair(self, t):
+        f = seq_from_rule(4, PowerRule(0.3, 2))
+        with pytest.raises(ValueError, match="time must be finite"):
+            evolution_deficit_pair(comb(), f, t, f_class=GrowthClass("test", 0.3, 2, 1.0))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_weak_limit_check(self, t):
+        f = seq_from_rule(4, PowerRule(0.3, 2))
+        with pytest.raises(ValueError, match="time must be finite"):
+            weak_limit_check(comb(), f, (1.0, t, 0.1))
+
+    def test_weak_limit_check_negative_infinity(self):
+        f = seq_from_rule(4, PowerRule(0.3, 2))
+        with pytest.raises(ValueError, match="strictly positive"):
+            weak_limit_check(comb(), f, (1.0, -math.inf, 0.1))
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_positivity_check(self, t):
+        F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}))
+        with pytest.raises(ValueError, match="time must be finite"):
+            positivity_check(F, t, trial_count=1)
