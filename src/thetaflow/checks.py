@@ -20,8 +20,8 @@ from .fourier import PeriodicGrid, SampledFunction, circular_convolve, inner
 from .semigroups import (
     generator_apply,
     heat_residual,
-    poisson_evolve_d,
-    theta_evolve_d,
+    poisson_evolve_multiplier,
+    theta_evolve,
 )
 from .theta import kernel
 
@@ -103,8 +103,8 @@ def random_nonnegative(grid: PeriodicGrid, halfwidth: int,
 def _record_semigroup(f: SampledFunction) -> PropertyRecord:
     worst = 0.0
     for t1, t2 in itertools.product(EVOLVE_TIMES, repeat=2):
-        twice = theta_evolve_d(theta_evolve_d(f, t2), t1)
-        once = theta_evolve_d(f, t1 + t2)
+        twice = theta_evolve(theta_evolve(f, t2), t1)
+        once = theta_evolve(f, t1 + t2)
         worst = max(worst, float(np.max(np.abs(twice.values - once.values))))
     return PropertyRecord(
         "semigroup_law",
@@ -129,7 +129,7 @@ def _record_chapman_kolmogorov(grid: PeriodicGrid) -> PropertyRecord:
 def _record_conservation(f: SampledFunction) -> PropertyRecord:
     base = complex(f.values.mean())
     worst = max(
-        abs(complex(theta_evolve_d(f, t).values.mean()) - base) for t in EVOLVE_TIMES
+        abs(complex(theta_evolve(f, t).values.mean()) - base) for t in EVOLVE_TIMES
     )
     return PropertyRecord(
         "conservation",
@@ -141,7 +141,7 @@ def _record_conservation(f: SampledFunction) -> PropertyRecord:
 def _record_positivity(fpos: SampledFunction) -> PropertyRecord:
     worst = 0.0
     for t in EVOLVE_TIMES:
-        low = float(np.min(theta_evolve_d(fpos, t).values.real))
+        low = float(np.min(theta_evolve(fpos, t).values.real))
         worst = max(worst, max(0.0, -low))
     return PropertyRecord(
         "positivity",
@@ -153,7 +153,7 @@ def _record_positivity(fpos: SampledFunction) -> PropertyRecord:
 def _record_contractivity(f: SampledFunction) -> PropertyRecord:
     worst = 0.0
     for t in EVOLVE_TIMES:
-        ft = theta_evolve_d(f, t)
+        ft = theta_evolve(f, t)
         for p in (1, 2, math.inf):
             worst = max(worst, ft.norm(p) - f.norm(p))
     return PropertyRecord(
@@ -166,7 +166,7 @@ def _record_contractivity(f: SampledFunction) -> PropertyRecord:
 def _record_strong_continuity(f: SampledFunction) -> PropertyRecord:
     dists = []
     for t in DECAY_TIMES:
-        ft = theta_evolve_d(f, t)
+        ft = theta_evolve(f, t)
         dists.append(ft.with_values(ft.values - f.values).norm(2))
     worst = max([b - a for a, b in zip(dists, dists[1:])] + [0.0])
     return PropertyRecord(
@@ -179,7 +179,7 @@ def _record_strong_continuity(f: SampledFunction) -> PropertyRecord:
 
 def _record_self_adjointness(f: SampledFunction, g: SampledFunction) -> PropertyRecord:
     worst = max(
-        abs(inner(theta_evolve_d(f, t), g) - inner(f, theta_evolve_d(g, t)))
+        abs(inner(theta_evolve(f, t), g) - inner(f, theta_evolve(g, t)))
         for t in EVOLVE_TIMES
     )
     return PropertyRecord(
@@ -193,7 +193,7 @@ def _record_generator(f: SampledFunction) -> PropertyRecord:
     lf = generator_apply(f)
     errs = []
     for t in GENERATOR_TIMES:
-        diff = (theta_evolve_d(f, t).values - f.values) / t - lf.values
+        diff = (theta_evolve(f, t).values - f.values) / t - lf.values
         errs.append(float(np.max(np.abs(diff))))
     slope = np.polyfit(np.log(GENERATOR_TIMES), np.log(errs), 1)[0]
     return PropertyRecord(
@@ -220,7 +220,7 @@ def _record_sqrt2_decay(grid: PeriodicGrid) -> PropertyRecord:
     worst = 0.0
     for t in SQRT2_TIMES:
         expected = math.exp(-t * math.sqrt(2.0)) * f.values
-        got = poisson_evolve_d(f, t).values
+        got = poisson_evolve_multiplier(f, t).values
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return PropertyRecord(
         "poisson_sqrt2_decay",
@@ -233,9 +233,9 @@ def _record_sqrt2_decay(grid: PeriodicGrid) -> PropertyRecord:
 def run_suite(suite: str, n: Optional[int] = None, seed: int = 42) -> CheckReport:
     """Run the named property suite ('thm1': 1-d, 'thm2': 2-d)."""
     if suite == "thm1":
-        dims, n = 1, n or 256
+        dims, n = 1, 256 if n is None else n
     elif suite == "thm2":
-        dims, n = 2, n or 64
+        dims, n = 2, 64 if n is None else n
     else:
         raise ValueError(f"unknown suite {suite!r}; expected 'thm1' or 'thm2'")
     grid = PeriodicGrid((n,) * dims)

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .checks import run_suite
@@ -25,38 +24,15 @@ from .io import (
 )
 from .semigroups import (
     SubordinationQuadrature,
-    poisson_evolve_d,
     poisson_evolve_kernel,
     poisson_evolve_multiplier,
     subordinate,
     theta_evolve,
-    theta_evolve_d,
 )
 from .theta import ThetaParams, theta3_product, theta3_series
 from .ultradist import GrowthClass, check_membership, evolve_ultra, pair
 
 DEFAULT_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command plus its validated options."""
-
-    command: str
-    t: Optional[float] = None
-    method: str = ""
-    tolerance: float = DEFAULT_TOL
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    report_path: Optional[str] = None
-    seed: int = 42
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.t is not None and not math.isfinite(self.t):
-            raise ValueError(f"time must be finite, got {self.t}")
-        if self.t is not None and self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
 
 
 def _env_tolerance() -> float:
@@ -70,6 +46,7 @@ def _env_tolerance() -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each command's handler is its `run` default."""
     p = argparse.ArgumentParser(
         prog="thetaflow",
         description="Heat and Poisson flows on the torus via theta kernels.",
@@ -83,27 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--x", type=float, required=True, help="angle in radians")
     ev.add_argument("--q", type=float, required=True, help="nome in [0, 1)")
     ev.add_argument("--form", choices=("series", "product"), default="series")
+    ev.set_defaults(run=_run_theta)
 
     heat = sub.add_parser("heat", help="apply the heat flow to a CSV function")
-    heat.add_argument("--init", required=True, help="input function CSV")
-    heat.add_argument("--t", type=float, required=True)
-    heat.add_argument("--out", required=True, help="output function CSV")
+    _add_flow_args(heat, quad=False)
+    heat.set_defaults(run=_run_heat)
 
     poisson = sub.add_parser("poisson", help="apply the Poisson flow")
-    poisson.add_argument("--init", required=True)
-    poisson.add_argument("--t", type=float, required=True)
-    poisson.add_argument("--out", required=True)
+    _add_flow_args(poisson, quad=True)
     poisson.add_argument("--method",
                          choices=("multiplier", "kernel", "subordination"),
                          default="multiplier")
-    _add_quad_args(poisson)
+    poisson.set_defaults(run=_run_poisson)
 
     subo = sub.add_parser("subordinate",
                           help="Poisson flow by explicit subordination quadrature")
-    subo.add_argument("--init", required=True)
-    subo.add_argument("--t", type=float, required=True)
-    subo.add_argument("--out", required=True)
-    _add_quad_args(subo)
+    _add_flow_args(subo, quad=True)
+    subo.set_defaults(run=_run_poisson, method="subordination")
 
     check = sub.add_parser("check", help="run a property suite")
     check.add_argument("--suite", choices=("thm1", "thm2"), required=True)
@@ -111,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid points per axis (defaults per suite)")
     check.add_argument("--report", default=None, help="write the JSON report here")
     check.add_argument("--seed", type=int, default=42)
+    check.set_defaults(run=_run_check)
 
     ultra = sub.add_parser("ultra", help="ultra-distribution operations")
     usub = ultra.add_subparsers(dest="subcommand", required=True)
@@ -121,10 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--base", type=float, default=None)
     um.add_argument("--order", type=int, default=None)
     um.add_argument("--constant", type=float, default=1.0)
+    um.set_defaults(run=_run_ultra_membership)
     ue = usub.add_parser("evolve", help="heat-evolve a distribution")
     ue.add_argument("--dist", required=True)
     ue.add_argument("--t", type=float, required=True)
     ue.add_argument("--out", required=True)
+    ue.set_defaults(run=_run_ultra_evolve)
     up = usub.add_parser("pair", help="pair a distribution with a coefficient file")
     up.add_argument("--dist", required=True, help="distribution JSON")
     up.add_argument("--seq", required=True, help="test coefficient JSON array")
@@ -132,65 +108,43 @@ def build_parser() -> argparse.ArgumentParser:
                     help="declare a test-class base for the sequence")
     up.add_argument("--test-order", type=int, default=1)
     up.add_argument("--test-constant", type=float, default=1.0)
+    up.set_defaults(run=_run_ultra_pair)
     return p
 
 
-def _add_quad_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=64)
-    parser.add_argument("--u-max", type=float, default=36.0, dest="u_max")
-    parser.add_argument("--quad-tol", type=float, default=None, dest="quad_tol")
+def _add_flow_args(parser: argparse.ArgumentParser, quad: bool) -> None:
+    parser.add_argument("--init", required=True, help="input function CSV")
+    parser.add_argument("--t", type=float, required=True)
+    parser.add_argument("--out", required=True, help="output function CSV")
+    if quad:
+        parser.add_argument("--nodes", type=int, default=64)
+        parser.add_argument("--u-max", type=float, default=36.0, dest="u_max")
+        parser.add_argument("--quad-tol", type=float, default=None, dest="quad_tol")
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    opts = {k: v for k, v in vars(args).items()
-            if k not in ("command", "t", "method")}
-    return RunConfig(
-        command=args.command,
-        t=getattr(args, "t", None),
-        method=getattr(args, "method", ""),
-        tolerance=_env_tolerance(),
-        input_path=getattr(args, "init", None) or getattr(args, "dist", None),
-        output_path=getattr(args, "out", None),
-        report_path=getattr(args, "report", None),
-        seed=getattr(args, "seed", 42),
-        options=opts,
-    )
-
-
-def _quad_from(config: RunConfig) -> SubordinationQuadrature:
-    return SubordinationQuadrature(
-        nodes=config.options.get("nodes", 64),
-        u_max=config.options.get("u_max", 36.0),
-        tol=config.options.get("quad_tol"),
-    )
-
-
-def _run_theta(config: RunConfig) -> int:
-    params = ThetaParams(config.options["q"], tol=config.tolerance)
-    form = config.options["form"]
-    fn = theta3_series if form == "series" else theta3_product
-    print(repr(fn(config.options["x"], params)))
+def _run_theta(args: argparse.Namespace) -> int:
+    params = ThetaParams(args.q, tol=args.tolerance)
+    fn = theta3_series if args.form == "series" else theta3_product
+    print(repr(fn(args.x, params)))
     return 0
 
 
-def _run_heat(config: RunConfig) -> int:
-    f = load_function(config.input_path)
-    out = theta_evolve(f, config.t) if f.grid.dims == 1 else theta_evolve_d(f, config.t)
-    save_function(out, config.output_path)
+def _run_heat(args: argparse.Namespace) -> int:
+    save_function(theta_evolve(load_function(args.init), args.t), args.out)
     return 0
 
 
-def _run_poisson(config: RunConfig) -> int:
-    f = load_function(config.input_path)
-    method = config.method or "subordination"
-    if method == "multiplier":
-        out = (poisson_evolve_multiplier(f, config.t) if f.grid.dims == 1
-               else poisson_evolve_d(f, config.t))
-    elif method == "kernel":
-        out = poisson_evolve_kernel(f, config.t)
+def _run_poisson(args: argparse.Namespace) -> int:
+    f = load_function(args.init)
+    if args.method == "multiplier":
+        out = poisson_evolve_multiplier(f, args.t)
+    elif args.method == "kernel":
+        out = poisson_evolve_kernel(f, args.t)
     else:
-        out = subordinate(f, config.t, _quad_from(config))
-    save_function(out, config.output_path)
+        quad = SubordinationQuadrature(nodes=args.nodes, u_max=args.u_max,
+                                       tol=args.quad_tol)
+        out = subordinate(f, args.t, quad)
+    save_function(out, args.out)
     return 0
 
 
@@ -203,72 +157,58 @@ def _print_report(report) -> None:
     print(f"suite {report.suite}: {'all pass' if report.all_pass else 'FAILED'}")
 
 
-def _run_check(config: RunConfig) -> int:
-    report = run_suite(config.options["suite"], n=config.options.get("n"),
-                       seed=config.seed)
-    if config.report_path:
-        with open(config.report_path, "w") as fh:
+def _run_check(args: argparse.Namespace) -> int:
+    report = run_suite(args.suite, n=args.n, seed=args.seed)
+    if args.report:
+        with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     _print_report(report)
     return 0 if report.all_pass else 2
 
 
-def _run_ultra(config: RunConfig) -> int:
-    sub = config.options["subcommand"]
-    F = load_ultra(config.input_path)
-    if sub == "evolve":
-        save_ultra(evolve_ultra(F, config.t), config.output_path)
-        return 0
-    if sub == "check-membership":
-        kind, base = config.options.get("kind"), config.options.get("base")
-        order = config.options.get("order")
-        if kind is None or base is None or order is None:
-            if F.declared_class is None:
-                raise ValueError(
-                    "no growth class: give --kind/--base/--order or declare one "
-                    "in the distribution file"
-                )
-            g = F.declared_class
-        else:
-            g = GrowthClass(kind, base, order, config.options.get("constant", 1.0))
-        res = check_membership(F.coeffs, g, tol=config.tolerance)
-        where = "" if res.worst_n is None else f" at n = {res.worst_n}"
-        print(f"member: {str(res.ok).lower()} "
-              f"(worst ratio {res.worst_ratio:.6g}{where}, "
-              f"checked |n| <= {res.checked_up_to})")
-        return 0
-    seq = load_coefficients(config.options["seq"])
+def _run_ultra_evolve(args: argparse.Namespace) -> int:
+    save_ultra(evolve_ultra(load_ultra(args.dist), args.t), args.out)
+    return 0
+
+
+def _run_ultra_membership(args: argparse.Namespace) -> int:
+    F = load_ultra(args.dist)
+    if args.kind is None or args.base is None or args.order is None:
+        if F.declared_class is None:
+            raise ValueError(
+                "no growth class: give --kind/--base/--order or declare one "
+                "in the distribution file"
+            )
+        g = F.declared_class
+    else:
+        g = GrowthClass(args.kind, args.base, args.order, args.constant)
+    res = check_membership(F.coeffs, g, tol=args.tolerance)
+    where = "" if res.worst_n is None else f" at n = {res.worst_n}"
+    print(f"member: {str(res.ok).lower()} "
+          f"(worst ratio {res.worst_ratio:.6g}{where}, "
+          f"checked |n| <= {res.checked_up_to})")
+    return 0
+
+
+def _run_ultra_pair(args: argparse.Namespace) -> int:
+    F = load_ultra(args.dist)
+    seq = load_coefficients(args.seq)
     f_class = None
-    if config.options.get("test_base") is not None:
-        f_class = GrowthClass("test", config.options["test_base"],
-                              config.options.get("test_order", 1),
-                              config.options.get("test_constant", 1.0))
-    res = pair(F, seq, f_class=f_class, tol=config.tolerance)
+    if args.test_base is not None:
+        f_class = GrowthClass("test", args.test_base, args.test_order,
+                              args.test_constant)
+    res = pair(F, seq, f_class=f_class, tol=args.tolerance)
     print(f"value: {res.value.real!r} + {res.value.imag!r}j "
           f"(tail bound {res.tail_bound:.3e}, {res.terms} terms)")
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
-    dispatch = {
-        "theta": _run_theta,
-        "heat": _run_heat,
-        "poisson": _run_poisson,
-        "subordinate": lambda c: _run_poisson(c),
-        "check": _run_check,
-        "ultra": _run_ultra,
-    }
-    return dispatch[config.command](config)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        args.tolerance = _env_tolerance()
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

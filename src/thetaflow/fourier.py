@@ -7,8 +7,7 @@ Conventions used throughout the package:
 
 Grids are node-centered at x_j = 2pi j / N, so the implied quadrature is
 the trapezoid rule, which is exact for band-limited integrands. The
-discrete transform is computed with the FFT; direct O(N^2) reference
-versions are kept alongside for oracle tests.
+discrete transform is computed with the FFT.
 """
 
 from __future__ import annotations
@@ -253,18 +252,6 @@ def analyze(f: SampledFunction) -> CoefficientSequence:
     return CoefficientSequence(hw, coeffs)
 
 
-def analyze_direct(f: SampledFunction) -> CoefficientSequence:
-    """O(N^2) reference transform, kept as an oracle for the FFT path."""
-    if f.grid.dims != 1:
-        raise ValueError("analyze_direct expects a 1-d grid")
-    n = f.grid.sizes[0]
-    x = f.grid.points
-    hw = n // 2 - 1
-    modes = np.arange(-hw, hw + 1)
-    kernel = np.exp(-1j * np.outer(modes, x))
-    return CoefficientSequence(hw, kernel @ f.values / n)
-
-
 def synthesize(c: CoefficientSequence, grid: PeriodicGrid) -> SampledFunction:
     """Evaluate sum of c_n exp(i n x) on the grid points.
 
@@ -323,17 +310,3 @@ def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction
     vals = _inverse(spec, f.grid, real) * f.grid.cell_volume
     return SampledFunction(f.grid, vals, kind="real" if real else "complex")
 
-
-def convolve_direct(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """O(N^2) direct-sum convolution, the oracle for circular_convolve (1-d)."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    if f.grid.dims != 1:
-        raise ValueError("convolve_direct expects a 1-d grid")
-    n = f.grid.sizes[0]
-    out = np.empty(n, dtype=complex)
-    fv, gv = f.values, g.values
-    for j in range(n):
-        out[j] = sum(fv[k] * gv[(j - k) % n] for k in range(n))
-    kind = "real" if f.kind == "real" and g.kind == "real" else "complex"
-    return SampledFunction(f.grid, out * f.grid.spacing(), kind=kind)

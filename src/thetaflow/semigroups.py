@@ -37,7 +37,7 @@ import numpy as np
 
 from .fourier import PeriodicGrid, SampledFunction, _forward, _inverse, circular_convolve
 
-MULTIPLIER_KINDS = ("heat", "poisson", "laplacian", "heat_d", "poisson_d")
+MULTIPLIER_KINDS = ("heat", "poisson", "laplacian")
 
 # Panel break for the substituted Gauss-Legendre rule: one panel resolves
 # the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
@@ -101,19 +101,13 @@ def _symbol_applier(f: SampledFunction) -> Callable[[np.ndarray], SampledFunctio
     return apply
 
 
-def _apply_symbol(f: SampledFunction, symbol: np.ndarray) -> SampledFunction:
-    """Scale each mode n of f by symbol[k], where |n|^2 is the k-th distinct value."""
-    return _symbol_applier(f)(symbol)
-
-
 @dataclass(frozen=True)
 class MultiplierSpec:
     """A Fourier multiplier symbol: kind plus time parameter.
 
-    Kinds: 'heat' exp(-n^2 t) and 'poisson' exp(-|n| t) on 1-d grids,
-    'heat_d' exp(-t sum n_j^2) and 'poisson_d' exp(-t sqrt(sum n_j^2)) in
-    any dimension, and 'laplacian' -(sum n_j^2), which ignores t. The time
-    must be finite.
+    Kinds, each valid on a grid of any dimension: 'heat' exp(-t |n|^2),
+    'poisson' exp(-t |n|) and 'laplacian' -|n|^2, which ignores t; here
+    |n|^2 = sum n_j^2. The time must be finite.
     """
 
     kind: str
@@ -128,12 +122,10 @@ class MultiplierSpec:
             raise ValueError(f"time must be finite, got {self.t}")
 
     def _on_distinct_modes(self, grid: PeriodicGrid) -> np.ndarray:
-        if self.kind in ("heat", "poisson") and grid.dims != 1:
-            raise ValueError(f"multiplier kind {self.kind!r} expects a 1-d grid")
         n2, _ = _mode_table(grid.sizes, False)
-        if self.kind in ("heat", "heat_d"):
+        if self.kind == "heat":
             return np.exp(-self.t * n2)
-        if self.kind in ("poisson", "poisson_d"):
+        if self.kind == "poisson":
             return np.exp(-self.t * np.sqrt(n2))
         return -n2
 
@@ -144,36 +136,36 @@ class MultiplierSpec:
 
 def apply_multiplier(f: SampledFunction, spec: MultiplierSpec) -> SampledFunction:
     """Scale the Fourier modes of f by the symbol of spec."""
-    return _apply_symbol(f, spec._on_distinct_modes(f.grid))
-
-
-def _evolve_heat(f: SampledFunction, t: float) -> SampledFunction:
-    _require_time(t)
-    if t == 0.0:
-        return f
-    return apply_multiplier(f, MultiplierSpec("heat_d", t))
+    return _symbol_applier(f)(spec._on_distinct_modes(f.grid))
 
 
 def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
-    """Heat flow on the circle: mode n scaled by exp(-n^2 t); t=0 is the identity."""
-    if f.grid.dims != 1:
-        raise ValueError("theta_evolve expects a 1-d grid; use theta_evolve_d")
-    return _evolve_heat(f, t)
+    """Heat flow on the torus of any dimension: mode n scaled by exp(-t |n|^2).
 
-
-def theta_evolve_d(f: SampledFunction, t: float) -> SampledFunction:
-    """Heat flow on the d-torus, the per-axis 1-d multipliers applied jointly."""
-    return _evolve_heat(f, t)
+    On a d-dim grid this is the product of the per-axis flows, as the
+    kernel is the product of per-axis theta factors. t must be finite and
+    nonnegative; t = 0 is the identity.
+    """
+    if t == 0.0:
+        return f
+    return apply_multiplier(f, MultiplierSpec("heat", t))
 
 
 def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
-    """Poisson flow on the circle: mode n scaled by exp(-|n| t)."""
-    if f.grid.dims != 1:
-        raise ValueError("poisson_evolve_multiplier expects a 1-d grid")
-    _require_time(t)
+    """Poisson flow on the torus of any dimension: mode n scaled by exp(-t |n|).
+
+    Applied directly on the full mode array: for d > 1 the symbol
+    exp(-t sqrt(sum n_j^2)) does not factor across axes. t must be finite
+    and nonnegative; t = 0 is the identity.
+    """
     if t == 0.0:
         return f
     return apply_multiplier(f, MultiplierSpec("poisson", t))
+
+
+# The d-dim names of the two flows, kept for callers that use them.
+theta_evolve_d = theta_evolve
+poisson_evolve_d = poisson_evolve_multiplier
 
 
 def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
@@ -204,7 +196,8 @@ class SubordinationQuadrature:
     integrand with an adaptive vector routine (nodes is then ignored).
     Either rule yields a symbol S(|n|^2) that approximates exp(-t|n|).
 
-    tol, when set, requests an error check: the Bochner defect
+    u_max must be finite. tol, when set, must be finite and requests an
+    error check: the Bochner defect
     sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes of the input,
     which bounds the sup-norm quadrature error of the result, must not
     exceed tol, or a SubordinationError is raised.
@@ -220,10 +213,10 @@ class SubordinationQuadrature:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.nodes < 8:
             raise ValueError(f"need at least 8 nodes, got {self.nodes}")
-        if self.u_max <= 1:
-            raise ValueError(f"u_max must exceed 1, got {self.u_max}")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive when given")
+        if not (math.isfinite(self.u_max) and self.u_max > 1):
+            raise ValueError(f"u_max must be finite and exceed 1, got {self.u_max}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite when given, got {self.tol}")
 
 
 def _gauss_nodes(eps: float, s_max: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,33 +316,7 @@ def subordinate(f: SampledFunction, t: float,
                 f"estimated quadrature error {est:.3e} exceeds requested "
                 f"{quad.tol:.3e} (rule {quad.rule!r}, nodes = {quad.nodes}, t = {t})"
             )
-    return _apply_symbol(f, symbol)
-
-
-def poisson_evolve_d(f: SampledFunction, t: float,
-                     quad: Optional[SubordinationQuadrature] = None) -> SampledFunction:
-    """Subordinated flow on the d-torus: multiplier exp(-t sqrt(sum n_j^2)).
-
-    Applied directly on the full d-dim mode array (the symbol does not
-    factor across axes). When a quadrature plan is given, the result is
-    cross-checked against the subordination route and a SubordinationError
-    is raised on disagreement beyond the plan's tolerance.
-    """
-    _require_time(t)
-    if t == 0.0:
-        return f
-    out = apply_multiplier(f, MultiplierSpec("poisson_d", t))
-    if quad is not None:
-        tol = quad.tol if quad.tol is not None else 1e-6
-        n2, _ = _mode_table(f.grid.sizes, False)
-        via_heat = _apply_symbol(f, _subordination_symbol(n2, t, quad))
-        gap = float(np.max(np.abs(out.values - via_heat.values)))
-        if gap > tol:
-            raise SubordinationError(
-                f"direct multiplier and subordination route disagree by {gap:.3e} "
-                f"(> {tol:.3e}) at t = {t}"
-            )
-    return out
+    return _symbol_applier(f)(symbol)
 
 
 def generator_apply(f: SampledFunction) -> SampledFunction:

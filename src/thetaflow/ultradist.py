@@ -198,13 +198,35 @@ class PositivityResult:
         return self.positive
 
 
+def _log_ratio(c: CoefficientSequence, g: GrowthClass, n: int) -> float:
+    """|c_n| / bound(n) from log magnitudes, for when a side is not finite.
+
+    Only a PowerRule tail has a known log magnitude, |n|^k ln|base|,
+    against ln c + |n|^k ln base for the class; any other case is
+    undecidable and reported as an infinite ratio, never as a pass.
+    """
+    rule = c.rule
+    if abs(n) <= c.halfwidth or not isinstance(rule, PowerRule):
+        return math.inf
+    m = abs(n)
+    try:
+        log_v = m ** rule.order * math.log(abs(rule.base))
+        log_b = math.log(g.constant) + m ** g.order * math.log(g.base)
+        r = math.exp(log_v - log_b)
+    except OverflowError:
+        return math.inf
+    return r if r == r else math.inf
+
+
 def check_membership(c: CoefficientSequence, g: GrowthClass,
                      tol: float = 1e-14, max_terms: int = 1_000_000) -> MembershipResult:
     """Test |c_n| <= bound(n) over the window and, via the rule, the tail.
 
     The tail scan runs until both the class bound and the rule values drop
     below tol (or max_terms); it stops at the first tail violation. The
-    witness reports the worst index and ratio |c_n| / bound(n) seen.
+    witness reports the worst index and ratio |c_n| / bound(n) seen. Where
+    both sides overflow, the ratio is taken from log magnitudes; where it
+    cannot be, it counts as a violation.
     """
     worst_ratio = 0.0
     worst_n: Optional[int] = None
@@ -216,6 +238,8 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
 
     for n in c.indices():
         r = ratio(abs(c.value(int(n))), g.bound(int(n)))
+        if r != r:  # inf / inf: decide in log magnitude
+            r = _log_ratio(c, g, int(n))
         if r > worst_ratio:
             worst_ratio, worst_n = r, int(n)
     checked = c.halfwidth
@@ -225,10 +249,13 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
             b = g.bound(n)
             vp, vm = abs(c.value(n)), abs(c.value(-n))
             checked = n
-            r = max(ratio(vp, b), ratio(vm, b))
+            rp, rm = ratio(vp, b), ratio(vm, b)
+            if rp != rp or rm != rm:  # inf / inf: decide in log magnitude
+                rp = rm = _log_ratio(c, g, n)  # a PowerRule is even in n
+            r = rp if rp >= rm else rm
             if r > worst_ratio:
                 worst_ratio = r
-                worst_n = n if ratio(vp, b) >= ratio(vm, b) else -n
+                worst_n = n if rp >= rm else -n
             if r > 1.0 + 1e-12:
                 break
             if b < tol and max(vp, vm) < tol:

@@ -52,6 +52,11 @@ class TestSuites:
         with pytest.raises(ValueError, match="suite"):
             run_suite("thm9")
 
+    @pytest.mark.parametrize("suite", ["thm1", "thm2"])
+    def test_zero_grid_size_is_refused(self, suite):
+        with pytest.raises(ValueError, match="underresolved"):
+            run_suite(suite, n=0)
+
     def test_report_serialization_is_deterministic(self):
         a = run_suite("thm1", n=64, seed=1)
         b = run_suite("thm1", n=64, seed=1)

@@ -315,6 +315,48 @@ class TestCommands:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--u-max", "nan"], ["--u-max", "inf"],
+                                      ["--quad-tol", "nan"], ["--quad-tol", "inf"]])
+    @pytest.mark.parametrize("command", [["subordinate"],
+                                         ["poisson", "--method", "subordination"]])
+    def test_non_finite_quadrature_exits_one(self, tmp_path, capsys, command, flag):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        assert main([*command, "--init", str(init), "--t", "0.8", *flag,
+                     "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subordinate_is_poisson_by_subordination(self, tmp_path):
+        init = tmp_path / "f.csv"
+        g = PeriodicGrid((16, 12))
+        x1, x2 = g.meshgrid()
+        save_function(SampledFunction(g, (np.cos(x1) + np.sin(2 * x2)).astype(complex),
+                                      kind="real"), init)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        quad = ["--nodes", "48", "--u-max", "30"]
+        assert main(["subordinate", "--init", str(init), "--t", "0.6", *quad,
+                     "--out", str(a)]) == 0
+        assert main(["poisson", "--method", "subordination", "--init", str(init),
+                     "--t", "0.6", *quad, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_check_zero_grid_size_exits_one(self, tmp_path, capsys):
+        # --n 0 used to fall back to the suite's default size and pass.
+        report = tmp_path / "r.json"
+        assert main(["check", "--suite", "thm1", "--n", "0",
+                     "--report", str(report)]) == 1
+        assert "grid underresolved" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_bad_env_tolerance_refused_by_every_command(self, tmp_path, monkeypatch, capsys):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        monkeypatch.setenv("THETA_TOL", "nan")
+        assert main(["heat", "--init", str(init), "--t", "0.1", "--out", str(out)]) == 1
+        assert "THETA_TOL" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_thm1_large_grid_stays_real(self, capsys):
         # Complex-FFT round-off times the n^2 Laplacian symbol once broke
         # the real-kind invariant at this size.

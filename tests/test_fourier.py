@@ -6,12 +6,26 @@ from thetaflow.fourier import (
     PeriodicGrid,
     SampledFunction,
     analyze,
-    analyze_direct,
     circular_convolve,
-    convolve_direct,
     synthesize,
 )
 from thetaflow.theta import kernel
+
+
+def analyze_direct(f):
+    """O(N^2) reference transform on a 1-d grid, the oracle for analyze."""
+    n = f.grid.sizes[0]
+    hw = n // 2 - 1
+    modes = np.arange(-hw, hw + 1)
+    return CoefficientSequence(hw, np.exp(-1j * np.outer(modes, f.grid.points)) @ f.values / n)
+
+
+def convolve_direct(f, g):
+    """O(N^2) direct-sum convolution on a 1-d grid, the oracle for circular_convolve."""
+    n = f.grid.sizes[0]
+    fv, gv = f.values, g.values
+    out = np.array([sum(fv[k] * gv[(j - k) % n] for k in range(n)) for j in range(n)])
+    return SampledFunction(f.grid, out * f.grid.spacing(), kind="complex")
 
 
 def _random_real(grid, halfwidth, seed):

@@ -99,6 +99,32 @@ class TestMembership:
         assert not res.ok
         assert abs(res.worst_n) > 3
 
+    def test_overflowing_tail_compared_in_log_magnitude(self):
+        # Past |n| ~ 1024 both 2.0001^|n| and 1.1 * 2^|n| overflow; in log
+        # magnitude the bound first fails at |n| = 1907.
+        c = seq_from_rule(8, PowerRule(2.0001, 1))
+        res = check_membership(c, GrowthClass("dual", 2.0, 1, 1.1))
+        assert not res.ok
+        assert abs(res.worst_n) == 1907
+        assert res.checked_up_to == 1907
+        assert 1.0 < res.worst_ratio < 1.0001
+
+    def test_overflowing_member_passes(self):
+        c = seq_from_rule(8, PowerRule(2.0, 1))
+        res = check_membership(c, GrowthClass("dual", 2.0, 1, 1.0), max_terms=3000)
+        assert res.ok
+        assert res.checked_up_to == 3000
+        assert res.worst_ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_undecidable_overflow_is_not_a_pass(self):
+        # A rule without a known log magnitude: inf against inf is undecided.
+        rule = PowerRule(2.0, 1)
+        c = seq_from_rule(8, lambda n: rule(n))
+        res = check_membership(c, GrowthClass("dual", 2.0, 1, 1.0), max_terms=3000)
+        assert not res.ok
+        assert res.worst_ratio == math.inf
+        assert res.checked_up_to == abs(res.worst_n) < 3000
+
     def test_degenerate_class(self):
         zero = CoefficientSequence(4, np.zeros(9, dtype=complex))
         g = fit_growth(zero, 1)
