@@ -209,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.tolerance = _env_tolerance()
         return args.run(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

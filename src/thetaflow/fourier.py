@@ -169,13 +169,27 @@ def inner(f: SampledFunction, g: SampledFunction) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
 
 
+def rule_values(rule: Callable[[int], complex], ns: np.ndarray) -> np.ndarray:
+    """A coefficient rule over an index array.
+
+    A rule with a ``values`` method is evaluated on the whole array; any
+    other callable is called once per index.
+    """
+    array_form = getattr(rule, "values", None)
+    if array_form is not None:
+        return np.asarray(array_form(ns))
+    return np.fromiter(map(rule, ns.tolist()), dtype=complex, count=ns.size)
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """Two-sided coefficient sequence c_n for n in [-halfwidth, halfwidth].
 
     An optional ``rule`` extends the sequence lazily beyond the stored
     window; ``value(n)`` consults the window first, then the rule, and
-    returns 0 for indices that neither covers.
+    returns 0 for indices that neither covers. ``values(ns)`` does the
+    same for an index array: a rule with a ``values`` method of its own is
+    evaluated on the array, any other callable once per index.
     """
 
     halfwidth: int
@@ -204,8 +218,8 @@ class CoefficientSequence:
     @classmethod
     def from_rule(cls, halfwidth: int, rule: Callable[[int], complex]) -> "CoefficientSequence":
         """Materialize a window from a rule, keeping the rule for the tail."""
-        c = np.array([rule(n) for n in range(-halfwidth, halfwidth + 1)], dtype=complex)
-        return cls(halfwidth, c, rule=rule)
+        return cls(halfwidth, rule_values(rule, np.arange(-halfwidth, halfwidth + 1)),
+                   rule=rule)
 
     def indices(self) -> np.ndarray:
         return np.arange(-self.halfwidth, self.halfwidth + 1)
@@ -216,6 +230,16 @@ class CoefficientSequence:
         if self.rule is not None:
             return complex(self.rule(n))
         return 0.0
+
+    def values(self, ns) -> np.ndarray:
+        """value(n) for every n of an integer index array, as a complex array."""
+        ns = np.asarray(ns, dtype=np.int64)
+        out = np.zeros(ns.shape, dtype=complex)
+        inside = np.abs(ns) <= self.halfwidth
+        out[inside] = self.coeffs[ns[inside] + self.halfwidth]
+        if self.rule is not None and not inside.all():
+            out[~inside] = rule_values(self.rule, ns[~inside])
+        return out
 
     def __getitem__(self, n: int) -> complex:
         return self.value(n)

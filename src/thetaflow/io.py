@@ -2,7 +2,8 @@
 
 CSV function format: header ``x,re,im`` in one dimension or
 ``x1,...,xd,re,im`` in d dimensions, rows in lexicographic grid order.
-Floats are written with repr, so save/load round-trips are lossless.
+Floats are written with repr, so save/load round-trips are lossless;
+a non-finite value is refused at load with its line number.
 Coefficient sequences serialize as a JSON array of ``{n, re, im}``;
 distributions as ``{window, rule, class}`` where only power rules
 (``base^(|n|^k)``) have a serialized form.
@@ -45,7 +46,7 @@ def load_function(path) -> SampledFunction:
         except StopIteration:
             raise ValueError("line 1: empty CSV file") from None
         d = _parse_header(header)
-        coords, re_col, im_col = [], [], []
+        rows, lines = [], []  # lines: file line of each data row
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -54,19 +55,22 @@ def load_function(path) -> SampledFunction:
                     f"line {lineno}: expected {d + 2} columns, got {len(row)}"
                 )
             try:
-                nums = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            coords.append(nums[:d])
-            re_col.append(nums[d])
-            im_col.append(nums[d + 1])
-    if not coords:
+            lines.append(lineno)
+    if not rows:
         raise ValueError("line 2: no data rows")
-    coord_arr = np.asarray(coords)
-    grid = _reconstruct_grid(coord_arr)
-    vals = (np.asarray(re_col) + 1j * np.asarray(im_col)).reshape(grid.sizes)
-    worst_imag = float(np.max(np.abs(np.asarray(im_col)), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(np.asarray(re_col)), initial=0.0)))
+    table = np.asarray(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
+    re_col, im_col = table[:, d], table[:, d + 1]
+    grid = _reconstruct_grid(table[:, :d])
+    vals = (re_col + 1j * im_col).reshape(grid.sizes)
+    worst_imag = float(np.max(np.abs(im_col), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(re_col), initial=0.0)))
     kind = "real" if worst_imag <= 1e-9 * scale else "complex"
     return SampledFunction(grid, vals, kind=kind)
 

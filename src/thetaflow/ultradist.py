@@ -14,8 +14,13 @@ evolution acts diagonally, F_n -> F_n exp(-n^2 t), and for quadratic
 growth (k = 2) a finite time 2 ln p suffices to carry a dual-class
 object into a classical test class.
 
-Pairing sums accumulate in a fixed symmetric order (n = 0, then
-|n| = 1, 2, ...) so results are reproducible regardless of scheduling.
+Scans and pairings evaluate coefficients as arrays over index chunks
+of fixed sizes (64 indices, doubling up to 2048). A pairing sum takes
+n = 0, then the chunks of n = +-1, +-2, ... in order, each added as one
+numpy sum, so a result depends only on its inputs (it may differ in the
+last bits from a term-by-term sum). Declared growth classes are
+verified, not trusted, and a PowerRule tail is tested against a class
+in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fourier import TWO_PI, CoefficientSequence
+from .fourier import TWO_PI, CoefficientSequence, rule_values
 from .semigroups import _require_time
 
 GROWTH_KINDS = ("test", "dual")
@@ -35,6 +40,79 @@ GROWTH_KINDS = ("test", "dual")
 # class bound is available to drive the truncation.
 _QUIET_RUN = 8
 
+_EPS = float(np.finfo(float).eps)
+
+# Relative slack of every bound comparison: |c_n| <= bound(n) * _SLACK.
+_SLACK = 1.0 + 1e-12
+
+# Longest index chunk of an array scan. Chunks start at 64 indices and
+# double up to this, so a scan that stops early does little extra work
+# and no scan allocates arrays of max_terms length.
+_CHUNK = 2048
+
+
+def _chunks(lo: int, hi: int):
+    """Index arrays covering lo..hi in increasing order."""
+    size = 64
+    while lo <= hi:
+        top = min(hi, lo + size - 1)
+        yield np.arange(lo, top + 1)
+        lo, size = top + 1, min(2 * size, _CHUNK)
+
+
+def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest m in lo..hi with pred(m), for pred monotone there; hi + 1 if none."""
+    if lo > hi or pred(lo):
+        return lo
+    if not pred(hi):
+        return hi + 1
+    while hi - lo > 1:  # pred(lo) is false, pred(hi) is true
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _index_powers(ns: np.ndarray, k: int) -> np.ndarray:
+    """|n|^k as floats, rounded once from the exact integer like Python's int ** int."""
+    m = np.abs(np.asarray(ns, dtype=np.int64))
+    if int(m.max(initial=0)) ** k < 2**63:
+        return (m**k).astype(float)
+    return m.astype(float) ** k
+
+
+def _power_law(ns: np.ndarray, base: float, order: int, scale: float = 1.0) -> np.ndarray:
+    """scale * base^(|n|^order) over an index array; overflow gives inf."""
+    with np.errstate(over="ignore"):
+        p = np.power(base, _index_powers(ns, order))
+        if scale != 1.0:
+            np.multiply(scale, p, out=p, where=np.isfinite(p))
+    return p
+
+
+def _times_in(ns: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """v * (i n)^m, formed part by part so that an infinite v meets no zero."""
+    s = _index_powers(ns, m) * (np.sign(ns) if m % 2 else 1.0)
+    v = np.asarray(v)
+    re, im = v.real * s, v.imag * s
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = ((re, im), (-im, re), (-re, -im), (im, -re))[m % 4]
+    return out
+
+
+def _heat_damped(ns: np.ndarray, t: float,
+                 values_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """values_at(n) * exp(-n^2 t), exactly 0 (values_at not called) where that factor underflows."""
+    damp = np.exp(-(ns.astype(float) ** 2) * t)
+    live = damp != 0.0
+    v = np.asarray(values_at(ns[live]))
+    out = np.zeros(ns.shape, dtype=complex)
+    out.real[live] = v.real * damp[live]
+    out.imag[live] = v.imag * damp[live]
+    return out
+
 
 @dataclass(frozen=True)
 class GrowthClass:
@@ -42,7 +120,7 @@ class GrowthClass:
 
     kind 'test' requires base in (0, 1); kind 'dual' admits base >= 1
     (base exactly 1 covers bounded sequences such as the Dirac comb).
-    The base must be finite and the constant a nonnegative number;
+    The base must be finite and the constant a finite nonnegative number;
     constant == 0 marks the degenerate all-zero fit.
     """
 
@@ -63,8 +141,8 @@ class GrowthClass:
         if int(self.order) != self.order or self.order < 1:
             raise ValueError(f"order must be an integer >= 1, got {self.order}")
         object.__setattr__(self, "order", int(self.order))
-        if not self.constant >= 0:
-            raise ValueError(f"constant must be nonnegative, got {self.constant}")
+        if not (self.constant >= 0 and math.isfinite(self.constant)):
+            raise ValueError(f"constant must be nonnegative and finite, got {self.constant}")
 
     @property
     def degenerate(self) -> bool:
@@ -75,6 +153,10 @@ class GrowthClass:
             return self.constant * self.base ** (abs(n) ** self.order)
         except OverflowError:
             return math.inf
+
+    def bounds(self, ns: np.ndarray) -> np.ndarray:
+        """bound(n) over an index array."""
+        return _power_law(ns, self.base, self.order, self.constant)
 
 
 @dataclass(frozen=True)
@@ -90,30 +172,44 @@ class PowerRule:
         except OverflowError:
             return math.inf
 
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        return _power_law(ns, self.base, self.order)
+
+
+class _ArrayRule:
+    """A rule defined by its array form; the scalar form evaluates one index."""
+
+    def __call__(self, n: int) -> complex:
+        return complex(self.values(np.array([n]))[0])
+
 
 @dataclass(frozen=True)
-class _EvolvedRule:
+class _EvolvedRule(_ArrayRule):
     """Inner rule damped by the heat multiplier exp(-n^2 t)."""
 
     inner: Callable[[int], complex]
     t: float
 
-    def __call__(self, n: int) -> complex:
-        damp = math.exp(-float(n) * float(n) * self.t)
-        if damp == 0.0:
-            return 0.0  # avoids inf * 0 when the inner rule has overflowed
-        return self.inner(n) * damp
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        return _heat_damped(ns, self.t, lambda live: rule_values(self.inner, live))
 
 
 @dataclass(frozen=True)
-class _DifferentiatedRule:
+class _DifferentiatedRule(_ArrayRule):
     """Inner rule scaled by the derivative factor (i n)^m."""
 
     inner: Callable[[int], complex]
     m: int
 
-    def __call__(self, n: int) -> complex:
-        return self.inner(n) * (1j * n) ** self.m
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        return _times_in(ns, rule_values(self.inner, ns), self.m)
+
+
+def _excess(ns: np.ndarray, vals: np.ndarray, g: GrowthClass):
+    """|c_n| at ns, and where it breaks g's bound by more than the slack (NaN always does)."""
+    with np.errstate(over="ignore"):
+        v = np.abs(vals)
+        return v, ~(v <= g.bounds(ns) * _SLACK)
 
 
 @dataclass(frozen=True)
@@ -121,7 +217,7 @@ class UltraDistribution:
     """A coefficient sequence with an optional declared growth class.
 
     When a class is declared, the stored window is validated against its
-    bound at construction.
+    bound at construction; a non-finite window entry is refused.
     """
 
     coeffs: CoefficientSequence
@@ -129,15 +225,16 @@ class UltraDistribution:
 
     def __post_init__(self):
         g = self.declared_class
-        if g is not None:
-            for n in self.coeffs.indices():
-                v = abs(self.coeffs.value(int(n)))
-                b = g.bound(int(n))
-                if v > b * (1.0 + 1e-12):
-                    raise ValueError(
-                        f"declared class violated at n = {n}: |F_n| = {v:.6g} "
-                        f"exceeds bound {b:.6g}"
-                    )
+        if g is None:
+            return
+        idx = self.coeffs.indices()
+        v, bad = _excess(idx, self.coeffs.coeffs, g)
+        bad |= ~np.isfinite(v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            n = int(idx[i])
+            why = f"exceeds bound {g.bound(n):.6g}" if np.isfinite(v[i]) else "is not finite"
+            raise ValueError(f"declared class violated at n = {n}: |F_n| = {v[i]:.6g} {why}")
 
     @property
     def halfwidth(self) -> int:
@@ -198,17 +295,26 @@ class PositivityResult:
         return self.positive
 
 
-def _log_ratio(c: CoefficientSequence, g: GrowthClass, n: int) -> float:
-    """|c_n| / bound(n) from log magnitudes, for when a side is not finite.
+def _ratios(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|c_n| / bound(n) elementwise: inf where only the bound is 0, NaN where both are infinite."""
+    r = np.where(v > 0.0, np.inf, 0.0)
+    both_inf = np.isinf(v) & np.isinf(b)
+    with np.errstate(over="ignore"):
+        np.divide(v, b, out=r, where=(b > 0.0) & ~both_inf)
+    r[both_inf] = np.nan
+    return r
 
-    Only a PowerRule tail has a known log magnitude, |n|^k ln|base|,
-    against ln c + |n|^k ln base for the class; any other case is
-    undecidable and reported as an infinite ratio, never as a pass.
+
+def _tail_ratio(rule: PowerRule, g: GrowthClass, m: int) -> float:
+    """|rule(m)| / bound(m) as a scalar scan forms it, for m > 0.
+
+    Where both sides overflow (inf / inf) the ratio is taken from log
+    magnitudes, m^k ln|base| against ln c + m^K ln base for the class.
     """
-    rule = c.rule
-    if abs(n) <= c.halfwidth or not isinstance(rule, PowerRule):
-        return math.inf
-    m = abs(n)
+    v, b = abs(rule(m)), g.bound(m)
+    r = v / b if b > 0.0 else (math.inf if v > 0.0 else 0.0)
+    if r == r:
+        return r
     try:
         log_v = m ** rule.order * math.log(abs(rule.base))
         log_b = math.log(g.constant) + m ** g.order * math.log(g.base)
@@ -216,6 +322,89 @@ def _log_ratio(c: CoefficientSequence, g: GrowthClass, n: int) -> float:
     except OverflowError:
         return math.inf
     return r if r == r else math.inf
+
+
+def _scan_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: int,
+               worst_ratio: float, worst_n: Optional[int]):
+    """The tail scan of check_membership on index chunks, for any rule."""
+    checked = c.halfwidth
+    for ns in _chunks(c.halfwidth + 1, max_terms):
+        b = g.bounds(ns)
+        with np.errstate(over="ignore"):
+            vp, vm = np.abs(c.values(ns)), np.abs(c.values(-ns))
+        rp, rm = _ratios(vp, b), _ratios(vm, b)
+        undecided = np.isnan(rp) | np.isnan(rm)  # inf / inf: no log magnitude known
+        rp[undecided] = rm[undecided] = np.inf
+        r = np.maximum(rp, rm)
+        stops = (r > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
+        end = int(np.argmax(stops)) if stops.any() else ns.size - 1
+        i = int(np.argmax(r[:end + 1]))
+        if r[i] > worst_ratio:
+            worst_ratio, worst_n = float(r[i]), int(ns[i]) if rp[i] >= rm[i] else -int(ns[i])
+        checked = int(ns[end])
+        if stops.any():
+            break
+    return worst_ratio, worst_n, checked
+
+
+def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: int,
+                worst_ratio: float, worst_n: Optional[int]):
+    """The tail scan of check_membership for a PowerRule, decided without a scan.
+
+    The log ratio g(m) = A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c)
+    has at most one interior extremum, so every predicate the scan tests
+    is monotone on either side of it. Each stop index is found by
+    bisection on the scan's own scalar ratio, which confirms it against
+    its neighbour. The worst ratio is then taken, in increasing m, over
+    the indices whose log ratio is within rounding of the maximum: a few
+    indices unless the ratio is flat (equal bases and orders), where the
+    constant-1 case takes the first index and any other constant
+    evaluates every tied index.
+    """
+    rule, m0, M = c.rule, c.halfwidth + 1, max_terms
+    k, K = rule.order, g.order
+    A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
+    ratio = lambda m: _tail_ratio(rule, g, m)
+    log_ratio = lambda m: A * m**k - C * m**K - D
+    cuts, mc = [m0, M + 1], None
+    if k != K and A * C != 0.0 and K * C / (k * A) > 0.0:
+        mc = (K * C / (k * A)) ** (1.0 / (k - K))
+        if m0 <= mc < M:
+            cuts.insert(1, int(mc) + 1)
+    pieces = [(a, z - 1) for a, z in zip(cuts, cuts[1:])]
+
+    lo, hi = m0, M + 1  # both quiet conditions hold on lo..hi-1
+    for quiet in (lambda m: g.bound(m) < tol, lambda m: abs(rule(m)) < tol):
+        s = _first(quiet, m0, M)
+        lo, hi = max(lo, s), min(hi, _first(lambda m: not quiet(m), s, M))
+    # Before the quiet stop the two sides never both underflow to a 0 / 0
+    # ratio, so there the violation test is monotone on each piece.
+    stop = lo if lo < hi else M
+    for a, z in pieces:
+        first = _first(lambda m: ratio(m) > _SLACK, a, min(z, stop - (lo < hi)))
+        if first < stop and first <= z:
+            stop = first
+            break
+
+    if k == K and abs(rule.base) == g.base and g.constant == 1.0:
+        ties = [range(m0, m0 + 1)]  # |c_m| and bound(m) are the same float
+    else:
+        tops = [m for m in (m0, stop) + ((int(mc), int(mc) + 1) if mc is not None else ())
+                if m0 <= m <= stop]
+        top = max(log_ratio(m) for m in tops)
+        slack = 16 * _EPS * (abs(A) * stop**k + abs(C) * stop**K + abs(D) + 1.0)
+        near = lambda m: log_ratio(m) >= top - slack
+        ties = []
+        for a, z in pieces:
+            z = min(z, stop)
+            s = _first(near, a, z)
+            ties.append(range(s, _first(lambda m: not near(m), s, z)))
+    for span in ties:
+        for m in span:
+            r = ratio(m)
+            if r > worst_ratio:
+                worst_ratio, worst_n = r, m
+    return worst_ratio, worst_n, stop
 
 
 def check_membership(c: CoefficientSequence, g: GrowthClass,
@@ -226,43 +415,27 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
     below tol (or max_terms); it stops at the first tail violation. The
     witness reports the worst index and ratio |c_n| / bound(n) seen. Where
     both sides overflow, the ratio is taken from log magnitudes; where it
-    cannot be, it counts as a violation.
+    cannot be, it counts as a violation. A PowerRule tail is decided in
+    closed form with the same result as the scan; any other rule is
+    scanned in index chunks.
     """
-    worst_ratio = 0.0
-    worst_n: Optional[int] = None
-
-    def ratio(v: float, b: float) -> float:
-        if b > 0.0:
-            return v / b
-        return math.inf if v > 0.0 else 0.0
-
-    for n in c.indices():
-        r = ratio(abs(c.value(int(n))), g.bound(int(n)))
-        if r != r:  # inf / inf: decide in log magnitude
-            r = _log_ratio(c, g, int(n))
-        if r > worst_ratio:
-            worst_ratio, worst_n = r, int(n)
+    idx = c.indices()
+    with np.errstate(over="ignore"):
+        r = _ratios(np.abs(c.coeffs), g.bounds(idx))
+    r[np.isnan(r)] = np.inf  # infinite against infinite in the window: undecidable
+    worst_ratio, worst_n = 0.0, None
+    if r.max() > 0.0:
+        i = int(np.argmax(r))
+        worst_ratio, worst_n = float(r[i]), int(idx[i])
     checked = c.halfwidth
-    if c.rule is not None and worst_ratio <= 1.0 + 1e-12:
-        n = c.halfwidth + 1
-        while n <= max_terms:
-            b = g.bound(n)
-            vp, vm = abs(c.value(n)), abs(c.value(-n))
-            checked = n
-            rp, rm = ratio(vp, b), ratio(vm, b)
-            if rp != rp or rm != rm:  # inf / inf: decide in log magnitude
-                rp = rm = _log_ratio(c, g, n)  # a PowerRule is even in n
-            r = rp if rp >= rm else rm
-            if r > worst_ratio:
-                worst_ratio = r
-                worst_n = n if rp >= rm else -n
-            if r > 1.0 + 1e-12:
-                break
-            if b < tol and max(vp, vm) < tol:
-                break
-            n += 1
-    ok = worst_ratio <= 1.0 + 1e-12
-    return MembershipResult(ok, worst_n, worst_ratio, checked)
+    if c.rule is not None and worst_ratio <= _SLACK and c.halfwidth < max_terms:
+        rule = c.rule
+        closed = (isinstance(rule, PowerRule) and g.constant > 0.0
+                  and 0.0 < abs(rule.base) < math.inf
+                  and max(rule.order, g.order) * math.log10(max_terms) < 300)
+        tail = _power_tail if closed else _scan_tail
+        worst_ratio, worst_n, checked = tail(c, g, tol, max_terms, worst_ratio, worst_n)
+    return MembershipResult(worst_ratio <= _SLACK, worst_n, worst_ratio, checked)
 
 
 def fit_growth(c: CoefficientSequence, k: int) -> GrowthClass:
@@ -296,65 +469,104 @@ def fit_growth(c: CoefficientSequence, k: int) -> GrowthClass:
     return GrowthClass(kind, base, k, constant)
 
 
+def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
+                deficit_t: Optional[float], classes) -> np.ndarray:
+    """Terms f_n conj(F_n), times expm1(-n^2 t) for a deficit pairing, at ns.
+
+    With declared classes (F_class, f_class) both sides are evaluated at
+    every index and checked against their bounds; otherwise F is
+    evaluated only where f_n != 0. A product is formed only where neither
+    factor is 0: an overflowed F_n beyond an underflowed f_n gives 0.
+    """
+    fv = f.values(ns)
+    if classes is None:
+        Fv = np.zeros_like(fv)
+        Fv[fv != 0.0] = F.values(ns[fv != 0.0])
+    else:
+        Fv = F.values(ns)
+        sides = [("F", Fv, classes[0]), ("f", fv, classes[1])]
+        found = [_excess(ns, v, g) for _, v, g in sides]
+        bad = found[0][1] | found[1][1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            j = 0 if found[0][1][i] else 1
+            name, n = sides[j][0], int(ns[i])
+            raise ValueError(
+                f"declared class of {name} violated at n = {n}: |{name}_n| = "
+                f"{found[j][0][i]:.6g} exceeds bound {sides[j][2].bound(n):.6g}"
+            )
+    live = (fv != 0.0) & (Fv != 0.0)
+    t = np.zeros(ns.shape, dtype=complex)
+    t[live] = fv[live] * np.conj(Fv[live])
+    if deficit_t is not None:
+        t *= np.expm1(-(ns.astype(float) ** 2) * deficit_t)
+    return t
+
+
 def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
                F_class: Optional[GrowthClass], f_class: Optional[GrowthClass],
                tol: float, max_terms: int,
-               weight: Optional[Callable[[int], complex]] = None) -> PairingResult:
-    w = weight if weight is not None else (lambda n: 1.0)
+               deficit_t: Optional[float] = None) -> PairingResult:
+    """2pi * sum f_n conj(F_n) (times expm1(-n^2 t) when deficit_t is given).
 
-    def term(n: int) -> complex:
-        # Short-circuit on exact zeros: with pq < 1 the test side underflows
-        # before the dual side overflows, so this avoids 0 * inf artifacts.
-        fv = f.value(n)
-        if fv == 0.0:
-            return 0.0
-        Fv = F.value(n)
-        if Fv == 0.0:
-            return 0.0
-        return fv * np.conj(Fv) * w(n)
-
+    The sum runs over n = 0, then +-1, +-2, ... in index chunks of fixed
+    sizes, each added as one numpy sum, so its value is reproducible.
+    With classes on both sides the truncation point and tail bound come
+    from them, and both are verified, not trusted, on every summed term.
+    """
     window = max(F.halfwidth, f.halfwidth)
+    has_rule = F.rule is not None or f.rule is not None
+    classes, last = None, (max_terms if has_rule else min(window, max_terms))
     if F_class is not None and f_class is not None:
         pq = F_class.base * f_class.base
         if pq >= 1.0:
             raise ValueError(f"divergent pairing: base product p*q = {pq:.6g} >= 1")
+        for a, b in ((F_class, f_class), (f_class, F_class)):
+            if a.base > 1.0 and a.order > b.order:
+                raise ValueError(
+                    f"divergent pairing: base {a.base:.6g} > 1 of order {a.order} "
+                    f"against decay of order {b.order}"
+                )
+        classes = (F_class, f_class)
         cc = F_class.constant * f_class.constant
-        total = term(0)
-        n, tail = 1, 2.0 * cc * pq / (1.0 - pq)
-        while n <= max_terms:
-            tail = 2.0 * cc * pq**n / (1.0 - pq)
-            if n > window and tail < tol:
-                break
-            total += term(n) + term(-n)
-            n += 1
-        return PairingResult(complex(TWO_PI * total), TWO_PI * tail, 2 * n - 1)
-
-    # No class bounds: exact over a finite window, heuristic tail otherwise.
-    has_rule = F.rule is not None or f.rule is not None
-    total = term(0)
-    n, quiet = 1, 0
-    prev_mag, last_mag = 0.0, 0.0
-    while n <= max_terms:
-        if n > window and not has_rule:
-            return PairingResult(complex(TWO_PI * total), 0.0, 2 * n - 1)
-        tp, tm = term(n), term(-n)
-        total += tp + tm
-        mag = max(abs(tp), abs(tm))
-        if n > window:
-            if mag < tol:
-                quiet += 1
-                if quiet >= _QUIET_RUN:
-                    break
-            else:
-                quiet = 0
-            prev_mag, last_mag = last_mag, mag
-        n += 1
+        tail = lambda n: 2.0 * cc * pq**n / (1.0 - pq)
+        # first unsummed |n|: past the windows, where the class tail is below tol
+        last = _first(lambda n: n > window and tail(n) < tol, 1, max_terms) - 1
+    total = _pair_terms(F, f, np.zeros(1, dtype=np.int64), deficit_t, classes)[0]
+    n, quiet, recent = 0, 0, [0.0, 0.0]
+    for ch in _chunks(1, last):
+        t = _pair_terms(F, f, np.stack([ch, -ch], axis=1).ravel(), deficit_t, classes)
+        end = ch.size - 1
+        if classes is None:
+            # The heuristic tail ends after _QUIET_RUN consecutive |n| > window
+            # whose terms are all below tol.
+            mag = np.abs(t).reshape(-1, 2).max(axis=1)
+            counted = ch > window
+            pos = np.arange(ch.size)
+            reset = np.maximum.accumulate(np.where(counted & (mag < tol), -1, pos))
+            run = np.where(reset >= 0, pos - reset, pos + 1 + quiet)
+            hit = np.flatnonzero(run >= _QUIET_RUN)
+            end = int(hit[0]) if hit.size else end
+            # the tail estimate uses the magnitudes before the index that ends the run
+            seen = end if hit.size else end + 1
+            recent = (recent + mag[:seen][counted[:seen]][-2:].tolist())[-2:]
+            quiet = int(run[end])
+        total += t[:2 * end + 2].sum()
+        n = int(ch[end])
+        if quiet >= _QUIET_RUN:
+            break
+    value = complex(TWO_PI * total)
+    if classes is not None:
+        return PairingResult(value, TWO_PI * tail(max(1, min(n + 1, max_terms))), 2 * n + 1)
+    if not has_rule and window < max_terms:
+        return PairingResult(value, 0.0, 2 * n + 1)  # the windows are summed exactly
+    prev_mag, last_mag = recent
     if prev_mag > 0.0 and last_mag > 0.0:
         r = min(last_mag / prev_mag, 0.95)
-        tail = 2.0 * last_mag * r / (1.0 - r)
+        tail_est = 2.0 * last_mag * r / (1.0 - r)
     else:
-        tail = 2.0 * _QUIET_RUN * tol
-    return PairingResult(complex(TWO_PI * total), TWO_PI * tail, 2 * n - 1)
+        tail_est = 2.0 * _QUIET_RUN * tol
+    return PairingResult(value, TWO_PI * tail_est, 2 * n + 1)
 
 
 def pair(F: UltraDistribution, f: CoefficientSequence,
@@ -364,9 +576,14 @@ def pair(F: UltraDistribution, f: CoefficientSequence,
 
     With growth classes on both sides the truncation point and the
     reported tail bound come from the rigorous estimate
-    2 c_F c_f (pq)^n / (1 - pq) at the first unsummed |n|; otherwise the
-    sum runs over the stored windows and rules with a heuristic tail
-    estimate.
+    2 c_F c_f (pq)^n / (1 - pq) at the first unsummed |n|. Both classes
+    are verified, not trusted: every summed |F_n| and |f_n| is checked
+    against its bound (relative slack 1e-12), and a violation raises
+    ValueError naming the first bad n. A class pair whose bound cannot
+    converge (pq >= 1, or a growing base of higher order than the decay)
+    is refused. Otherwise the sum runs over the stored windows and rules
+    with a heuristic tail estimate. Sums run n = 0, then |n| = 1, 2, ...
+    in index chunks of fixed sizes.
     """
     return _pair_core(F.coeffs, f, F.declared_class, f_class, tol, max_terms)
 
@@ -387,8 +604,7 @@ def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
             "unsmoothable class: quadratic heat decay cannot tame growth of "
             f"order k = {g.order} beyond the stored window"
         )
-    idx = F.coeffs.indices().astype(float)
-    window = F.coeffs.coeffs * np.exp(-idx * idx * t)
+    window = _heat_damped(F.coeffs.indices(), t, F.coeffs.values)
     rule = F.coeffs.rule
     if rule is None:
         new_rule = None
@@ -439,12 +655,9 @@ def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,
         raise ValueError("t_list must be nonempty and strictly positive")
     for t in ts:
         _require_time(t)
-    mags = []
-    for t in ts:
-        res = _pair_core(F.coeffs, f, F.declared_class, f_class, pair_tol,
-                         max_terms, weight=lambda n: math.expm1(-float(n) ** 2 * t))
-        mags.append(abs(res.value))
-    slack = 1e-12 * (mags[0] if mags else 0.0)
+    mags = [abs(_pair_core(F.coeffs, f, F.declared_class, f_class, pair_tol,
+                           max_terms, deficit_t=t).value) for t in ts]
+    slack = 1e-12 * mags[0]
     monotone = all(b <= a + slack for a, b in zip(mags, mags[1:]))
     return WeakLimitReport(tuple(ts), tuple(mags), monotone, mags[-1], tol)
 
@@ -455,7 +668,7 @@ def evolution_deficit_pair(F: UltraDistribution, f: CoefficientSequence, t: floa
     """<evolved F - F, f> for a single time, via the weighted pairing."""
     _require_time(t, positive=True)
     return _pair_core(F.coeffs, f, F.declared_class, f_class, tol, max_terms,
-                      weight=lambda n: math.expm1(-float(n) ** 2 * t))
+                      deficit_t=t)
 
 
 def derivative_sequence(c: CoefficientSequence, m: int) -> CoefficientSequence:
@@ -465,8 +678,7 @@ def derivative_sequence(c: CoefficientSequence, m: int) -> CoefficientSequence:
     m = int(m)
     if m == 0:
         return c
-    idx = c.indices()
-    window = c.coeffs * (1j * idx.astype(float)) ** m
+    window = _times_in(c.indices(), c.coeffs, m)
     rule = None if c.rule is None else _DifferentiatedRule(c.rule, m)
     return CoefficientSequence(c.halfwidth, window, rule)
 
@@ -500,16 +712,8 @@ def derivative_bound_constants(g: GrowthClass) -> DerivativeBound:
 def _nonneg_trial_coefficients(rng: np.random.Generator, degree: int) -> CoefficientSequence:
     """Coefficients of |p(x)|^2 for a random trig polynomial p of the degree."""
     phat = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
-
-    def p(m: int) -> complex:
-        return phat[m + degree] if abs(m) <= degree else 0.0
-
-    out = np.zeros(4 * degree + 1, dtype=complex)
-    for n in range(-2 * degree, 2 * degree + 1):
-        out[n + 2 * degree] = sum(
-            p(m) * np.conj(p(m - n)) for m in range(-degree, degree + 1)
-        )
-    return CoefficientSequence(2 * degree, out)
+    # c_n = sum_m p_m conj(p_(m - n)): the autocorrelation of the p_m
+    return CoefficientSequence(2 * degree, np.convolve(phat, np.conj(phat[::-1])))
 
 
 def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,

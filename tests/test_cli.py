@@ -42,6 +42,12 @@ def _write_cos(path, n=128, k=1):
     return f
 
 
+def _cos_csv_lines(tmp_path, n=16):
+    p = tmp_path / "cos.csv"
+    _write_cos(p, n=n)
+    return p.read_text().splitlines()
+
+
 class TestFunctionCsv:
     def test_round_trip_1d(self, tmp_path):
         g = PeriodicGrid.line(32)
@@ -97,6 +103,19 @@ class TestFunctionCsv:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n0.0,1.0,0.0\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_function(p)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_value_reports_line(self, tmp_path, raw, column):
+        p = tmp_path / "bad.csv"
+        lines = _cos_csv_lines(tmp_path)
+        cols = lines[3].split(",")
+        cols[column] = raw
+        lines[3] = ",".join(cols)
+        lines.insert(2, "")  # a skipped blank line still counts
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 5: non-finite value {raw}"):
             load_function(p)
 
     def test_shuffled_rows_rejected(self, tmp_path):
@@ -215,6 +234,16 @@ class TestCommands:
                      "--out", str(out)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_csv_exits_one_without_output(self, tmp_path, capsys):
+        # A single nan used to pass and produce an all-NaN output file.
+        bad, out = tmp_path / "bad.csv", tmp_path / "u.csv"
+        lines = _cos_csv_lines(tmp_path)
+        lines[4] = lines[4].rsplit(",", 2)[0] + ",nan,0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["heat", "--init", str(bad), "--t", "0.1", "--out", str(out)]) == 1
+        assert "line 5: non-finite value nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_suite_passes_and_reports(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         code = main(["check", "--suite", "thm1", "--n", "128",
@@ -283,6 +312,42 @@ class TestCommands:
         value = float(out.split("value: ")[1].split(" +")[0])
         oracle = 2 * math.pi * (1 + 2 * sum(0.5 ** (n * n) for n in range(1, 20)))
         assert value == pytest.approx(oracle, rel=1e-10)
+
+    def test_ultra_pair_verifies_declared_test_class(self, tmp_path, capsys):
+        F = UltraDistribution(
+            CoefficientSequence.from_rule(8, PowerRule(1.0, 1)),
+            declared_class=GrowthClass("dual", 1.0, 1, 1.0),
+        )
+        fpath, spath = tmp_path / "F.json", tmp_path / "f.json"
+        save_ultra(F, fpath)
+        save_coefficients(CoefficientSequence.from_rule(8, PowerRule(0.999, 1)), spath)
+        assert main(["ultra", "pair", "--dist", str(fpath), "--seq", str(spath),
+                     "--test-base", "0.5", "--test-order", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "violated at n = 1:" in captured.err
+        assert captured.out == ""
+
+    def test_ultra_evolve_refuses_infinite_window(self, tmp_path, capsys):
+        # Such a file once loaded, then ended in an OverflowError traceback.
+        F = UltraDistribution(CoefficientSequence.from_rule(60, PowerRule(1.5, 2)))
+        data = ultra_to_dict(F)
+        data["class"] = {"kind": "dual", "base": 1.5, "k": 2, "c": 1.0}
+        fpath, gpath = tmp_path / "F.json", tmp_path / "G.json"
+        fpath.write_text(json.dumps(data))
+        assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "2.0",
+                     "--out", str(gpath)]) == 1
+        assert "is not finite" in capsys.readouterr().err
+        assert not gpath.exists()
+
+    def test_overflow_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        def overflow(F, t):
+            raise OverflowError("absolute value too large")
+        monkeypatch.setattr("thetaflow.cli.evolve_ultra", overflow)
+        fpath = tmp_path / "F.json"
+        save_ultra(UltraDistribution(CoefficientSequence.from_dict({0: 1.0})), fpath)
+        assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "1.0",
+                     "--out", str(tmp_path / "G.json")]) == 1
+        assert "error: absolute value too large" in capsys.readouterr().err
 
     def test_env_tolerance_override(self, monkeypatch, capsys):
         monkeypatch.setenv("THETA_TOL", "1e-3")

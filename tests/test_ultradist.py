@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from thetaflow.fourier import CoefficientSequence, PeriodicGrid, synthesize
 from thetaflow.ultradist import (
     GrowthClass,
+    MembershipResult,
     PowerRule,
     UltraDistribution,
     check_membership,
@@ -77,6 +80,22 @@ class TestMembership:
         res = check_membership(c, GrowthClass("dual", 1.5, 1, 1.0))
         assert not res.ok
 
+    def test_exponential_dual_member_in_closed_form(self):
+        # A 1e6-term scan took seconds; the closed form returns its result.
+        c = seq_from_rule(6, PowerRule(2.0, 1))
+        g = GrowthClass("dual", 2.0, 1, 1.0)
+        check_membership(c, g)
+        t0 = time.perf_counter()
+        res = check_membership(c, g)
+        assert time.perf_counter() - t0 < 0.05
+        assert res == MembershipResult(True, -6, 1.0, 1_000_000)
+
+    def test_high_order_power_tail_is_scanned(self):
+        # (1e6)^60 is no float, so this class is checked by the chunked scan.
+        c = seq_from_rule(3, PowerRule(0.5, 60))
+        res = check_membership(c, GrowthClass("test", 0.5, 60, 1.0))
+        assert res == MembershipResult(True, -1, 1.0, 4)
+
     def test_witness_index_and_ratio(self):
         c = CoefficientSequence.from_dict({0: 1.0, 1: 0.9, -1: 0.9})
         res = check_membership(c, GrowthClass("test", 0.5, 1, 1.0))
@@ -144,6 +163,99 @@ class TestMembership:
         seq = CoefficientSequence(hw, window)
         assert check_membership(seq, GrowthClass("test", q, 2, c)).ok
         assert check_membership(seq, GrowthClass("test", q, 1, c)).ok
+
+
+def _log_ratio_oracle(rule, g, m):
+    try:
+        log_v = m ** rule.order * math.log(abs(rule.base))
+        log_b = math.log(g.constant) + m ** g.order * math.log(g.base)
+        r = math.exp(log_v - log_b)
+    except OverflowError:
+        return math.inf
+    return r if r == r else math.inf
+
+
+def _scan_membership(c, g, tol, max_terms):
+    """Brute-force oracle: the window from the library, the tail scanned term by term.
+
+    The tail loop is the scalar scan check_membership ran before its
+    PowerRule tails were decided in closed form.
+    """
+    w = check_membership(CoefficientSequence(c.halfwidth, c.coeffs), g, tol, max_terms)
+    worst, worst_n, checked = w.worst_ratio, w.worst_n, c.halfwidth
+    if worst <= 1.0 + 1e-12:
+        for n in range(c.halfwidth + 1, max_terms + 1):
+            v, b = abs(c.rule(n)), g.bound(n)
+            r = v / b if b > 0.0 else (math.inf if v > 0.0 else 0.0)
+            if r != r:
+                r = _log_ratio_oracle(c.rule, g, n)
+            checked = n
+            if r > worst:
+                worst, worst_n = r, n
+            if r > 1.0 + 1e-12 or (b < tol and v < tol):
+                break
+    return MembershipResult(worst <= 1.0 + 1e-12, worst_n, worst, checked)
+
+
+class TestClosedFormMembership:
+    @given(st.floats(0.3, 3.0), st.integers(1, 3), st.floats(0.05, 3.0), st.integers(1, 3),
+           st.floats(0.1, 10.0), st.integers(0, 5), st.integers(1, 1500),
+           st.sampled_from([1e-14, 1e-8, 1e-3, 2.0]), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_scalar_scan(self, b, k, B, K, c, hw, max_terms, tol,
+                                     same_base, unit_constant):
+        # Equal bases and a unit constant make the ratio flat, the hardest ties.
+        B = b if same_base else B
+        c = 1.0 if unit_constant else c
+        g = GrowthClass("test" if B < 1.0 else "dual", B, K, c)
+        seq = seq_from_rule(hw, PowerRule(b, k))
+        assert check_membership(seq, g, tol, max_terms) == _scan_membership(seq, g, tol, max_terms)
+
+    @pytest.mark.parametrize("b, k, B, K, c", [
+        (0.747, 2, 0.747, 3, 1.0),   # both sides underflow to 0 past the violation
+        (0.5, 1, 0.5, 2, 4.4),
+        (2.0001, 1, 2.0, 1, 1.1),    # decided in log magnitude past overflow
+        (1.8, 1, 1.8, 1, 5.5),       # flat ratio with a non-unit constant
+        (0.9, 3, 0.5, 1, 3.0),       # interior maximum of the log ratio
+        (1.5, 1, 0.9, 2, 2.0),
+    ])
+    def test_regression_cases(self, b, k, B, K, c):
+        g = GrowthClass("test" if B < 1.0 else "dual", B, K, c)
+        seq = seq_from_rule(2, PowerRule(b, k))
+        for tol in (1e-14, 1e-3):
+            assert (check_membership(seq, g, tol, 3000)
+                    == _scan_membership(seq, g, tol, 3000))
+
+
+class TestArrayForm:
+    RULES = {
+        "power": PowerRule(1.5, 2),
+        "power_test": PowerRule(0.7, 1),
+        "evolved": evolve_ultra(UltraDistribution(seq_from_rule(3, PowerRule(1.5, 2))),
+                                0.05).coeffs.rule,
+        "differentiated": derivative_sequence(seq_from_rule(3, PowerRule(1.5, 2)), 3).rule,
+        "callable": lambda n: 1.02 ** abs(n) * complex(math.cos(n), math.sin(n)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_values_agree_with_value(self, name):
+        # Across the window edge and, for the growing rules, into overflow.
+        seq = seq_from_rule(8, self.RULES[name])
+        ns = np.concatenate([np.arange(-12, 13), np.arange(40, 46), -np.arange(40, 46),
+                             np.arange(1000, 1004)])
+        scalar = np.array([seq.value(int(n)) for n in ns])
+        np.testing.assert_allclose(seq.values(ns), scalar, rtol=1e-13, atol=0.0)
+
+    def test_overflowed_differentiated_rule_is_not_nan(self):
+        d = derivative_sequence(seq_from_rule(3, PowerRule(1.5, 2)), 1)
+        assert d.value(50) == complex(0.0, math.inf)
+        assert d.value(-50) == complex(0.0, -math.inf)
+
+    def test_bounds_agree_with_bound(self):
+        ns = np.arange(-60, 61)
+        for g in (GrowthClass("dual", 1.5, 2, 3.0), GrowthClass("test", 0.4, 1, 0.0)):
+            scalar = np.array([g.bound(int(n)) for n in ns])
+            np.testing.assert_allclose(g.bounds(ns), scalar, rtol=1e-13, atol=0.0)
 
 
 class TestFitGrowth:
@@ -234,6 +346,56 @@ class TestPairing:
         assert fine.terms > coarse.terms
 
 
+    def test_declared_test_class_is_verified(self):
+        # f decays like 0.999^|n|, not 0.5^|n|: trusting the class gave a
+        # tail bound of 3.7e-10 against a true error of 1.2e4.
+        f = seq_from_rule(8, PowerRule(0.999, 1))
+        with pytest.raises(ValueError, match=r"class of f violated at n = 1\b"):
+            pair(comb(), f, f_class=GrowthClass("test", 0.5, 1, 1.0), tol=1e-10)
+
+    def test_declared_tail_of_f_is_verified(self):
+        # The window satisfies the class; the rule breaks it from |n| = 9.
+        window = {n: 0.5 ** abs(n) for n in range(-8, 9)}
+        f = CoefficientSequence.from_dict(window, rule=PowerRule(0.6, 1))
+        with pytest.raises(ValueError, match=r"class of f violated at n = 9\b"):
+            pair(comb(), f, f_class=GrowthClass("test", 0.5, 1, 1.0))
+
+    def test_declared_distribution_tail_is_verified(self):
+        F = UltraDistribution(
+            CoefficientSequence.from_dict({n: 1.0 for n in range(-4, 5)},
+                                          rule=PowerRule(1.1, 1)),
+            declared_class=GrowthClass("dual", 1.0, 1, 1.0),
+        )
+        f = seq_from_rule(4, PowerRule(0.5, 1))
+        with pytest.raises(ValueError, match=r"class of F violated at n = 5\b"):
+            pair(F, f, f_class=GrowthClass("test", 0.5, 1, 1.0))
+
+    def test_growth_of_higher_order_than_decay_refused(self):
+        # pq = 0.6 < 1, yet 1.2^(n^2) 0.5^n diverges.
+        F = UltraDistribution(seq_from_rule(4, PowerRule(1.2, 2)),
+                              declared_class=GrowthClass("dual", 1.2, 2, 1.0))
+        f = seq_from_rule(4, PowerRule(0.5, 1))
+        with pytest.raises(ValueError, match="divergent pairing"):
+            pair(F, f, f_class=GrowthClass("test", 0.5, 1, 1.0), tol=1e-4)
+
+    def test_terms_counts_the_summed_indices(self):
+        # f vanishes beyond |n| = 2, so the quiet run ends at n = 3 + 7 = 10.
+        F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}, rule=lambda n: 1.0))
+        f = CoefficientSequence.from_dict({n: 1.0 for n in range(-2, 3)})
+        res = pair(F, f)
+        assert res.terms == 21
+        assert res.value == pytest.approx(5 * TWO_PI, rel=1e-15)
+
+    def test_class_driven_sum_is_chunked_in_a_fixed_order(self):
+        f = seq_from_rule(8, PowerRule(0.999, 1))
+        g = GrowthClass("test", 0.999, 1, 1.0)
+        a = pair(comb(), f, f_class=g)
+        b = pair(comb(), f, f_class=g)
+        assert a == b
+        exact = TWO_PI * (1.999 / 0.001)
+        assert abs(a.value - exact) <= a.tail_bound + 2 * a.terms * 2.3e-16 * exact
+
+
 class TestEvolve:
     def test_semigroup_exact_in_coefficients(self):
         F = comb(10)
@@ -298,6 +460,29 @@ class TestEvolve:
                 CoefficientSequence.from_dict({1: 2.0}),
                 declared_class=GrowthClass("test", 0.5, 1, 1.0),
             )
+
+
+    def test_declared_class_refuses_non_finite_entries(self):
+        # 1.5^(n^2) overflows from |n| = 42: 38 inf entries passed as inf <= inf.
+        with pytest.raises(ValueError, match="n = -60: .* is not finite"):
+            UltraDistribution(seq_from_rule(60, PowerRule(1.5, 2)),
+                              declared_class=GrowthClass("dual", 1.5, 2, 1.0))
+
+    def test_declared_class_refuses_nan_entries(self):
+        with pytest.raises(ValueError, match="n = 2: .* is not finite"):
+            UltraDistribution(CoefficientSequence.from_dict({2: math.nan, -2: 0.0}),
+                              declared_class=GrowthClass("dual", 2.0, 1, 1.0))
+
+    def test_overflowed_window_evolves_without_error(self):
+        # Used to warn on inf * 0 and end in an OverflowError.
+        F = UltraDistribution(seq_from_rule(60, PowerRule(1.5, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve_ultra(F, 2.0)
+        w = out.coeffs.coeffs
+        assert np.all(np.isfinite(w))
+        assert out.coeffs[50] == 0.0  # the damping factor underflows to exactly 0
+        assert out.coeffs[3] == pytest.approx(1.5 ** 9 * math.exp(-18.0), rel=1e-14)
 
 
 class TestSmoothing:
