@@ -75,8 +75,11 @@ def _reduce_angle(x):
 def theta3_series(x, params: ThetaParams):
     """theta3 by its cosine series, truncated when 2 q^(n^2) < tol.
 
-    The discarded tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q).
-    Accepts a scalar or array angle; returns the matching shape.
+    The discarded tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q),
+    so that is the floor of the result: a value below tol / (1 - q) is
+    not resolved, and where the raw sum falls below 0 there it is clamped
+    to 0 (theta3 is nonnegative). Accepts a scalar or array angle;
+    returns the matching shape.
     """
     q, tol = params.q, params.tol
     xr = _reduce_angle(np.asarray(x, dtype=float))
@@ -94,41 +97,56 @@ def theta3_series(x, params: ThetaParams):
                 )
             total = total + term * np.cos(n * xr)
             n += 1
-    # The function is nonnegative (every product-form factor is), but where
-    # its true value sits below the truncation floor tol/(1-q) the raw sum
-    # may land microscopically negative; clamp that noise.
     total = np.maximum(total, 0.0)
     return total if total.ndim else float(total)
 
 
-def theta3_product(x, params: ThetaParams):
-    """theta3 by its infinite product, truncated when the factor is within tol of 1.
+def _product_factors(q: float, tol: float) -> int:
+    """Factors theta3_product keeps at 0 < q < 1: the least N whose tail bound is within tol.
 
-    Each factor [1 + 2 q^(2n-1) cos x + q^(2(2n-1))] (1 - q^(2n)) is checked
-    to be nonnegative; this is the structural reason theta3 >= 0.
+    For n > N, with b = q^(2n-1), the n-th factor has a logarithm of
+    modulus at most 2b / (1 - b) + q^(2n) / (1 - q^(2n)) whatever x is, so
+    the factors past N multiply to exp(L) with |L| <= S_N =
+    (2 q^(2N+1) + q^(2N+2)) / ((1 - q^(2N+1)) (1 - q^2)). The truncated
+    product is then within a relative expm1(S_N) of theta3. N is solved
+    for in logarithms and confirmed against the bound.
     """
-    q, tol = params.q, params.tol
+    s, w = math.log1p(tol), -math.expm1(2.0 * math.log(q))  # w = 1 - q^2
+    log_u = math.log(s) + math.log(w) - math.log(2.0 + q + s * w)  # S_N <= s iff q^(2N+1) <= u
+    n = max(0, math.ceil((log_u / math.log(q) - 1.0) / 2.0))
+    bound = lambda n: (2.0 + q) * q ** (2 * n + 1) / ((1.0 - q ** (2 * n + 1)) * w)
+    while n < 2**53 and bound(n) > s:  # past 2^53, n + 1 no longer moves the float exponent
+        n += 1
+    return n
+
+
+def theta3_product(x, params: ThetaParams):
+    """theta3 by its infinite product, truncated after a factor count known up front.
+
+    The count (_product_factors) keeps the relative error within tol at
+    every angle; a q that needs more than max_terms factors is refused
+    before any is formed. Each factor [1 + 2 q^(2n-1) cos x + q^(2(2n-1))]
+    (1 - q^(2n)) is checked to be nonnegative; this is the structural
+    reason theta3 >= 0.
+    """
+    q = params.q
     xr = _reduce_angle(np.asarray(x, dtype=float))
     total = np.ones_like(xr)
     if q > 0.0:
+        factors = _product_factors(q, params.tol)
+        if factors > params.max_terms:
+            raise RuntimeError(
+                f"theta3 product needs {factors} factors at q = {q}, "
+                f"more than max_terms = {params.max_terms}"
+            )
         cx = np.cos(xr)
-        n = 1
-        while True:
-            if n > params.max_terms:
-                raise RuntimeError(
-                    f"theta3 product did not converge within {params.max_terms} factors "
-                    f"(q = {q})"
-                )
+        for n in range(1, factors + 1):
             b = q ** (2 * n - 1)
             bracket = 1.0 + 2.0 * b * cx + b * b
             euler = 1.0 - q ** (2 * n)
             if np.any(bracket < 0.0) or euler < 0.0:
                 raise RuntimeError(f"nonnegative factor violated at n = {n}")
-            factor = bracket * euler
-            total = total * factor
-            if float(np.max(np.abs(1.0 - factor))) < tol:
-                break
-            n += 1
+            total = total * (bracket * euler)
     return total if total.ndim else float(total)
 
 

@@ -14,13 +14,13 @@ evolution acts diagonally, F_n -> F_n exp(-n^2 t), and for quadratic
 growth (k = 2) a finite time 2 ln p suffices to carry a dual-class
 object into a classical test class.
 
-Scans and pairings evaluate coefficients as arrays over index chunks
-of fixed sizes (64 indices, doubling up to 2048). A pairing sum takes
-n = 0, then the chunks of n = +-1, +-2, ... in order, each added as one
-numpy sum, so a result depends only on its inputs (it may differ in the
-last bits from a term-by-term sum). Declared growth classes are
-verified, not trusted, and a PowerRule tail is tested against a class
-in closed form.
+Rules and bounds are evaluated as arrays over index chunks of fixed
+sizes (64 indices, doubling up to 2048); a scalar call evaluates the
+array form at one index. A pairing sum takes n = 0, then the chunks of
+n = +-1, +-2, ... in order, each added as one numpy sum, so a result
+depends only on its inputs. Declared growth classes are verified, not
+trusted. Membership ratios have one evaluator, which the closed form of
+a PowerRule tail steers to the few indices that decide it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ _SLACK = 1.0 + 1e-12
 # and no scan allocates arrays of max_terms length.
 _CHUNK = 2048
 
+_PROBES = 128  # indices that one round of _first probes
+_FLOAT_CEIL = 2**1024 - 2**970  # the least integer that float() rounds past the float range
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest argument of a finite exp
+
 
 def _chunks(lo: int, hi: int):
     """Index arrays covering lo..hi in increasing order."""
@@ -60,31 +64,46 @@ def _chunks(lo: int, hi: int):
         lo, size = top + 1, min(2 * size, _CHUNK)
 
 
-def _first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
-    """Smallest m in lo..hi with pred(m), for pred monotone there; hi + 1 if none."""
-    if lo > hi or pred(lo):
-        return lo
-    if not pred(hi):
-        return hi + 1
-    while hi - lo > 1:  # pred(lo) is false, pred(hi) is true
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _first(pred: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:
+    """Smallest m in lo..hi with pred(m), for pred monotone there; hi + 1 if none (lo if lo > hi).
+
+    pred maps an index array to booleans; a round probes _PROBES indices of lo..hi, hi among them.
+    """
+    while True:
+        span, steps = hi - lo, np.arange(_PROBES)
+        if span < _PROBES:
+            ms = np.arange(lo, hi + 1)
+        else:  # lo + span * i / (_PROBES - 1), in int64 without overflow
+            q, r = divmod(span, _PROBES - 1)
+            ms = lo + q * steps + r * steps // (_PROBES - 1)
+        hit = pred(ms)
+        if not hit.any():
+            return max(lo, hi + 1)
+        j = int(np.argmax(hit))
+        if j == 0 or span < _PROBES:
+            return int(ms[j])
+        lo, hi = int(ms[j - 1]) + 1, int(ms[j])
 
 
 def _index_powers(ns: np.ndarray, k: int) -> np.ndarray:
-    """|n|^k as floats, rounded once from the exact integer like Python's int ** int."""
+    """|n|^k as floats, each rounded once from the exact integer as float(|n| ** k) is.
+
+    Past the float range it is inf. Powers that may not fit an int64 are
+    formed as Python integers, one index at a time.
+    """
     m = np.abs(np.asarray(ns, dtype=np.int64))
-    if int(m.max(initial=0)) ** k < 2**63:
+    if m.max(initial=0) <= 2.0 ** (62 / k):
         return (m**k).astype(float)
-    return m.astype(float) ** k
+    big = m > 2.0 ** (62 / k)
+    out = (np.where(big, 0, m) ** k).astype(float)
+    out[big] = [float(p) if (p := v**k) < _FLOAT_CEIL else math.inf for v in m[big].tolist()]
+    return out
 
 
 def _power_law(ns: np.ndarray, base: float, order: int, scale: float = 1.0) -> np.ndarray:
-    """scale * base^(|n|^order) over an index array; overflow gives inf."""
+    """scale * base^(|n|^order) over an index array; overflow gives inf, scale 0 gives 0."""
+    if scale == 0.0:
+        return np.zeros(np.shape(ns))
     with np.errstate(over="ignore"):
         p = np.power(base, _index_powers(ns, order))
         if scale != 1.0:
@@ -149,38 +168,29 @@ class GrowthClass:
         return self.constant == 0.0
 
     def bound(self, n: int) -> float:
-        try:
-            return self.constant * self.base ** (abs(n) ** self.order)
-        except OverflowError:
-            return math.inf
+        return self.bounds(np.array([n], dtype=np.int64))[0].item()
 
     def bounds(self, ns: np.ndarray) -> np.ndarray:
         """bound(n) over an index array."""
         return _power_law(ns, self.base, self.order, self.constant)
 
 
+class _ArrayRule:
+    """A rule defined by its array form; the scalar form evaluates one int64 index."""
+
+    def __call__(self, n: int):
+        return self.values(np.array([n], dtype=np.int64))[0].item()
+
+
 @dataclass(frozen=True)
-class PowerRule:
+class PowerRule(_ArrayRule):
     """Lazy coefficient rule n -> base^(|n|^order)."""
 
     base: float
     order: int
 
-    def __call__(self, n: int) -> float:
-        try:
-            return self.base ** (abs(n) ** self.order)
-        except OverflowError:
-            return math.inf
-
     def values(self, ns: np.ndarray) -> np.ndarray:
         return _power_law(ns, self.base, self.order)
-
-
-class _ArrayRule:
-    """A rule defined by its array form; the scalar form evaluates one index."""
-
-    def __call__(self, n: int) -> complex:
-        return complex(self.values(np.array([n]))[0])
 
 
 @dataclass(frozen=True)
@@ -205,11 +215,23 @@ class _DifferentiatedRule(_ArrayRule):
         return _times_in(ns, rule_values(self.inner, ns), self.m)
 
 
-def _excess(ns: np.ndarray, vals: np.ndarray, g: GrowthClass):
-    """|c_n| at ns, and where it breaks g's bound by more than the slack (NaN always does)."""
+def _verify(ns: np.ndarray, sides, finite: bool = False) -> None:
+    """Raise ValueError at the first of ns where a side (name, values, class) breaks its class.
+
+    That is a value above the bound by more than the slack, a NaN or, with
+    finite, an infinity; the earlier side is named first.
+    """
     with np.errstate(over="ignore"):
-        v = np.abs(vals)
-        return v, ~(v <= g.bounds(ns) * _SLACK)
+        mags = [np.abs(vals) for _, vals, _ in sides]
+        bad = [~(v <= g.bounds(ns) * _SLACK) | (finite & ~np.isfinite(v))
+               for v, (_, _, g) in zip(mags, sides)]
+    i = int(np.argmax(np.logical_or.reduce(bad)))
+    for (name, _, g), v, b in zip(sides, mags, bad):
+        if b[i]:
+            n = int(ns[i])
+            why = f"exceeds bound {g.bound(n):.6g}" if np.isfinite(v[i]) else "is not finite"
+            raise ValueError(f"declared class of {name} violated at n = {n}: "
+                             f"|{name}_n| = {v[i]:.6g} {why}")
 
 
 @dataclass(frozen=True)
@@ -224,17 +246,9 @@ class UltraDistribution:
     declared_class: Optional[GrowthClass] = None
 
     def __post_init__(self):
-        g = self.declared_class
-        if g is None:
-            return
-        idx = self.coeffs.indices()
-        v, bad = _excess(idx, self.coeffs.coeffs, g)
-        bad |= ~np.isfinite(v)
-        if bad.any():
-            i = int(np.argmax(bad))
-            n = int(idx[i])
-            why = f"exceeds bound {g.bound(n):.6g}" if np.isfinite(v[i]) else "is not finite"
-            raise ValueError(f"declared class violated at n = {n}: |F_n| = {v[i]:.6g} {why}")
+        if self.declared_class is not None:
+            _verify(self.coeffs.indices(), [("F", self.coeffs.coeffs, self.declared_class)],
+                    finite=True)
 
     @property
     def halfwidth(self) -> int:
@@ -295,48 +309,60 @@ class PositivityResult:
         return self.positive
 
 
-def _ratios(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|c_n| / bound(n) elementwise: inf where only the bound is 0, NaN where both are infinite."""
-    r = np.where(v > 0.0, np.inf, 0.0)
+def _ratios(v: np.ndarray, b: np.ndarray, log_ratio=None) -> np.ndarray:
+    """|c_n| / bound(n) elementwise; inf where only the bound is 0, and for NaN.
+
+    Where both sides are infinite the ratio is exp(log_ratio(mask)) if a
+    log magnitude is known (log_ratio given), and inf otherwise.
+    """
+    r = np.where(v == 0.0, 0.0, np.inf)
     both_inf = np.isinf(v) & np.isinf(b)
     with np.errstate(over="ignore"):
         np.divide(v, b, out=r, where=(b > 0.0) & ~both_inf)
-    r[both_inf] = np.nan
+    if log_ratio is not None and both_inf.any():
+        # math.exp: numpy's SIMD exp is an ulp off libm for a few percent of inputs
+        r[both_inf] = [math.exp(x) if x <= _LOG_MAX else math.inf
+                       for x in log_ratio(both_inf).tolist()]
+    r[np.isnan(r)] = np.inf
     return r
 
 
-def _tail_ratio(rule: PowerRule, g: GrowthClass, m: int) -> float:
-    """|rule(m)| / bound(m) as a scalar scan forms it, for m > 0.
+def _log_ratio(rule: PowerRule, g: GrowthClass, ns: np.ndarray) -> np.ndarray:
+    """ln(|rule(n)| / bound(n)) = |n|^k ln|b| - (ln c + |n|^K ln B) over an index array."""
+    A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which _ratios makes inf
+        return _index_powers(ns, rule.order) * A - (D + _index_powers(ns, g.order) * C)
 
-    Where both sides overflow (inf / inf) the ratio is taken from log
-    magnitudes, m^k ln|base| against ln c + m^K ln base for the class.
+
+def _tail_ratios(rule: Callable[[int], complex], g: GrowthClass, ns: np.ndarray):
+    """|rule(n)| / bound(n) and |rule(-n)| / bound(n), max(|rule(+-n)|) and bound(n) at ns > 0.
+
+    Where both sides overflow, a PowerRule ratio comes from log magnitudes;
+    for any other rule it is inf, a violation.
     """
-    v, b = abs(rule(m)), g.bound(m)
-    r = v / b if b > 0.0 else (math.inf if v > 0.0 else 0.0)
-    if r == r:
-        return r
-    try:
-        log_v = m ** rule.order * math.log(abs(rule.base))
-        log_b = math.log(g.constant) + m ** g.order * math.log(g.base)
-        r = math.exp(log_v - log_b)
-    except OverflowError:
-        return math.inf
-    return r if r == r else math.inf
+    b = g.bounds(ns)
+    with np.errstate(over="ignore"):
+        vp = np.abs(rule_values(rule, ns))
+        if isinstance(rule, PowerRule):  # |rule(-n)| = |rule(n)|
+            r = _ratios(vp, b, lambda at: _log_ratio(rule, g, ns[at]))
+            return r, r, vp, b
+        vm = np.abs(rule_values(rule, -ns))
+    return _ratios(vp, b), _ratios(vm, b), np.maximum(vp, vm), b
 
 
-def _scan_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: int,
-               worst_ratio: float, worst_n: Optional[int]):
-    """The tail scan of check_membership on index chunks, for any rule."""
-    checked = c.halfwidth
-    for ns in _chunks(c.halfwidth + 1, max_terms):
-        b = g.bounds(ns)
-        with np.errstate(over="ignore"):
-            vp, vm = np.abs(c.values(ns)), np.abs(c.values(-ns))
-        rp, rm = _ratios(vp, b), _ratios(vm, b)
-        undecided = np.isnan(rp) | np.isnan(rm)  # inf / inf: no log magnitude known
-        rp[undecided] = rm[undecided] = np.inf
+def _scan(rule: Callable[[int], complex], g: GrowthClass, tol: float, lo: int, hi: int,
+          worst_ratio: float, worst_n: Optional[int]):
+    """Check the tail indices lo..hi and their negatives in chunks, up to the first stop.
+
+    A stop is a ratio above the slack, or the bound and both magnitudes
+    below tol. Returns the worst ratio and its index (the first on ties, n
+    before -n), and the last index checked.
+    """
+    checked = lo - 1
+    for ns in _chunks(lo, hi):
+        rp, rm, v, b = _tail_ratios(rule, g, ns)
         r = np.maximum(rp, rm)
-        stops = (r > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
+        stops = (r > _SLACK) | ((b < tol) & (v < tol))
         end = int(np.argmax(stops)) if stops.any() else ns.size - 1
         i = int(np.argmax(r[:end + 1]))
         if r[i] > worst_ratio:
@@ -347,26 +373,20 @@ def _scan_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: in
     return worst_ratio, worst_n, checked
 
 
-def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: int,
+def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
                 worst_ratio: float, worst_n: Optional[int]):
-    """The tail scan of check_membership for a PowerRule, decided without a scan.
+    """_scan of a PowerRule tail m0..M, steered by its closed form.
 
-    The log ratio g(m) = A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c)
-    has at most one interior extremum, so every predicate the scan tests
-    is monotone on either side of it. Each stop index is found by
-    bisection on the scan's own scalar ratio, which confirms it against
-    its neighbour. The worst ratio is then taken, in increasing m, over
-    the indices whose log ratio is within rounding of the maximum: a few
-    indices unless the ratio is flat (equal bases and orders), where the
-    constant-1 case takes the first index and any other constant
-    evaluates every tied index.
+    The log ratio A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c) has
+    at most one interior extremum, so each stop predicate of the scan is
+    monotone on either side of it, and _first finds the stop index by
+    probing those predicates. Up to the stop, the worst ratio lies where
+    the log ratio is within rounding of its maximum, and only those tie
+    spans are scanned: a few indices, m0 alone when the ratio is exactly 1
+    (equal bases and orders, constant 1), all when it is flat otherwise.
     """
-    rule, m0, M = c.rule, c.halfwidth + 1, max_terms
-    k, K = rule.order, g.order
+    k, K, cuts, mc = rule.order, g.order, [m0, M + 1], None
     A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
-    ratio = lambda m: _tail_ratio(rule, g, m)
-    log_ratio = lambda m: A * m**k - C * m**K - D
-    cuts, mc = [m0, M + 1], None
     if k != K and A * C != 0.0 and K * C / (k * A) > 0.0:
         mc = (K * C / (k * A)) ** (1.0 / (k - K))
         if m0 <= mc < M:
@@ -374,36 +394,32 @@ def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, max_terms: i
     pieces = [(a, z - 1) for a, z in zip(cuts, cuts[1:])]
 
     lo, hi = m0, M + 1  # both quiet conditions hold on lo..hi-1
-    for quiet in (lambda m: g.bound(m) < tol, lambda m: abs(rule(m)) < tol):
+    for quiet in (lambda ms: g.bounds(ms) < tol, lambda ms: np.abs(rule.values(ms)) < tol):
         s = _first(quiet, m0, M)
-        lo, hi = max(lo, s), min(hi, _first(lambda m: not quiet(m), s, M))
+        lo, hi = max(lo, s), min(hi, _first(lambda ms: ~quiet(ms), s, M))
     # Before the quiet stop the two sides never both underflow to a 0 / 0
     # ratio, so there the violation test is monotone on each piece.
     stop = lo if lo < hi else M
+    violates = lambda ms: _tail_ratios(rule, g, ms)[0] > _SLACK
     for a, z in pieces:
-        first = _first(lambda m: ratio(m) > _SLACK, a, min(z, stop - (lo < hi)))
+        first = _first(violates, a, min(z, stop - (lo < hi)))
         if first < stop and first <= z:
             stop = first
             break
 
     if k == K and abs(rule.base) == g.base and g.constant == 1.0:
-        ties = [range(m0, m0 + 1)]  # |c_m| and bound(m) are the same float
+        near = lambda ms: ms == m0  # |c_m| and bound(m) are one float: the ratio is 1 or 0
     else:
         tops = [m for m in (m0, stop) + ((int(mc), int(mc) + 1) if mc is not None else ())
                 if m0 <= m <= stop]
-        top = max(log_ratio(m) for m in tops)
+        top = float(_log_ratio(rule, g, np.array(tops)).max())
         slack = 16 * _EPS * (abs(A) * stop**k + abs(C) * stop**K + abs(D) + 1.0)
-        near = lambda m: log_ratio(m) >= top - slack
-        ties = []
-        for a, z in pieces:
-            z = min(z, stop)
-            s = _first(near, a, z)
-            ties.append(range(s, _first(lambda m: not near(m), s, z)))
-    for span in ties:
-        for m in span:
-            r = ratio(m)
-            if r > worst_ratio:
-                worst_ratio, worst_n = r, m
+        near = lambda ms: _log_ratio(rule, g, ms) >= top - slack
+    for a, z in pieces:  # the ties are a prefix or a suffix of each piece
+        z = min(z, stop)
+        s, e = ((a, _first(lambda ms: ~near(ms), a, z) - 1) if near(np.array([a]))[0]
+                else (_first(near, a, z), z))
+        worst_ratio, worst_n, _ = _scan(rule, g, tol, s, e, worst_ratio, worst_n)
     return worst_ratio, worst_n, stop
 
 
@@ -411,30 +427,28 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
                      tol: float = 1e-14, max_terms: int = 1_000_000) -> MembershipResult:
     """Test |c_n| <= bound(n) over the window and, via the rule, the tail.
 
-    The tail scan runs until both the class bound and the rule values drop
+    The tail check runs until both the class bound and the rule values drop
     below tol (or max_terms); it stops at the first tail violation. The
     witness reports the worst index and ratio |c_n| / bound(n) seen. Where
-    both sides overflow, the ratio is taken from log magnitudes; where it
-    cannot be, it counts as a violation. A PowerRule tail is decided in
-    closed form with the same result as the scan; any other rule is
-    scanned in index chunks.
+    both sides overflow, a PowerRule ratio is taken from log magnitudes;
+    any other inf against inf counts as a violation. All ratios come from
+    one array evaluator. A PowerRule tail is steered in closed form to its
+    stop index and to the indices that can hold the worst ratio, which are
+    scanned in chunks as every other tail is, so both give one result.
     """
     idx = c.indices()
     with np.errstate(over="ignore"):
         r = _ratios(np.abs(c.coeffs), g.bounds(idx))
-    r[np.isnan(r)] = np.inf  # infinite against infinite in the window: undecidable
-    worst_ratio, worst_n = 0.0, None
-    if r.max() > 0.0:
-        i = int(np.argmax(r))
-        worst_ratio, worst_n = float(r[i]), int(idx[i])
+    i = int(np.argmax(r))
+    worst_ratio, worst_n = (float(r[i]), int(idx[i])) if r[i] > 0.0 else (0.0, None)
     checked = c.halfwidth
     if c.rule is not None and worst_ratio <= _SLACK and c.halfwidth < max_terms:
         rule = c.rule
         closed = (isinstance(rule, PowerRule) and g.constant > 0.0
                   and 0.0 < abs(rule.base) < math.inf
                   and max(rule.order, g.order) * math.log10(max_terms) < 300)
-        tail = _power_tail if closed else _scan_tail
-        worst_ratio, worst_n, checked = tail(c, g, tol, max_terms, worst_ratio, worst_n)
+        worst_ratio, worst_n, checked = (_power_tail if closed else _scan)(
+            rule, g, tol, c.halfwidth + 1, max_terms, worst_ratio, worst_n)
     return MembershipResult(worst_ratio <= _SLACK, worst_n, worst_ratio, checked)
 
 
@@ -484,17 +498,7 @@ def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
         Fv[fv != 0.0] = F.values(ns[fv != 0.0])
     else:
         Fv = F.values(ns)
-        sides = [("F", Fv, classes[0]), ("f", fv, classes[1])]
-        found = [_excess(ns, v, g) for _, v, g in sides]
-        bad = found[0][1] | found[1][1]
-        if bad.any():
-            i = int(np.argmax(bad))
-            j = 0 if found[0][1][i] else 1
-            name, n = sides[j][0], int(ns[i])
-            raise ValueError(
-                f"declared class of {name} violated at n = {n}: |{name}_n| = "
-                f"{found[j][0][i]:.6g} exceeds bound {sides[j][2].bound(n):.6g}"
-            )
+        _verify(ns, [("F", Fv, classes[0]), ("f", fv, classes[1])])
     live = (fv != 0.0) & (Fv != 0.0)
     t = np.zeros(ns.shape, dtype=complex)
     t[live] = fv[live] * np.conj(Fv[live])
@@ -529,9 +533,9 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
                 )
         classes = (F_class, f_class)
         cc = F_class.constant * f_class.constant
-        tail = lambda n: 2.0 * cc * pq**n / (1.0 - pq)
+        tail = lambda ns: 2.0 * cc * pq**ns / (1.0 - pq)
         # first unsummed |n|: past the windows, where the class tail is below tol
-        last = _first(lambda n: n > window and tail(n) < tol, 1, max_terms) - 1
+        last = _first(lambda ns: (ns > window) & (tail(ns) < tol), 1, max_terms) - 1
     total = _pair_terms(F, f, np.zeros(1, dtype=np.int64), deficit_t, classes)[0]
     n, quiet, recent = 0, 0, [0.0, 0.0]
     for ch in _chunks(1, last):
@@ -557,7 +561,8 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
             break
     value = complex(TWO_PI * total)
     if classes is not None:
-        return PairingResult(value, TWO_PI * tail(max(1, min(n + 1, max_terms))), 2 * n + 1)
+        cut = np.array([max(1, min(n + 1, max_terms))])
+        return PairingResult(value, TWO_PI * tail(cut)[0].item(), 2 * n + 1)
     if not has_rule and window < max_terms:
         return PairingResult(value, 0.0, 2 * n + 1)  # the windows are summed exactly
     prev_mag, last_mag = recent
@@ -615,10 +620,7 @@ def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
         new_rule = PowerRule(math.exp(-t), 2)
     else:
         new_rule = _EvolvedRule(rule, t)
-    return UltraDistribution(
-        CoefficientSequence(F.coeffs.halfwidth, window, new_rule),
-        declared_class=g,
-    )
+    return UltraDistribution(CoefficientSequence(F.coeffs.halfwidth, window, new_rule), g)
 
 
 def smoothing_threshold(g: GrowthClass, margin: float = 1e-9) -> float:
@@ -690,9 +692,7 @@ def derivative_ultra(F: UltraDistribution, m: int) -> UltraDistribution:
     result carries no declared class for m > 0.
     """
     seq = derivative_sequence(F.coeffs, m)
-    if m == 0:
-        return F
-    return UltraDistribution(seq, declared_class=None)
+    return F if m == 0 else UltraDistribution(seq, declared_class=None)
 
 
 def derivative_bound_constants(g: GrowthClass) -> DerivativeBound:
@@ -731,8 +731,7 @@ def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,
         raise ValueError("trial_count must be at least 1")
     rng = np.random.default_rng(seed)
     evolved = evolve_ultra(F, t)
-    worst = math.inf
-    gap = 0.0
+    worst, gap = math.inf, 0.0
     for _ in range(trial_count):
         f = _nonneg_trial_coefficients(rng, degree)
         via_evolved = _pair_core(evolved.coeffs, f, None, None, 1e-14, 100_000)

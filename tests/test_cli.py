@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,19 @@ class TestCommands:
                      "--form", "product"]) == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(theta3_series(2.0, ThetaParams(0.3)), abs=1e-12)
+
+    def test_theta_eval_product_where_first_factor_is_one(self, capsys):
+        assert main(["theta", "eval", "--x", "1.4873662401842818", "--q", "0.5",
+                     "--form", "product"]) == 0
+        printed = float(capsys.readouterr().out.strip())
+        assert printed == pytest.approx(0.9591307822443896, abs=1e-12)
+
+    def test_theta_eval_product_refuses_too_many_factors(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["theta", "eval", "--x", "1.0", "--q", "0.9999999",
+                     "--form", "product"]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        assert "max_terms" in capsys.readouterr().err
 
     def test_theta_eval_invalid_nome_exits_one(self, capsys):
         assert main(["theta", "eval", "--x", "1.0", "--q", "1.5"]) == 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from thetaflow.theta import (
     MIN_KERNEL_TIME,
     ThetaParams,
     _image_terms,
+    _product_factors,
     _series_terms,
     kernel,
     theta3_bound,
@@ -133,6 +135,40 @@ class TestProduct:
     def test_near_one_nome_stays_nonnegative(self):
         v = theta3_product(np.pi, ThetaParams(0.99))
         assert v >= 0.0
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_first_factor_equal_to_one(self, q):
+        # At cos x = (1/(1-q^2) - 1 - q^2) / 2q the first factor is 1 to
+        # rounding; stopping there returned 1.0 (0.959 at q = 0.5).
+        x = math.acos((1.0 / (1.0 - q * q) - 1.0 - q * q) / (2.0 * q))
+        p = ThetaParams(q)
+        assert abs(theta3_product(x, p) - theta3_series(x, p)) < 1e-12
+
+    def test_reported_angle(self):
+        p = ThetaParams(0.5)
+        assert theta3_product(1.4873662401842818, p) == pytest.approx(0.9591307822443896,
+                                                                      abs=1e-12)
+
+    @given(st.floats(-20.0, 20.0), st.floats(0.0, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_relative_error_within_tol(self, x, q):
+        p = ThetaParams(q, tol=1e-10)
+        ref = theta3_series(x, ThetaParams(q, tol=1e-16))
+        assert abs(theta3_product(x, p) - ref) <= 1e-10 * ref + 1e-13
+
+    def test_factor_count_refused_up_front(self):
+        # q = 1 - 1e-7 needs ~2.4e8 factors; the loop ran 1e6 of them (13 s) before raising.
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="factors"):
+            theta3_product(1.0, ThetaParams(1.0 - 1e-7))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_factor_count_meets_its_bound(self):
+        for q in (1e-300, 0.1, 0.5, 0.9, 0.99):
+            n = _product_factors(q, 1e-14)
+            tail = lambda n: (2 + q) * q ** (2 * n + 1) / ((1 - q ** (2 * n + 1)) * (1 - q * q))
+            assert tail(n) <= math.log1p(1e-14)
+            assert n == 0 or tail(n - 1) > math.log1p(1e-14)
 
 
 class TestBound:

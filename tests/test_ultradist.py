@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetaflow import ultradist
 from thetaflow.fourier import CoefficientSequence, PeriodicGrid, synthesize
 from thetaflow.ultradist import (
     GrowthClass,
@@ -225,6 +226,89 @@ class TestClosedFormMembership:
         for tol in (1e-14, 1e-3):
             assert (check_membership(seq, g, tol, 3000)
                     == _scan_membership(seq, g, tol, 3000))
+
+
+def _library_scan(c, g, tol, max_terms):
+    """check_membership with the tail checked by the library's chunked scan alone."""
+    w = check_membership(CoefficientSequence(c.halfwidth, c.coeffs), g, tol, max_terms)
+    if not w.ok:
+        return w
+    ratio, n, checked = ultradist._scan(c.rule, g, tol, c.halfwidth + 1, max_terms,
+                                        w.worst_ratio, w.worst_n)
+    return MembershipResult(ratio <= 1.0 + 1e-12, n, ratio, checked)
+
+
+class TestOneEvaluator:
+    @given(st.floats(0.3, 3.0), st.integers(1, 3),
+           st.sampled_from([0.0, 1e-13, -1e-13, 1e-4, -0.5]), st.integers(1, 3),
+           st.floats(0.1, 10.0), st.integers(0, 5), st.integers(1, 4000),
+           st.sampled_from([1e-14, 1e-3]), st.booleans())
+    @example(2.0001, 1, 2.0 / 2.0001 - 1.0, 1, 1.1, 8, 3000, 1e-14, False)  # log magnitude decides
+    @example(2.0, 1, 0.0, 1, 3.0, 6, 3000, 1e-14, False)  # flat past overflow
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_agrees_with_the_chunked_scan(self, b, k, dB, K, c, hw, max_terms,
+                                                      tol, unit_constant):
+        # Bases within rounding of each other make ties; bases above 1 overflow
+        # within max_terms, so some tails are decided in log magnitude.
+        B = b * (1.0 + dB)
+        g = GrowthClass("test" if B < 1.0 else "dual", B, K, 1.0 if unit_constant else c)
+        seq = seq_from_rule(hw, PowerRule(b, k))
+        assert check_membership(seq, g, tol, max_terms) == _library_scan(seq, g, tol, max_terms)
+
+    def test_high_order_overflow_is_decided_in_log_magnitude(self):
+        # (1e5)^60 is no float, so the scan decides; it took inf against inf
+        # at n = 2 for a violation, which the closed form (up to 1e4) did not.
+        c = seq_from_rule(1, PowerRule(2.0, 60))
+        g = GrowthClass("dual", 2.0, 60, 1.0)
+        assert check_membership(c, g, max_terms=10_000) == MembershipResult(True, -1, 1.0, 10_000)
+        assert check_membership(c, g, max_terms=100_000) == MembershipResult(True, -1, 1.0, 100_000)
+
+    def test_scalar_forms_past_the_float_range(self):
+        # (1e6)^60 overflows a float: the value underflows, it is not inf.
+        assert PowerRule(0.5, 60)(10**6) == 0.0
+        assert GrowthClass("test", 0.5, 60).bound(10**6) == 0.0
+        assert PowerRule(2.0, 60)(10**6) == math.inf
+        assert GrowthClass("dual", 2.0, 60, 0.0).bound(10**6) == 0.0
+        # Indices are int64: a larger one is refused, not wrapped around.
+        with pytest.raises(OverflowError):
+            PowerRule(0.5, 1)(2**63)
+        with pytest.raises(OverflowError):
+            GrowthClass("test", 0.5, 1).bound(2**63)
+
+    def test_reported_numbers_are_python_numbers(self):
+        res = pair(comb(), seq_from_rule(12, PowerRule(0.5, 2)),
+                   f_class=GrowthClass("test", 0.5, 2, 1.0))
+        assert type(res.tail_bound) is float
+        m = check_membership(seq_from_rule(6, PowerRule(2.0, 1)),
+                             GrowthClass("dual", 2.0, 1, 3.0), max_terms=3000)
+        assert type(m.worst_ratio) is float and type(m.worst_n) is int
+
+    def test_flat_tie_is_scanned_in_chunks(self):
+        # Every tied index was evaluated one at a time: 3.4 s.
+        c = seq_from_rule(6, PowerRule(2.0, 1))
+        g = GrowthClass("dual", 2.0, 1, 3.0)
+        t0 = time.perf_counter()
+        res = check_membership(c, g)
+        assert time.perf_counter() - t0 < 1.1
+        assert res == MembershipResult(True, 378194, 0.3333333333382416, 1_000_000)
+
+    def test_index_powers_round_once_from_the_exact_integer(self):
+        rng = np.random.default_rng(11)
+        for k in (3, 4, 5, 8):
+            root = int(2 ** (63 / k))  # the powers cross 2^63 here
+            ns = rng.integers(root // 4, 16 * root, 25_000)
+            expected = [float(n ** k) for n in ns.tolist()]
+            assert ultradist._index_powers(ns, k).tolist() == expected
+            assert ultradist._index_powers(-ns, k).tolist() == expected
+
+    def test_index_powers_end_at_the_float_range(self):
+        n = int(2 ** (1024 / 17))
+        while (n + 1) ** 17 < 2**1024 - 2**970:
+            n += 1
+        while n ** 17 >= 2**1024 - 2**970:
+            n -= 1
+        got = ultradist._index_powers(np.array([n, n + 1]), 17).tolist()
+        assert got == [float(n ** 17), math.inf]
 
 
 class TestArrayForm:
