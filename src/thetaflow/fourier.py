@@ -100,13 +100,13 @@ class SampledFunction:
     frozen after construction; all operations in this package treat
     SampledFunction as immutable, which makes them safe to share across
     threads. ``kind`` records whether the function is semantically real;
-    a real function may carry round-off imaginary parts up to imag_tol.
+    a real function may carry round-off imaginary parts up to
+    1e-9 * max(1, max |re|).
     """
 
     grid: PeriodicGrid
     values: np.ndarray
     kind: str = "complex"
-    imag_tol: float = 1e-9
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=complex, order="C")  # own the buffer
@@ -117,11 +117,10 @@ class SampledFunction:
         if self.kind not in ("real", "complex"):
             raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
         if self.kind == "real":
-            scale = max(1.0, float(np.max(np.abs(vals.real), initial=0.0)))
-            worst = float(np.max(np.abs(vals.imag), initial=0.0))
-            if worst > self.imag_tol * scale:
+            stray = _stray_imag(vals)
+            if stray:
                 raise ValueError(
-                    f"kind='real' but max imaginary part {worst:.3e} exceeds tolerance"
+                    f"kind='real' but max imaginary part {stray:.3e} exceeds tolerance"
                 )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -158,8 +157,18 @@ class SampledFunction:
         return float((np.sum(a**p) * self.grid.cell_volume) ** (1.0 / p))
 
     def with_values(self, values: np.ndarray, kind: Optional[str] = None) -> "SampledFunction":
-        return SampledFunction(self.grid, values, kind=kind or self.kind,
-                               imag_tol=self.imag_tol)
+        return SampledFunction(self.grid, values, kind=kind or self.kind)
+
+
+def _stray_imag(values: np.ndarray) -> float:
+    """max |im| of values if they are not real-kind, else 0.
+
+    Values are real-kind when max |im| <= 1e-9 * max(1, max |re|); the
+    SampledFunction check and CSV loading both decide by this.
+    """
+    worst = float(np.max(np.abs(values.imag), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(values.real), initial=0.0)))
+    return worst if worst > 1e-9 * scale else 0.0
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
@@ -299,9 +308,9 @@ def synthesize(c: CoefficientSequence, grid: PeriodicGrid) -> SampledFunction:
     return SampledFunction(grid, vals, kind=kind)
 
 
-def _is_conjugate_symmetric(c: CoefficientSequence, rtol: float = 1e-12) -> bool:
+def _is_conjugate_symmetric(c: CoefficientSequence) -> bool:
     scale = max(float(np.max(np.abs(c.coeffs))), 1e-300)
-    return c.conjugate_symmetry_defect() <= rtol * scale
+    return c.conjugate_symmetry_defect() <= 1e-12 * scale
 
 
 def _forward(f: SampledFunction, real: bool) -> np.ndarray:

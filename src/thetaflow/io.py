@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .fourier import TWO_PI, CoefficientSequence, PeriodicGrid, SampledFunction
+from .fourier import TWO_PI, CoefficientSequence, PeriodicGrid, SampledFunction, _stray_imag
 from .ultradist import GrowthClass, PowerRule, UltraDistribution
 
 _COORD_ATOL = 1e-9
@@ -66,13 +66,9 @@ def load_function(path) -> SampledFunction:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
-    re_col, im_col = table[:, d], table[:, d + 1]
     grid = _reconstruct_grid(table[:, :d])
-    vals = (re_col + 1j * im_col).reshape(grid.sizes)
-    worst_imag = float(np.max(np.abs(im_col), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(re_col), initial=0.0)))
-    kind = "real" if worst_imag <= 1e-9 * scale else "complex"
-    return SampledFunction(grid, vals, kind=kind)
+    vals = (table[:, d] + 1j * table[:, d + 1]).reshape(grid.sizes)
+    return SampledFunction(grid, vals, kind="complex" if _stray_imag(vals) else "real")
 
 
 def _parse_header(header: list[str]) -> int:

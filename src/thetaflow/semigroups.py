@@ -8,7 +8,9 @@ subordination identity
     exp(-lam) = (1/sqrt(pi)) * integral_0^inf exp(-u)/sqrt(u)
                 * exp(-lam^2 / 4u) du,
 
-which averages Gaussian decays into an exponential one. In d dimensions
+which averages Gaussian decays into an exponential one. It is evaluated
+by one rule, Gauss-Legendre in the substituted variable u = s^2, and an
+optional check bounds its error by the Bochner defect. In d dimensions
 the heat multiplier tensorizes to exp(-t * sum n_j^2) while the
 subordinated multiplier exp(-t * sqrt(sum n_j^2)) does not factor; the
 two flows coincide only on one axis.
@@ -45,6 +47,10 @@ MULTIPLIER_KINDS = ("heat", "poisson", "laplacian")
 # accuracy for evolution times down to t = 0.2.
 _PANEL_SPLIT = 0.6
 _TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
+
+_COARSE_SPACING = 1e-2  # heat_residual warns on a coarser time grid
+_MAXIMAL_TIMES = np.geomspace(1e-3, 10.0, 64)  # maximal_function's default times
+_MAXIMAL_TIMES.flags.writeable = False
 
 
 class SubordinationError(RuntimeError):
@@ -189,12 +195,11 @@ def poisson_evolve_kernel(f: SampledFunction, t: float) -> SampledFunction:
 class SubordinationQuadrature:
     """Quadrature plan for the subordination integral over (0, inf).
 
-    rule 'gauss_legendre' substitutes u = s^2 to remove the 1/sqrt(u)
-    singularity and applies panelled Gauss-Legendre on [eps, sqrt(u_max)];
-    the remaining [0, eps) piece is replaced analytically by its
-    mean-value limit. rule 'adaptive' integrates the same substituted
-    integrand with an adaptive vector routine (nodes is then ignored).
-    Either rule yields a symbol S(|n|^2) that approximates exp(-t|n|).
+    The rule substitutes u = s^2 to remove the 1/sqrt(u) singularity and
+    applies panelled Gauss-Legendre with the given number of nodes on
+    [eps, sqrt(u_max)]; the remaining [0, eps) piece is replaced
+    analytically by its mean-value limit. It yields a symbol S(|n|^2) that
+    approximates exp(-t|n|).
 
     u_max must be finite. tol, when set, must be finite and requests an
     error check: the Bochner defect
@@ -203,14 +208,11 @@ class SubordinationQuadrature:
     exceed tol, or a SubordinationError is raised.
     """
 
-    rule: str = "gauss_legendre"
     nodes: int = 64
     u_max: float = 36.0
     tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.rule not in ("gauss_legendre", "adaptive"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.nodes < 8:
             raise ValueError(f"need at least 8 nodes, got {self.nodes}")
         if not (math.isfinite(self.u_max) and self.u_max > 1):
@@ -248,23 +250,11 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     # Analytic small-s piece: the evolution time t^2/4s^2 blows up there,
     # where the heat flow has already flattened f to its mean.
     acc = np.where(n2 == 0, math.erf(eps), 0.0)
-    if quad.rule == "gauss_legendre":
-        s, w = _gauss_nodes(eps, s_max, quad.nodes)
-        coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
-        for si, ci in zip(s, coef):
-            acc += ci * np.exp(-(t * t / (4.0 * si * si)) * n2)
-        return acc
-
-    # scipy.integrate costs most of the package's import time and only
-    # this rule needs it.
-    from scipy.integrate import quad_vec
-
-    def integrand(s: float) -> np.ndarray:
-        scale = 2.0 / math.sqrt(math.pi) * math.exp(-s * s)
-        return scale * np.exp(-(t * t / (4.0 * s * s)) * n2)
-
-    part, _ = quad_vec(integrand, eps, s_max, epsabs=1e-12, epsrel=1e-12)
-    return acc + part
+    s, w = _gauss_nodes(eps, s_max, quad.nodes)
+    coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
+    for si, ci in zip(s, coef):
+        acc += ci * np.exp(-(t * t / (4.0 * si * si)) * n2)
+    return acc
 
 
 def _bochner_defect(f: SampledFunction, n2: np.ndarray, symbol: np.ndarray,
@@ -314,7 +304,7 @@ def subordinate(f: SampledFunction, t: float,
         if est > quad.tol:
             raise SubordinationError(
                 f"estimated quadrature error {est:.3e} exceeds requested "
-                f"{quad.tol:.3e} (rule {quad.rule!r}, nodes = {quad.nodes}, t = {t})"
+                f"{quad.tol:.3e} (nodes = {quad.nodes}, t = {t})"
             )
     return _symbol_applier(f)(symbol)
 
@@ -324,14 +314,14 @@ def generator_apply(f: SampledFunction) -> SampledFunction:
     return apply_multiplier(f, MultiplierSpec("laplacian"))
 
 
-def heat_residual(f: SampledFunction, t_grid: Sequence[float],
-                  coarse_threshold: float = 1e-2) -> float:
+def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
     """Sup-norm residual of the heat equation along the evolution of f.
 
     At each interior point of t_grid, d/dt of the evolution is formed by a
     central difference and compared with the spectral Laplacian; the
     maximum of the sup-norm mismatch is returned. A small residual
-    certifies that the evolution solves du/dt = Lu. Both sides are Fourier
+    certifies that the evolution solves du/dt = Lu; a time spacing above
+    1e-2 draws a warning. Both sides are Fourier
     multipliers, so f is transformed forward once and each interior time
     costs one inverse transform of the mismatch.
     """
@@ -344,10 +334,10 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float],
         raise ValueError("t_grid must be strictly increasing")
     for t in ts:
         _require_time(t)
-    if max(b - a for a, b in zip(ts, ts[1:])) > coarse_threshold:
+    if max(b - a for a, b in zip(ts, ts[1:])) > _COARSE_SPACING:
         warnings.warn(
             "t_grid spacing exceeds "
-            f"{coarse_threshold}; the time-difference error may dominate the residual",
+            f"{_COARSE_SPACING}; the time-difference error may dominate the residual",
             stacklevel=2,
         )
     # du/dt - Lu is diagonal too: its symbol at each interior time is the
@@ -362,21 +352,17 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float],
     return worst
 
 
-def default_maximal_times(count: int = 64, lo: float = 1e-3, hi: float = 10.0) -> np.ndarray:
-    """Logarithmic time grid used by maximal_function by default."""
-    return np.geomspace(lo, hi, count)
-
-
 def maximal_function(f: SampledFunction,
                      t_samples: Optional[Sequence[float]] = None) -> SampledFunction:
     """Pointwise max of |heat evolution of f| over the sampled times.
 
     A lower bound for the true supremum over all t > 0 (the supremum is
-    approached as the smallest sampled time tends to 0). f is transformed
-    forward once; each time costs one inverse transform.
+    approached as the smallest sampled time tends to 0). The default times
+    are 64 log-spaced ones from 1e-3 to 10. f is transformed forward once;
+    each time costs one inverse transform.
     """
     if t_samples is None:
-        t_samples = default_maximal_times()
+        t_samples = _MAXIMAL_TIMES
     ts = [float(t) for t in t_samples]
     if not ts:
         raise ValueError("t_samples must be nonempty")

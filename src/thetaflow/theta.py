@@ -53,12 +53,11 @@ class ThetaParams:
             raise ValueError("max_terms must be at least 1")
 
     @classmethod
-    def from_time(cls, t: float, tol: float = 1e-14,
-                  max_terms: int = 1_000_000) -> "ThetaParams":
+    def from_time(cls, t: float, tol: float = 1e-14) -> "ThetaParams":
         """Parameters for diffusion time t > 0, q = exp(-t)."""
         if t <= 0:
             raise ValueError(f"time must be positive, got {t}; t=0 is the Dirac comb")
-        return cls(math.exp(-t), tol=tol, max_terms=max_terms)
+        return cls(math.exp(-t), tol=tol)
 
     @property
     def time(self) -> float:
@@ -72,31 +71,45 @@ def _reduce_angle(x):
     return np.mod(x, TWO_PI)
 
 
+def _series_terms(q: float, tol: float) -> int:
+    """Terms theta3_series keeps: the n >= 1 before the first with 2 q^(n^2) < tol.
+
+    Solved for in logarithms, then confirmed against that predicate in
+    O(1) steps at any q.
+    """
+    if 2.0 * q < tol:  # also q = 0
+        return 0
+    keeps = lambda n: 2.0 * q ** (n * n) >= tol
+    n = math.isqrt(int((math.log(2.0) - math.log(tol)) / -math.log(q)))
+    while n > 0 and not keeps(n):
+        n -= 1
+    while keeps(n + 1):
+        n += 1
+    return n
+
+
 def theta3_series(x, params: ThetaParams):
     """theta3 by its cosine series, truncated when 2 q^(n^2) < tol.
 
-    The discarded tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q),
-    so that is the floor of the result: a value below tol / (1 - q) is
-    not resolved, and where the raw sum falls below 0 there it is clamped
-    to 0 (theta3 is nonnegative). Accepts a scalar or array angle;
-    returns the matching shape.
+    The term count (_series_terms) is known up front; a q that needs more
+    than max_terms terms is refused before any is summed. The discarded
+    tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q), so that is
+    the floor of the result: a value below tol / (1 - q) is not resolved,
+    and where the raw sum falls below 0 there it is clamped to 0 (theta3
+    is nonnegative). Accepts a scalar or array angle; returns the
+    matching shape.
     """
-    q, tol = params.q, params.tol
+    q = params.q
+    terms = _series_terms(q, params.tol)
+    if terms > params.max_terms:
+        raise RuntimeError(
+            f"theta3 series needs {terms} terms at q = {q}, "
+            f"more than max_terms = {params.max_terms}"
+        )
     xr = _reduce_angle(np.asarray(x, dtype=float))
     total = np.ones_like(xr)
-    if q > 0.0:
-        n = 1
-        while True:
-            term = 2.0 * q ** (n * n)
-            if term < tol:
-                break
-            if n > params.max_terms:
-                raise RuntimeError(
-                    f"theta3 series did not converge within {params.max_terms} terms "
-                    f"(q = {q})"
-                )
-            total = total + term * np.cos(n * xr)
-            n += 1
+    for n in range(1, terms + 1):
+        total = total + 2.0 * q ** (n * n) * np.cos(n * xr)
     total = np.maximum(total, 0.0)
     return total if total.ndim else float(total)
 
@@ -155,11 +168,6 @@ def theta3_bound(params: ThetaParams) -> float:
     return float(theta3_series(0.0, params))
 
 
-def _series_terms(t: float, tol: float) -> int:
-    """Terms the cosine series keeps at q = exp(-t): #{n >= 1 : 2 q^(n^2) >= tol}."""
-    return math.isqrt(int(math.log(2.0 / tol) / t)) if tol <= 2.0 else 0
-
-
 def _image_terms(t: float, tol: float) -> int:
     """Smallest K >= 1 whose image-sum tail bound is below tol.
 
@@ -201,15 +209,13 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}; t=0 is the Dirac comb")
+    params = ThetaParams.from_time(t, tol=tol)
     if t < MIN_KERNEL_TIME:
         raise ValueError(
             f"time {t} below the kernel construction cap {MIN_KERNEL_TIME}; "
             "the kernel is too narrow to be resolved by a sampled grid"
         )
-    params = ThetaParams.from_time(t, tol=tol)
-    if 2 * _image_terms(t, tol) < _series_terms(t, tol):
+    if 2 * _image_terms(t, tol) < _series_terms(params.q, tol):
         theta = partial(_theta3_images, t=t, tol=tol)
     else:
         theta = partial(theta3_series, params=params)

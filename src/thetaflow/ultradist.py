@@ -53,6 +53,7 @@ _CHUNK = 2048
 _PROBES = 128  # indices that one round of _first probes
 _FLOAT_CEIL = 2**1024 - 2**970  # the least integer that float() rounds past the float range
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest argument of a finite exp
+_SMOOTHING_MARGIN = 1e-9  # added to the smoothing threshold against boundary ties
 
 
 def _chunks(lo: int, hi: int):
@@ -623,10 +624,10 @@ def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
     return UltraDistribution(CoefficientSequence(F.coeffs.halfwidth, window, new_rule), g)
 
 
-def smoothing_threshold(g: GrowthClass, margin: float = 1e-9) -> float:
+def smoothing_threshold(g: GrowthClass) -> float:
     """Time t_F past which evolution maps the class into a classical one.
 
-    For a dual class of order 2 with base p, t_F = 2 ln p (plus a small
+    For a dual class of order 2 with base p, t_F = 2 ln p (plus a 1e-9
     margin against boundary-equality flakiness); for every t >= t_F the
     evolved coefficients satisfy the test-class bound with base
     q = exp(-t_F / 2) and the same constant.
@@ -637,7 +638,7 @@ def smoothing_threshold(g: GrowthClass, margin: float = 1e-9) -> float:
         raise ValueError(
             f"smoothing threshold is established only for order k = 2, got k = {g.order}"
         )
-    return 2.0 * math.log(g.base) + margin
+    return 2.0 * math.log(g.base) + _SMOOTHING_MARGIN
 
 
 def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,

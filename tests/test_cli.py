@@ -236,6 +236,13 @@ class TestCommands:
         assert time.perf_counter() - t0 < 0.5
         assert "max_terms" in capsys.readouterr().err
 
+    def test_theta_eval_series_refuses_too_many_terms(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["theta", "eval", "--form", "series", "--q", "0.999999999999",
+                     "--x", "1"]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        assert "max_terms" in capsys.readouterr().err
+
     def test_theta_eval_invalid_nome_exits_one(self, capsys):
         assert main(["theta", "eval", "--x", "1.0", "--q", "1.5"]) == 1
         assert "nome out of range" in capsys.readouterr().err
@@ -454,3 +461,31 @@ class TestProcess:
                                  "print('scipy.integrate' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_runs_without_scipy(self, tmp_path):
+        # A None entry in sys.modules makes every import of scipy fail.
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import thetaflow as tf
+from thetaflow.cli import main
+from thetaflow.io import save_function
+
+g = tf.PeriodicGrid((16, 12))
+x1, x2 = g.meshgrid()
+f = tf.SampledFunction(g, (np.cos(x1) + np.sin(2 * x2)).astype(complex), kind="real")
+direct = tf.poisson_evolve_multiplier(f, 0.6).values
+for quad in (None, tf.SubordinationQuadrature(tol=1e-6)):
+    assert np.max(np.abs(tf.subordinate(f, 0.6, quad).values - direct)) < 1e-7
+d = {str(tmp_path)!r}
+save_function(f, d + "/f.csv")
+for argv in (["poisson", "--method", "subordination", "--t", "0.6"],
+             ["subordinate", "--t", "0.6", "--quad-tol", "1e-6"]):
+    assert main([*argv, "--init", d + "/f.csv", "--out", d + "/u.csv"]) == 0
+assert main(["check", "--suite", "thm2"]) == 0
+print("scipy" in sys.modules and sys.modules["scipy"] is None)
+"""
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "True"

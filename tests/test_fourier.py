@@ -9,6 +9,7 @@ from thetaflow.fourier import (
     circular_convolve,
     synthesize,
 )
+from thetaflow.io import load_function, save_function
 from thetaflow.theta import kernel
 
 
@@ -68,6 +69,22 @@ class TestSampledFunction:
         g = PeriodicGrid.line(8)
         with pytest.raises(ValueError, match="imaginary"):
             SampledFunction(g, np.full(8, 1.0 + 0.1j), kind="real")
+
+    def test_real_kind_tolerance_is_shared_with_csv_loading(self, tmp_path):
+        # SampledFunction accepts kind='real' exactly where load_function
+        # infers it: max |im| <= 1e-9 * max(1, max |re|).
+        g = PeriodicGrid.line(8)
+        path = tmp_path / "f.csv"
+        edge = 1e-9 * 3.0
+        for im, real in ((edge, True), (np.nextafter(edge, 1.0), False)):
+            vals = np.full(8, 3.0) + 1j * im
+            save_function(SampledFunction(g, vals), path)
+            assert (load_function(path).kind == "real") is real
+            if real:
+                SampledFunction(g, vals, kind="real")
+            else:
+                with pytest.raises(ValueError, match="imaginary part"):
+                    SampledFunction(g, vals, kind="real")
 
     def test_values_are_frozen(self):
         g = PeriodicGrid.line(8)

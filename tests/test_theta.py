@@ -22,6 +22,14 @@ from thetaflow.theta import (
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
+def loop_terms(q, tol):
+    """Terms a series loop adds, from n = 1, until 2 q^(n^2) < tol."""
+    n = 1
+    while not 2.0 * q ** (n * n) < tol:
+        n += 1
+    return n - 1
+
+
 def series_oracle(x, q, terms=200):
     """Direct summation of the defining cosine series."""
     total = 1.0
@@ -120,6 +128,28 @@ class TestSeries:
         for x in rng.uniform(0, 2 * np.pi, 50):
             a, b = theta3_series(x + 2 * np.pi, p), theta3_series(x, p)
             assert abs(a - b) <= 1e-13 * theta3_bound(p)
+
+    def test_term_count_refused_up_front(self):
+        # q = 1 - 1e-12 needs ~5.7e6 terms; the loop ran 1e6 array passes
+        # (69 s on 4096 points) before raising.
+        x = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="max_terms"):
+            theta3_series(x, ThetaParams(1.0 - 1e-12))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_term_count_on_exact_boundaries(self):
+        # tol = 2 q^(n^2) keeps term n, as the series loop did; a count
+        # from logarithms alone dropped it for some of these pairs.
+        for q in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for n in (1, 2, 3, 5, 8, 13):
+                tol = 2.0 * q ** (n * n)
+                assert _series_terms(q, tol) == loop_terms(q, tol) == n
+
+    @given(st.floats(0.0, 0.999), st.floats(1e-300, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_term_count_matches_the_loop(self, q, tol):
+        assert _series_terms(q, tol) == loop_terms(q, tol)
 
 
 class TestProduct:
@@ -260,14 +290,12 @@ class TestKernelRoute:
         # Image passes 2K against series terms at tol = 1e-14.
         for t, images, terms in ((1e-3, 2, 181), (1e-2, 2, 57), (1.0, 4, 5), (1.5, 6, 4)):
             assert 2 * _image_terms(t, 1e-14) == images
-            assert _series_terms(t, 1e-14) == terms
+            assert _series_terms(math.exp(-t), 1e-14) == terms
 
     def test_series_terms_match_the_series_loop(self):
         for t in self.TIMES:
-            q, n = math.exp(-t), 1
-            while 2.0 * q ** (n * n) >= 1e-14:
-                n += 1
-            assert _series_terms(t, 1e-14) == n - 1
+            q = math.exp(-t)
+            assert _series_terms(q, 1e-14) == loop_terms(q, 1e-14)
 
     def test_image_terms_is_smallest_meeting_tol(self):
         def bound(k, t):
@@ -280,7 +308,8 @@ class TestKernelRoute:
                 assert k == 1 or bound(k - 1, t) >= tol
 
     def test_times_span_the_crossover(self):
-        picks = {2 * _image_terms(t, 1e-14) < _series_terms(t, 1e-14) for t in self.TIMES}
+        picks = {2 * _image_terms(t, 1e-14) < _series_terms(math.exp(-t), 1e-14)
+                 for t in self.TIMES}
         assert picks == {True, False}
 
     @pytest.mark.parametrize("sizes", [(512,), (96, 64)])
