@@ -7,11 +7,13 @@ Conventions used throughout the package:
 
 Grids are node-centered at x_j = 2pi j / N, so the implied quadrature is
 the trapezoid rule, which is exact for band-limited integrands. The
-discrete transform is computed with the FFT.
+discrete transform is computed with the FFT, a real one for the samples of
+a real-kind function, which are stored as float64 (complex128 otherwise).
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -30,13 +32,13 @@ class PeriodicGrid:
     """Uniform sampling of the torus [0, 2pi)^d.
 
     Attributes:
-        sizes: per-axis sample counts N_i; each must be even and >= 4.
+        sizes: per-axis sample counts N_i; each must be an integer, even and >= 4.
     """
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(_integer(n, "axis size") for n in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 1:
             raise ValueError("grid needs at least one axis")
@@ -96,12 +98,12 @@ class PeriodicGrid:
 class SampledFunction:
     """Function values on a PeriodicGrid.
 
-    Values are stored as a complex array of shape ``grid.sizes`` and are
-    frozen after construction; all operations in this package treat
-    SampledFunction as immutable, which makes them safe to share across
-    threads. ``kind`` records whether the function is semantically real;
-    a real function may carry round-off imaginary parts up to
-    1e-9 * max(1, max |re|).
+    Values are an array of shape ``grid.sizes``, float64 for kind 'real'
+    and complex128 for kind 'complex', frozen after construction; all
+    operations in this package treat SampledFunction as immutable, which
+    makes them safe to share across threads. Complex values declared real
+    may carry round-off imaginary parts up to 1e-9 * max(1, max |re|),
+    which are dropped; larger ones are refused.
     """
 
     grid: PeriodicGrid
@@ -109,45 +111,41 @@ class SampledFunction:
     kind: str = "complex"
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=complex, order="C")  # own the buffer
+        if self.kind not in ("real", "complex"):
+            raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
+        vals = np.asarray(self.values)
+        if self.kind == "real" and np.iscomplexobj(vals):
+            if stray := _stray_imag(vals):
+                raise ValueError(
+                    f"kind='real' but max imaginary part {stray:.3e} exceeds tolerance"
+                )
+            vals = vals.real
+        dtype = float if self.kind == "real" else complex
+        vals = np.array(vals, dtype=dtype, order="C")  # own the buffer
         if vals.shape != self.grid.sizes:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid sizes {self.grid.sizes}"
             )
-        if self.kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
-        if self.kind == "real":
-            stray = _stray_imag(vals)
-            if stray:
-                raise ValueError(
-                    f"kind='real' but max imaginary part {stray:.3e} exceeds tolerance"
-                )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, grid: PeriodicGrid, fn, kind: str = "real") -> "SampledFunction":
-        vals = np.asarray(fn(*grid.meshgrid()) if grid.dims > 1 else fn(grid.points))
-        return cls(grid, vals.astype(complex), kind=kind)
+    def from_callable(cls, grid: PeriodicGrid, fn) -> "SampledFunction":
+        """The real function fn sampled on the grid (fn takes one array per axis)."""
+        return cls(grid, fn(*grid.meshgrid()), kind="real")
 
     @classmethod
     def constant(cls, grid: PeriodicGrid, value: complex = 1.0) -> "SampledFunction":
         kind = "real" if np.imag(value) == 0 else "complex"
-        return cls(grid, np.full(grid.sizes, value, dtype=complex), kind=kind)
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real
+        return cls(grid, np.full(grid.sizes, value), kind=kind)
 
     def mean(self) -> complex:
-        """Discrete mean over the grid, (1/npoints) sum of values."""
-        m = complex(self.values.mean())
-        return m.real if self.kind == "real" else m
+        """Discrete mean over the grid, (1/npoints) sum of values; a float if real."""
+        return self.values.mean().item()
 
     def integral(self) -> complex:
-        """Trapezoid-rule integral over [0, 2pi)^d."""
-        v = complex(self.values.sum() * self.grid.cell_volume)
-        return v.real if self.kind == "real" else v
+        """Trapezoid-rule integral over [0, 2pi)^d; a float if real."""
+        return (self.values.sum() * self.grid.cell_volume).item()
 
     def norm(self, p: float = 2) -> float:
         """Discrete L^p norm with the grid measure; p=inf gives the sup norm."""
@@ -156,8 +154,16 @@ class SampledFunction:
             return float(a.max())
         return float((np.sum(a**p) * self.grid.cell_volume) ** (1.0 / p))
 
-    def with_values(self, values: np.ndarray, kind: Optional[str] = None) -> "SampledFunction":
-        return SampledFunction(self.grid, values, kind=kind or self.kind)
+    def with_values(self, values: np.ndarray) -> "SampledFunction":
+        return SampledFunction(self.grid, values, kind=self.kind)
+
+
+def _integer(n, what: str) -> int:
+    """n as an int by operator.index: Python and numpy integers pass, others are refused."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
 
 
 def _stray_imag(values: np.ndarray) -> float:
@@ -206,13 +212,14 @@ class CoefficientSequence:
     rule: Optional[Callable[[int], complex]] = None
 
     def __post_init__(self):
+        hw = _integer(self.halfwidth, "halfwidth")
         c = np.array(self.coeffs, dtype=complex, order="C")  # own the buffer
-        if c.shape != (2 * self.halfwidth + 1,):
+        if c.shape != (2 * hw + 1,):
             raise ValueError(
-                f"expected {2 * self.halfwidth + 1} coefficients for halfwidth "
-                f"{self.halfwidth}, got shape {c.shape}"
+                f"expected {2 * hw + 1} coefficients for halfwidth {hw}, got shape {c.shape}"
             )
         c.flags.writeable = False
+        object.__setattr__(self, "halfwidth", hw)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -315,18 +322,16 @@ def _is_conjugate_symmetric(c: CoefficientSequence) -> bool:
 
 def _forward(f: SampledFunction, real: bool) -> np.ndarray:
     """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn."""
-    axes = tuple(range(f.grid.dims))
     if real:
-        return np.fft.rfftn(f.values.real, axes=axes)
-    return np.fft.fftn(f.values, axes=axes)
+        return np.fft.rfftn(f.values)
+    return np.fft.fftn(f.values)
 
 
 def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool) -> np.ndarray:
     """Inverse of _forward; the result is a real array when real is set."""
-    axes = tuple(range(grid.dims))
     if real:
-        return np.fft.irfftn(spec, s=grid.sizes, axes=axes)
-    return np.fft.ifftn(spec, axes=axes)
+        return np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
+    return np.fft.ifftn(spec)
 
 
 def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:

@@ -182,7 +182,7 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
     r = math.exp(-t)
     x = grid.points
     vals = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(x) + r * r) / (2.0 * np.pi)
-    return SampledFunction(grid, vals.astype(complex), kind="real")
+    return SampledFunction(grid, vals, kind="real")
 
 
 def poisson_evolve_kernel(f: SampledFunction, t: float) -> SampledFunction:
@@ -271,16 +271,16 @@ def _bochner_defect(f: SampledFunction, n2: np.ndarray, symbol: np.ndarray,
     return float(weight @ np.abs(symbol - np.exp(-t * np.sqrt(n2))))
 
 
-def bochner_scalar(lam: float, quad: Optional[SubordinationQuadrature] = None) -> float:
+def bochner_scalar(lam: float) -> float:
     """Evaluate (2/sqrt(pi)) * integral_0^inf exp(-s^2 - lam^2/4s^2) ds.
 
-    Equals exp(-lam); the quadrature's scalar sanity check. It evaluates
-    the symbol that subordinate applies: at t = lam on a mode with |n| = 1,
-    or, for lam = 0, on the mode n = 0 (at t = 1).
+    Equals exp(-lam); the default quadrature's scalar sanity check. It
+    evaluates the symbol that subordinate applies: at t = lam on a mode
+    with |n| = 1, or, for lam = 0, on the mode n = 0 (at t = 1).
     """
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    quad = quad or SubordinationQuadrature()
+    quad = SubordinationQuadrature()
     if lam == 0.0:
         return float(_subordination_symbol(np.zeros(1), 1.0, quad)[0])
     return float(_subordination_symbol(np.ones(1), lam, quad)[0])
@@ -375,4 +375,4 @@ def maximal_function(f: SampledFunction,
     best = np.zeros(f.grid.sizes)
     for t in ts:
         best = np.maximum(best, np.abs(apply(np.exp(-t * n2)).values))
-    return SampledFunction(f.grid, best.astype(complex), kind="real")
+    return SampledFunction(f.grid, best, kind="real")

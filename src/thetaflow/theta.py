@@ -221,4 +221,4 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
         theta = partial(theta3_series, params=params)
     factors = [theta(grid.axis_points(a)) / TWO_PI for a in range(grid.dims)]
     vals = reduce(np.multiply.outer, factors)
-    return SampledFunction(grid, vals.astype(complex), kind="real")
+    return SampledFunction(grid, vals, kind="real")

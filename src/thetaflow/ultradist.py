@@ -54,6 +54,10 @@ _PROBES = 128  # indices that one round of _first probes
 _FLOAT_CEIL = 2**1024 - 2**970  # the least integer that float() rounds past the float range
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest argument of a finite exp
 _SMOOTHING_MARGIN = 1e-9  # added to the smoothing threshold against boundary ties
+_PAIR_TERMS = 100_000  # the largest |n| a pairing sums
+_PAIR_TOL = 1e-14  # term tolerance of the pairings that take none
+_TRIAL_DEGREE = 6  # degree of the trig polynomials p of positivity_check's trials |p|^2
+_POSITIVITY_TOL = 1e-10  # how far below 0 positivity_check lets a pairing fall
 
 
 def _chunks(lo: int, hi: int):
@@ -510,8 +514,7 @@ def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
 
 def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
                F_class: Optional[GrowthClass], f_class: Optional[GrowthClass],
-               tol: float, max_terms: int,
-               deficit_t: Optional[float] = None) -> PairingResult:
+               tol: float, deficit_t: Optional[float] = None) -> PairingResult:
     """2pi * sum f_n conj(F_n) (times expm1(-n^2 t) when deficit_t is given).
 
     The sum runs over n = 0, then +-1, +-2, ... in index chunks of fixed
@@ -521,7 +524,7 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
     """
     window = max(F.halfwidth, f.halfwidth)
     has_rule = F.rule is not None or f.rule is not None
-    classes, last = None, (max_terms if has_rule else min(window, max_terms))
+    classes, last = None, (_PAIR_TERMS if has_rule else min(window, _PAIR_TERMS))
     if F_class is not None and f_class is not None:
         pq = F_class.base * f_class.base
         if pq >= 1.0:
@@ -536,7 +539,7 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
         cc = F_class.constant * f_class.constant
         tail = lambda ns: 2.0 * cc * pq**ns / (1.0 - pq)
         # first unsummed |n|: past the windows, where the class tail is below tol
-        last = _first(lambda ns: (ns > window) & (tail(ns) < tol), 1, max_terms) - 1
+        last = _first(lambda ns: (ns > window) & (tail(ns) < tol), 1, _PAIR_TERMS) - 1
     total = _pair_terms(F, f, np.zeros(1, dtype=np.int64), deficit_t, classes)[0]
     n, quiet, recent = 0, 0, [0.0, 0.0]
     for ch in _chunks(1, last):
@@ -562,9 +565,9 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
             break
     value = complex(TWO_PI * total)
     if classes is not None:
-        cut = np.array([max(1, min(n + 1, max_terms))])
+        cut = np.array([max(1, min(n + 1, _PAIR_TERMS))])
         return PairingResult(value, TWO_PI * tail(cut)[0].item(), 2 * n + 1)
-    if not has_rule and window < max_terms:
+    if not has_rule and window < _PAIR_TERMS:
         return PairingResult(value, 0.0, 2 * n + 1)  # the windows are summed exactly
     prev_mag, last_mag = recent
     if prev_mag > 0.0 and last_mag > 0.0:
@@ -576,9 +579,8 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
 
 
 def pair(F: UltraDistribution, f: CoefficientSequence,
-         f_class: Optional[GrowthClass] = None,
-         tol: float = 1e-14, max_terms: int = 100_000) -> PairingResult:
-    """Duality pairing <F, f> = 2pi * sum f_hat(n) conj(F_n).
+         f_class: Optional[GrowthClass] = None, tol: float = _PAIR_TOL) -> PairingResult:
+    """Duality pairing <F, f> = 2pi * sum f_hat(n) conj(F_n), over |n| <= 100 000.
 
     With growth classes on both sides the truncation point and the
     reported tail bound come from the rigorous estimate
@@ -591,7 +593,7 @@ def pair(F: UltraDistribution, f: CoefficientSequence,
     with a heuristic tail estimate. Sums run n = 0, then |n| = 1, 2, ...
     in index chunks of fixed sizes.
     """
-    return _pair_core(F.coeffs, f, F.declared_class, f_class, tol, max_terms)
+    return _pair_core(F.coeffs, f, F.declared_class, f_class, tol)
 
 
 def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
@@ -642,11 +644,8 @@ def smoothing_threshold(g: GrowthClass) -> float:
 
 
 def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,
-                     t_list: Sequence[float],
-                     f_class: Optional[GrowthClass] = None,
-                     tol: float = 1e-10,
-                     pair_tol: float = 1e-14,
-                     max_terms: int = 100_000) -> WeakLimitReport:
+                     t_list: Sequence[float], f_class: Optional[GrowthClass] = None,
+                     tol: float = 1e-10) -> WeakLimitReport:
     """Tabulate |<evolved F - F, f>| over decreasing times.
 
     The weight exp(-n^2 t) - 1 has modulus at most 1, so the class-driven
@@ -656,22 +655,17 @@ def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,
     ts = sorted((float(t) for t in t_list), reverse=True)
     if not ts or ts[-1] <= 0:
         raise ValueError("t_list must be nonempty and strictly positive")
-    for t in ts:
-        _require_time(t)
-    mags = [abs(_pair_core(F.coeffs, f, F.declared_class, f_class, pair_tol,
-                           max_terms, deficit_t=t).value) for t in ts]
+    mags = [abs(evolution_deficit_pair(F, f, t, f_class).value) for t in ts]
     slack = 1e-12 * mags[0]
     monotone = all(b <= a + slack for a, b in zip(mags, mags[1:]))
     return WeakLimitReport(tuple(ts), tuple(mags), monotone, mags[-1], tol)
 
 
 def evolution_deficit_pair(F: UltraDistribution, f: CoefficientSequence, t: float,
-                           f_class: Optional[GrowthClass] = None,
-                           tol: float = 1e-14, max_terms: int = 100_000) -> PairingResult:
+                           f_class: Optional[GrowthClass] = None) -> PairingResult:
     """<evolved F - F, f> for a single time, via the weighted pairing."""
     _require_time(t, positive=True)
-    return _pair_core(F.coeffs, f, F.declared_class, f_class, tol, max_terms,
-                      deficit_t=t)
+    return _pair_core(F.coeffs, f, F.declared_class, f_class, _PAIR_TOL, deficit_t=t)
 
 
 def derivative_sequence(c: CoefficientSequence, m: int) -> CoefficientSequence:
@@ -718,14 +712,13 @@ def _nonneg_trial_coefficients(rng: np.random.Generator, degree: int) -> Coeffic
 
 
 def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,
-                     degree: int = 6, seed: int = 12345,
-                     tol: float = 1e-10) -> PositivityResult:
+                     seed: int = 12345) -> PositivityResult:
     """Sample the operational positivity of the evolved distribution.
 
-    Trial functions are |p|^2 for random trig polynomials p, hence
-    pointwise nonnegative. Each trial evaluates <evolved F, f> two ways:
+    Trial functions are |p|^2 for random trig polynomials p of degree 6,
+    hence pointwise nonnegative. Each trial evaluates <evolved F, f> two ways:
     evolving F, and smoothing f's coefficients by exp(-n^2 t); the routes
-    must agree, and positivity holds when every pairing is >= -tol.
+    must agree, and positivity holds when every pairing is >= -1e-10.
     """
     _require_time(t)
     if trial_count < 1:
@@ -734,11 +727,11 @@ def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,
     evolved = evolve_ultra(F, t)
     worst, gap = math.inf, 0.0
     for _ in range(trial_count):
-        f = _nonneg_trial_coefficients(rng, degree)
-        via_evolved = _pair_core(evolved.coeffs, f, None, None, 1e-14, 100_000)
+        f = _nonneg_trial_coefficients(rng, _TRIAL_DEGREE)
+        via_evolved = _pair_core(evolved.coeffs, f, None, None, _PAIR_TOL)
         damp = np.exp(-f.indices().astype(float) ** 2 * t)
         f_smooth = CoefficientSequence(f.halfwidth, f.coeffs * damp)
-        via_smoothed = _pair_core(F.coeffs, f_smooth, None, None, 1e-14, 100_000)
+        via_smoothed = _pair_core(F.coeffs, f_smooth, None, None, _PAIR_TOL)
         worst = min(worst, via_evolved.value.real)
         gap = max(gap, abs(via_evolved.value - via_smoothed.value))
-    return PositivityResult(worst >= -tol, worst, gap, trial_count)
+    return PositivityResult(worst >= -_POSITIVITY_TOL, worst, gap, trial_count)

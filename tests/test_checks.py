@@ -1,10 +1,24 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from thetaflow.checks import random_bandlimited, random_nonnegative, run_suite
+from thetaflow.checks import _place_modes, random_bandlimited, random_nonnegative, run_suite
 from thetaflow.fourier import PeriodicGrid, analyze
+
+# Halfwidths and grids of the placement tests; the last three alias (2 hw + 1 > N).
+PLACEMENTS = [(8, (64,)), (4, (8, 6)), (8, (4,)), (8, (6,)), (4, (4, 8))]
+
+
+def _loop_place(cube, sizes):
+    """Reference spectrum placement: one mode at a time in lexicographic order."""
+    hw = cube.shape[0] // 2
+    spec = np.zeros(sizes, dtype=complex)
+    for modes in itertools.product(range(-hw, hw + 1), repeat=len(sizes)):
+        spec[tuple(m % n for m, n in zip(modes, sizes))] = cube[tuple(m + hw for m in modes)]
+    return spec
 
 
 class TestRandomData:
@@ -26,6 +40,23 @@ class TestRandomData:
         g = PeriodicGrid.line(64)
         f = random_nonnegative(g, 5, np.random.default_rng(2))
         assert float(np.min(f.values.real)) >= 0.0
+
+    @pytest.mark.parametrize("hw, sizes", PLACEMENTS)
+    def test_mode_placement_matches_the_loop(self, hw, sizes):
+        rng = np.random.default_rng(3)
+        shape = (2 * hw + 1,) * len(sizes)
+        cube = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(_place_modes(cube, sizes), _loop_place(cube, sizes))
+
+    @pytest.mark.parametrize("hw, sizes", PLACEMENTS)
+    def test_nonnegative_draws_re_then_im_mode_by_mode(self, hw, sizes):
+        grid = PeriodicGrid(sizes)
+        rng = np.random.default_rng(5)
+        shape = (2 * hw + 1,) * len(sizes)
+        draws = [rng.normal() + 1j * rng.normal() for _ in range(math.prod(shape))]
+        p = np.fft.ifftn(_loop_place(np.reshape(draws, shape), sizes)) * grid.npoints
+        f = random_nonnegative(grid, hw, np.random.default_rng(5))
+        assert np.array_equal(f.values, np.abs(p) ** 2)
 
     def test_seeded_reproducibility(self):
         g = PeriodicGrid.line(32)

@@ -75,7 +75,9 @@ class TestFunctionCsv:
     def test_real_kind_survives(self, tmp_path):
         p = tmp_path / "c.csv"
         _write_cos(p)
-        assert load_function(p).kind == "real"
+        f = load_function(p)
+        assert f.kind == "real"
+        assert f.values.dtype == np.float64 and not f.values.flags.writeable
 
     def test_perturbed_node_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -176,6 +178,18 @@ class TestCommands:
         assert code == 0
         u = load_function(out)
         assert np.max(np.abs(u.values - 1.0)) < 1e-12
+
+    def test_heat_at_zero_time_drops_the_round_off_of_a_real_csv(self, tmp_path):
+        # A real CSV's im column may hold round-off; it is dropped on load,
+        # so even the t = 0 echo writes 0.0 there.
+        g = PeriodicGrid.line(16)
+        x = g.points
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        save_function(SampledFunction(g, np.cos(x) + 1e-12j * np.sin(3 * x)), init)
+        assert main(["heat", "--init", str(init), "--t", "0", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [repr(float(v)) for v in np.cos(x)]
+        assert all(r[2] == "0.0" for r in rows)
 
     def test_heat_on_2d_function(self, tmp_path):
         g = PeriodicGrid((16, 16))

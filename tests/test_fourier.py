@@ -55,6 +55,15 @@ class TestPeriodicGrid:
         with pytest.raises(ValueError, match="even"):
             PeriodicGrid((7,))
 
+    @pytest.mark.parametrize("size", [6.7, "8", 8.0])
+    def test_non_integral_size_refused(self, size):
+        with pytest.raises(ValueError, match="integer"):
+            PeriodicGrid((size,))
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = PeriodicGrid((np.int64(8), np.int32(6)))
+        assert g.sizes == (8, 6) and all(type(n) is int for n in g.sizes)
+
     def test_frequencies_are_integers(self):
         g = PeriodicGrid.line(8)
         assert set(g.frequencies()) == {0, 1, 2, 3, -4, -3, -2, -1}
@@ -91,6 +100,29 @@ class TestSampledFunction:
         f = SampledFunction.constant(g, 1.0)
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+    def test_real_kind_is_stored_as_float64(self):
+        g = PeriodicGrid.line(8)
+        for vals in (np.arange(8), np.linspace(0, 1, 8), np.full(8, 2.0 + 1e-12j)):
+            f = SampledFunction(g, vals, kind="real")
+            assert f.values.dtype == np.float64 and not f.values.flags.writeable
+            assert np.array_equal(f.values, np.real(vals))
+        assert SampledFunction.from_callable(g, np.cos).values.dtype == np.float64
+        assert SampledFunction.constant(g, 1.0).values.dtype == np.float64
+
+    def test_complex_kind_is_stored_as_complex128(self):
+        g = PeriodicGrid.line(8)
+        for vals in (np.arange(8), np.full(8, 1.0 + 0.5j, dtype=np.complex64)):
+            assert SampledFunction(g, vals).values.dtype == np.complex128
+        assert SampledFunction.constant(g, 1j).values.dtype == np.complex128
+
+    def test_mean_and_integral_follow_the_kind(self):
+        g = PeriodicGrid.line(8)
+        real = SampledFunction.constant(g, 2.0)
+        assert type(real.mean()) is float and type(real.integral()) is float
+        assert real.integral() == pytest.approx(4 * np.pi)
+        cplx = SampledFunction.constant(g, 2.0 + 1j)
+        assert type(cplx.mean()) is complex and cplx.mean() == 2.0 + 1j
 
     def test_shape_mismatch(self):
         g = PeriodicGrid.line(8)
@@ -252,3 +284,11 @@ class TestCoefficientSequence:
     def test_length_validation(self):
         with pytest.raises(ValueError, match="coefficients"):
             CoefficientSequence(2, np.ones(4, dtype=complex))
+
+    def test_non_integral_halfwidth_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            CoefficientSequence(2.5, np.ones(6))
+
+    def test_numpy_integer_halfwidth_accepted(self):
+        c = CoefficientSequence(np.int64(2), np.ones(5))
+        assert type(c.halfwidth) is int and list(c.indices()) == [-2, -1, 0, 1, 2]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thetaflow import fourier
 from thetaflow.checks import random_bandlimited, random_nonnegative
 from thetaflow.fourier import PeriodicGrid, SampledFunction, circular_convolve
 from thetaflow.semigroups import (
@@ -450,6 +451,41 @@ class TestRealPath:
         out = op(f)
         assert out.kind == "real"
         assert not np.any(out.values.imag)
+
+    @pytest.mark.parametrize("make", [
+        lambda f: theta_evolve(f, 0.2),
+        lambda f: poisson_evolve_multiplier(f, 0.3),
+        lambda f: poisson_evolve_kernel(f, 0.3),
+        lambda f: subordinate(f, 0.8),
+        lambda f: subordinate(f, 0.8, SubordinationQuadrature(tol=1e-6)),
+        generator_apply,
+        lambda f: circular_convolve(f, f),
+        lambda f: kernel(0.1, f.grid),
+        lambda f: poisson_kernel(0.3, f.grid),
+        maximal_function,
+    ])
+    def test_real_outputs_are_frozen_float64(self, make):
+        out = make(random_bandlimited(_grid(64), 6, np.random.default_rng(15)))
+        assert out.kind == "real" and out.values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 1.0
+
+    def test_complex_outputs_stay_complex128(self):
+        g = PeriodicGrid((32, 48))
+        f = SampledFunction(g, random_bandlimited(g, 6, np.random.default_rng(16)).values)
+        for out in (theta_evolve(f, 0.2), subordinate(f, 0.8), generator_apply(f),
+                    circular_convolve(f, kernel(0.1, g))):
+            assert out.kind == "complex" and out.values.dtype == np.complex128
+
+    def test_real_flows_skip_the_imaginary_part_check(self, monkeypatch):
+        f = random_bandlimited(PeriodicGrid((32, 48)), 6, np.random.default_rng(17))
+        k = kernel(0.1, f.grid)
+        calls = []
+        monkeypatch.setattr(fourier, "_stray_imag", lambda v: calls.append(1) or 0.0)
+        theta_evolve(f, 0.2)
+        subordinate(f, 0.8)
+        circular_convolve(f, k)
+        assert calls == []
 
     def test_matches_complex_path(self):
         g = PeriodicGrid((32, 48))
