@@ -232,7 +232,7 @@ def _record_sqrt2_decay(grid: PeriodicGrid) -> PropertyRecord:
 
 
 def run_suite(suite: str, n: Optional[int] = None, seed: int = 42) -> CheckReport:
-    """Run the named property suite ('thm1': 1-d, 'thm2': 2-d)."""
+    """Run the named property suite ('thm1': 1-d, n >= 18; 'thm2': 2-d, n >= 10)."""
     if suite == "thm1":
         dims, n = 1, 256 if n is None else n
     elif suite == "thm2":
@@ -240,8 +240,13 @@ def run_suite(suite: str, n: Optional[int] = None, seed: int = 42) -> CheckRepor
     else:
         raise ValueError(f"unknown suite {suite!r}; expected 'thm1' or 'thm2'")
     grid = PeriodicGrid((n,) * dims)
-    rng = np.random.default_rng(seed)
     hw = 8 if dims == 1 else 4
+    if n < 2 * hw + 2:  # smaller grids alias the data's modes |n_a| <= hw
+        raise ValueError(
+            f"suite {suite!r} needs n >= {2 * hw + 2} for its random data "
+            f"(modes up to {hw}), got {n}"
+        )
+    rng = np.random.default_rng(seed)
     f = random_bandlimited(grid, hw, rng)
     g = random_bandlimited(grid, hw, rng)
     fpos = random_nonnegative(grid, hw, rng)

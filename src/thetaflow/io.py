@@ -1,9 +1,16 @@
 """CSV and JSON serialization for grid functions, coefficients and distributions.
 
 CSV function format: header ``x,re,im`` in one dimension or
-``x1,...,xd,re,im`` in d dimensions, rows in lexicographic grid order.
-Floats are written with repr, so save/load round-trips are lossless;
-a non-finite value is refused at load with its line number.
+``x1,...,xd,re,im`` in d dimensions, rows in lexicographic grid order,
+CRLF line ends. Floats are written with repr, so save/load round-trips
+are lossless; the writer takes the repr of each axis node once and writes
+one block per last-axis row. The reader parses the body with
+``np.loadtxt``. A body that loadtxt refuses, that has the wrong column
+count or no rows, or that holds a non-finite value goes through the
+row-by-row ``csv`` loop instead: that loop alone names a bad line, and it
+also accepts what ``float()`` takes and loadtxt does not (quoted fields,
+``4_0``, non-ASCII digits). Where both accept a body they give the same
+values. Blank lines are skipped but keep their line numbers.
 Coefficient sequences serialize as a JSON array of ``{n, re, im}``;
 distributions as ``{window, rule, class}`` where only power rules
 (``base^(|n|^k)``) have a serialized form.
@@ -12,6 +19,7 @@ distributions as ``{window, rule, class}`` where only power rules
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -26,19 +34,51 @@ _COORD_ATOL = 1e-9
 def save_function(f: SampledFunction, path) -> None:
     d = f.grid.dims
     header = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
-    mesh = f.grid.meshgrid()
-    coords = [m.reshape(-1) for m in mesh]
-    flat = f.values.reshape(-1)
+    *lead, last = [list(map(repr, f.grid.axis_points(a).tolist())) for a in range(d)]
+    rows = f.values.reshape(-1, len(last))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["re", "im"])
-        for i in range(flat.size):
-            row = [repr(float(c[i])) for c in coords]
-            row += [repr(float(flat[i].real)), repr(float(flat[i].imag))]
-            writer.writerow(row)
+        fh.write(",".join(header + ["re", "im"]) + "\r\n")
+        for prefix, row in zip(itertools.product(*lead), rows):
+            head = "".join(x + "," for x in prefix)
+            res = map(repr, row.real.tolist())
+            ims = itertools.repeat("0.0") if f.kind == "real" else map(repr, row.imag.tolist())
+            fh.write("".join(f"{head}{x},{re},{im}\r\n" for x, re, im in zip(last, res, ims)))
 
 
 def load_function(path) -> SampledFunction:
+    parsed = _loadtxt_table(path)
+    table, d = parsed if parsed is not None else _row_table(path)
+    grid = _reconstruct_grid(table[:, :d])
+    vals = table[:, d:].view(complex)[:, 0]  # no copy: (re, im) pairs are adjacent
+    if _stray_imag(vals):
+        return SampledFunction(grid, vals.reshape(grid.sizes), kind="complex")
+    return SampledFunction(grid, table[:, d].reshape(grid.sizes), kind="real")
+
+
+def _loadtxt_table(path) -> tuple[np.ndarray, int] | None:
+    """The parsed table and d by np.loadtxt, or None where the row loop must decide."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return None
+        d = _parse_header(header)
+        # loadtxt warns on a body without rows; the row loop names that error.
+        body = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+        first = next(body, None)
+        if first is None:
+            return None
+        try:
+            table = np.loadtxt(itertools.chain([first], body), delimiter=",",
+                               ndmin=2, comments=None)
+        except ValueError:
+            return None
+    if table.shape[1] != d + 2 or not np.isfinite(table).all():
+        return None
+    return table, d
+
+
+def _row_table(path) -> tuple[np.ndarray, int]:
+    """The parsed table and d, row by row; raises naming the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -66,9 +106,7 @@ def load_function(path) -> SampledFunction:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
-    grid = _reconstruct_grid(table[:, :d])
-    vals = (table[:, d] + 1j * table[:, d + 1]).reshape(grid.sizes)
-    return SampledFunction(grid, vals, kind="complex" if _stray_imag(vals) else "real")
+    return table, d
 
 
 def _parse_header(header: list[str]) -> int:

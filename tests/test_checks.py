@@ -88,6 +88,16 @@ class TestSuites:
         with pytest.raises(ValueError, match="underresolved"):
             run_suite(suite, n=0)
 
+    @pytest.mark.parametrize("suite, n, minimum", [("thm1", 8, 18), ("thm1", 16, 18),
+                                                   ("thm2", 8, 10)])
+    def test_grid_too_small_for_the_data_is_refused(self, suite, n, minimum):
+        with pytest.raises(ValueError, match=f"needs n >= {minimum} .*got {n}"):
+            run_suite(suite, n=n)
+
+    @pytest.mark.parametrize("suite, n", [("thm1", 18), ("thm2", 10)])
+    def test_smallest_grid_runs(self, suite, n):
+        assert run_suite(suite, n=n).environment["n"] == n
+
     def test_report_serialization_is_deterministic(self):
         a = run_suite("thm1", n=64, seed=1)
         b = run_suite("thm1", n=64, seed=1)

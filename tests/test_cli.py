@@ -1,14 +1,20 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from thetaflow import fourier
+from thetaflow import io as tio
 from thetaflow.cli import main
 from thetaflow.fourier import CoefficientSequence, PeriodicGrid, SampledFunction
 from thetaflow.io import (
@@ -47,6 +53,106 @@ def _cos_csv_lines(tmp_path, n=16):
     p = tmp_path / "cos.csv"
     _write_cos(p, n=n)
     return p.read_text().splitlines()
+
+
+def _reference_save(f, path):
+    """Reference writer: one csv row per grid point, repr of every cell."""
+    d = f.grid.dims
+    header = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
+    coords = [m.reshape(-1) for m in f.grid.meshgrid()]
+    flat = f.values.reshape(-1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["re", "im"])
+        for i in range(flat.size):
+            row = [repr(float(c[i])) for c in coords]
+            row += [repr(float(flat[i].real)), repr(float(flat[i].imag))]
+            writer.writerow(row)
+
+
+def _reference_load(path):
+    """Reference reader: the csv row loop, float() of every cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("line 1: empty CSV file") from None
+        d = tio._parse_header(header)
+        rows, lines = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise ValueError(f"line {lineno}: expected {d + 2} columns, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            lines.append(lineno)
+    if not rows:
+        raise ValueError("line 2: no data rows")
+    table = np.asarray(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
+    grid = tio._reconstruct_grid(table[:, :d])
+    vals = (table[:, d] + 1j * table[:, d + 1]).reshape(grid.sizes)
+    return SampledFunction(grid, vals, kind="complex" if fourier._stray_imag(vals) else "real")
+
+
+def _outcome(load, path):
+    """(grid, kind, dtype, values) of a load, or the message it raises."""
+    try:
+        f = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return f.grid, f.kind, f.values.dtype, f.values
+
+
+def _same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a[:3] == b[:3] and np.array_equal(a[3], b[3])
+
+
+# Edits of a valid 4-point CSV (rows on file lines 2-5) that the csv row
+# loop and np.loadtxt may read differently; each must load alike or fail
+# alike under the library reader and the reference row loop.
+def _insert(at, text):
+    return lambda lines: lines[:at] + [text] + lines[at:]
+
+
+def _cell(row, col, text):
+    def edit(lines):
+        cols = lines[row].split(",")
+        cols[col] = text
+        return lines[:row] + [",".join(cols)] + lines[row + 1:]
+    return edit
+
+
+READER_EDITS = {
+    "blank_line": _insert(3, ""),
+    "whitespace_line": _insert(3, "   "),
+    "whitespace_first": _insert(1, " "),
+    "hash_line": _insert(3, "#"),
+    "hash_comment": _cell(2, 2, "0.0 # c"),
+    "quoted_field": _cell(2, 1, '"4.0"'),
+    "underscore_digits": _cell(2, 1, "4_0"),
+    "arabic_indic_digit": _cell(2, 1, "\u0664"),
+    "padded_field": _cell(2, 1, " 4.0 "),
+    "trailing_comma": lambda lines: lines[:2] + [lines[2] + ","] + lines[3:],
+    "empty_field": _cell(2, 1, ""),
+    "nan_after_blank": lambda lines: _cell(4, 1, "nan")(_insert(2, "")(lines)),
+    "infinity": _cell(3, 1, "Infinity"),
+    "hex": _cell(3, 1, "0x1p-2"),
+    "header_only": lambda lines: lines[:1],
+    "blank_body": lambda lines: lines[:1] + ["", ""],
+    "whitespace_body": lambda lines: lines[:1] + ["", "  "],
+}
+READER_ENDINGS = {"crlf": ("\r\n", True), "lone_cr": ("\r", True),
+                  "no_final_newline": ("\n", False)}
 
 
 class TestFunctionCsv:
@@ -129,6 +235,80 @@ class TestFunctionCsv:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="lexicographic"):
             load_function(p)
+
+    @pytest.mark.parametrize("edit", READER_EDITS)
+    @pytest.mark.parametrize("ending", READER_ENDINGS)
+    def test_reader_matches_row_loop(self, tmp_path, edit, ending):
+        p = tmp_path / "e.csv"
+        g = PeriodicGrid.line(4)
+        _reference_save(SampledFunction(g, np.array([1.0, -2.5, 3.25, 0.5])), p)
+        lines = READER_EDITS[edit](p.read_text().splitlines())
+        sep, final = READER_ENDINGS[ending]
+        p.write_bytes((sep.join(lines) + (sep if final else "")).encode())
+        ref = _outcome(_reference_load, p)
+        assert _same_outcome(_outcome(load_function, p), ref), ref
+
+    @pytest.mark.parametrize("sizes", [(6,), (4, 6), (4, 4, 6), (4, 4, 4, 6)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_writer_matches_reference_bytes(self, tmp_path, sizes, kind):
+        rng = np.random.default_rng(len(sizes))
+        n = math.prod(sizes)
+        special = np.array([-0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 0.1])
+        re = np.resize(special, n) * rng.choice([1.0, 3.0], size=n)
+        vals = re if kind == "real" else re + 1j * np.roll(np.resize(special, n), 3)
+        f = SampledFunction(PeriodicGrid(sizes), vals.reshape(sizes), kind=kind)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_function(f, new)
+        _reference_save(f, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_identical(self, data):
+        sizes = tuple(data.draw(st.lists(st.sampled_from([4, 6, 8]), min_size=1, max_size=3)))
+        kind = data.draw(st.sampled_from(["real", "complex"]))
+        n = math.prod(sizes)
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        vals = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
+        if kind == "complex":
+            vals = vals + 1j * np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
+            assume(fourier._stray_imag(vals))
+        f = SampledFunction(PeriodicGrid(sizes), vals.reshape(sizes), kind=kind)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "f.csv"
+            save_function(f, p)
+            back = load_function(p)
+        assert back.grid == f.grid and back.kind == f.kind
+        assert back.values.dtype == f.values.dtype
+        assert back.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_kind_decided_by_one_stray_imag_call(self, tmp_path, monkeypatch, kind):
+        g = PeriodicGrid((16, 16))
+        x1, x2 = g.meshgrid()
+        vals = np.cos(x1) + (1e-12j if kind == "real" else 0.5j) * np.sin(x2)
+        p = tmp_path / "f.csv"
+        save_function(SampledFunction(g, vals, kind=kind), p)
+        ref = _reference_load(p)
+        calls, stray_imag = [], fourier._stray_imag
+
+        def spy(v):
+            calls.append(1)
+            return stray_imag(v)
+
+        monkeypatch.setattr(fourier, "_stray_imag", spy)
+        monkeypatch.setattr(tio, "_stray_imag", spy)
+        f = load_function(p)
+        assert len(calls) == 1
+        assert f.kind == ref.kind == kind
+        assert f.values.dtype == ref.values.dtype
+        assert np.array_equal(f.values, ref.values)
+
+    def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "c.csv"
+        f = _write_cos(p, n=16)
+        monkeypatch.setattr(tio, "_row_table", lambda path: pytest.fail("row loop used"))
+        assert np.array_equal(load_function(p).values, f.values)
 
 
 class TestCoefficientJson:
@@ -449,6 +629,14 @@ class TestCommands:
         assert "grid underresolved" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_check_grid_too_small_exits_one(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["check", "--suite", "thm1", "--n", "16",
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "error: suite 'thm1' needs n >= 18 for its random data (modes up to 8), got 16\n")
+        assert not report.exists()
+
     def test_bad_env_tolerance_refused_by_every_command(self, tmp_path, monkeypatch, capsys):
         init, out = tmp_path / "f.csv", tmp_path / "u.csv"
         _write_cos(init, n=16)
@@ -475,6 +663,15 @@ class TestProcess:
                                  "print('scipy.integrate' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_header_only_csv_prints_one_error_line(self, tmp_path):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        init.write_text("x,re,im\n")
+        proc = _run_python("-m", "thetaflow.cli", "heat", "--init", str(init),
+                           "--t", "0.1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: line 2: no data rows\n"
+        assert not out.exists()
 
     def test_runs_without_scipy(self, tmp_path):
         # A None entry in sys.modules makes every import of scipy fail.
