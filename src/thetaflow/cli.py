@@ -14,7 +14,9 @@ import os
 import sys
 from typing import Optional
 
-from .checks import run_suite
+# Module level: only what the flow commands need. The theta, check and
+# ultra handlers import their modules in their own bodies, so a heat or
+# poisson process never loads theta, checks or ultradist.
 from .io import (
     load_coefficients,
     load_function,
@@ -29,8 +31,6 @@ from .semigroups import (
     subordinate,
     theta_evolve,
 )
-from .theta import ThetaParams, theta3_product, theta3_series
-from .ultradist import GrowthClass, check_membership, evolve_ultra, pair
 
 DEFAULT_TOL = 1e-14
 
@@ -123,6 +123,8 @@ def _add_flow_args(parser: argparse.ArgumentParser, quad: bool) -> None:
 
 
 def _run_theta(args: argparse.Namespace) -> int:
+    from .theta import ThetaParams, theta3_product, theta3_series
+
     params = ThetaParams(args.q, tol=args.tolerance)
     fn = theta3_series if args.form == "series" else theta3_product
     print(repr(fn(args.x, params)))
@@ -158,6 +160,8 @@ def _print_report(report) -> None:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .checks import run_suite
+
     report = run_suite(args.suite, n=args.n, seed=args.seed)
     if args.report:
         with open(args.report, "w") as fh:
@@ -168,11 +172,15 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_ultra_evolve(args: argparse.Namespace) -> int:
+    from .ultradist import evolve_ultra
+
     save_ultra(evolve_ultra(load_ultra(args.dist), args.t), args.out)
     return 0
 
 
 def _run_ultra_membership(args: argparse.Namespace) -> int:
+    from .ultradist import GrowthClass, check_membership
+
     F = load_ultra(args.dist)
     if args.kind is None or args.base is None or args.order is None:
         if F.declared_class is None:
@@ -192,6 +200,8 @@ def _run_ultra_membership(args: argparse.Namespace) -> int:
 
 
 def _run_ultra_pair(args: argparse.Namespace) -> int:
+    from .ultradist import GrowthClass, pair
+
     F = load_ultra(args.dist)
     seq = load_coefficients(args.seq)
     f_class = None

@@ -22,11 +22,14 @@ import csv
 import itertools
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fourier import TWO_PI, CoefficientSequence, PeriodicGrid, SampledFunction, _stray_imag
-from .ultradist import GrowthClass, PowerRule, UltraDistribution
+
+if TYPE_CHECKING:  # imported where used, so function I/O never loads ultradist
+    from .ultradist import UltraDistribution
 
 _COORD_ATOL = 1e-9
 
@@ -58,7 +61,7 @@ def load_function(path) -> SampledFunction:
 def _loadtxt_table(path) -> tuple[np.ndarray, int] | None:
     """The parsed table and d by np.loadtxt, or None where the row loop must decide."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_csv_rows(fh), None)
         if header is None:
             return None
         d = _parse_header(header)
@@ -80,11 +83,10 @@ def _loadtxt_table(path) -> tuple[np.ndarray, int] | None:
 def _row_table(path) -> tuple[np.ndarray, int]:
     """The parsed table and d, row by row; raises naming the first bad line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty CSV file") from None
+        reader = _csv_rows(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("line 1: empty CSV file")
         d = _parse_header(header)
         rows, lines = [], []  # lines: file line of each data row
         for lineno, row in enumerate(reader, start=2):
@@ -107,6 +109,15 @@ def _row_table(path) -> tuple[np.ndarray, int]:
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
     return table, d
+
+
+def _csv_rows(fh):
+    """The csv rows of fh; a csv.Error (such as an over-long field) names its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_header(header: list[str]) -> int:
@@ -179,6 +190,8 @@ def load_coefficients(path) -> CoefficientSequence:
 
 
 def ultra_to_dict(F: UltraDistribution) -> dict:
+    from .ultradist import PowerRule
+
     rule = F.coeffs.rule
     if rule is None:
         rule_obj = "none"
@@ -194,6 +207,8 @@ def ultra_to_dict(F: UltraDistribution) -> dict:
 
 
 def ultra_from_dict(data: dict) -> UltraDistribution:
+    from .ultradist import GrowthClass, PowerRule, UltraDistribution
+
     rule_obj = data.get("rule", "none")
     if rule_obj == "none" or rule_obj is None:
         rule = None

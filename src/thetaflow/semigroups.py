@@ -48,6 +48,11 @@ MULTIPLIER_KINDS = ("heat", "poisson", "laplacian")
 _PANEL_SPLIT = 0.6
 _TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
 
+# exp(-r x) is 0.0 in double precision for every x >= 1 once r > 745.2, so
+# _decay caps a rate here: below the cap nothing changes, above it x = 0
+# still gives 1 and r x can neither overflow nor become inf * 0.
+_RATE_CAP = 1e3
+
 _COARSE_SPACING = 1e-2  # heat_residual warns on a coarser time grid
 _MAXIMAL_TIMES = np.geomspace(1e-3, 10.0, 64)  # maximal_function's default times
 _MAXIMAL_TIMES.flags.writeable = False
@@ -63,6 +68,15 @@ def _require_time(t: float, positive: bool = False) -> None:
     if t < 0 or (positive and t == 0):
         raise ValueError(
             f"time must be {'positive' if positive else 'nonnegative'}, got {t}")
+
+
+def _decay(rate: float, x: np.ndarray) -> np.ndarray:
+    """exp(-rate * x) for a rate >= 0 on values x that are 0 or at least 1.
+
+    The x here are |n|^2 or |n| of lattice modes. A rate whose exponent
+    would overflow (even inf) leaves 1 at x = 0 and 0 elsewhere.
+    """
+    return np.exp(-min(rate, _RATE_CAP) * x)
 
 
 @lru_cache(maxsize=16)
@@ -130,9 +144,9 @@ class MultiplierSpec:
     def _on_distinct_modes(self, grid: PeriodicGrid) -> np.ndarray:
         n2, _ = _mode_table(grid.sizes, False)
         if self.kind == "heat":
-            return np.exp(-self.t * n2)
+            return _decay(self.t, n2)
         if self.kind == "poisson":
-            return np.exp(-self.t * np.sqrt(n2))
+            return _decay(self.t, np.sqrt(n2))
         return -n2
 
     def on_grid(self, grid: PeriodicGrid) -> np.ndarray:
@@ -245,6 +259,7 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     values: node i contributes the heat symbol at time tau_i with weight
     c_i = (2/sqrt(pi)) w_i exp(-s_i^2).
     """
+    t = float(t)  # t * t below may overflow to inf, which _decay takes
     s_max = math.sqrt(quad.u_max)
     eps = min(t / _TAIL_DECAY, s_max / 2)
     # Analytic small-s piece: the evolution time t^2/4s^2 blows up there,
@@ -253,7 +268,7 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     s, w = _gauss_nodes(eps, s_max, quad.nodes)
     coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
     for si, ci in zip(s, coef):
-        acc += ci * np.exp(-(t * t / (4.0 * si * si)) * n2)
+        acc += ci * _decay(t * t / (4.0 * si * si), n2)
     return acc
 
 
@@ -268,7 +283,7 @@ def _bochner_defect(f: SampledFunction, n2: np.ndarray, symbol: np.ndarray,
     _, index = _mode_table(f.grid.sizes, False)
     amplitude = np.abs(_forward(f, False)) / f.grid.npoints
     weight = np.bincount(index.ravel(), weights=amplitude.ravel(), minlength=n2.size)
-    return float(weight @ np.abs(symbol - np.exp(-t * np.sqrt(n2))))
+    return float(weight @ np.abs(symbol - _decay(t, np.sqrt(n2))))
 
 
 def bochner_scalar(lam: float) -> float:
@@ -346,8 +361,8 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
     n2, _ = _mode_table(f.grid.sizes, False)
     worst = 0.0
     for lo, mid, hi in zip(ts, ts[1:], ts[2:]):
-        dudt = (np.exp(-hi * n2) - np.exp(-lo * n2)) / (hi - lo)
-        mismatch = apply(dudt + n2 * np.exp(-mid * n2)).values
+        dudt = (_decay(hi, n2) - _decay(lo, n2)) / (hi - lo)
+        mismatch = apply(dudt + n2 * _decay(mid, n2)).values
         worst = max(worst, float(np.max(np.abs(mismatch))))
     return worst
 
@@ -374,5 +389,5 @@ def maximal_function(f: SampledFunction,
     n2, _ = _mode_table(f.grid.sizes, False)
     best = np.zeros(f.grid.sizes)
     for t in ts:
-        best = np.maximum(best, np.abs(apply(np.exp(-t * n2)).values))
+        best = np.maximum(best, np.abs(apply(_decay(t, n2)).values))
     return SampledFunction(f.grid, best, kind="real")

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import TWO_PI, CoefficientSequence, rule_values
-from .semigroups import _require_time
+from .semigroups import _RATE_CAP, _decay, _require_time
 
 GROWTH_KINDS = ("test", "dual")
 
@@ -129,7 +129,7 @@ def _times_in(ns: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
 def _heat_damped(ns: np.ndarray, t: float,
                  values_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """values_at(n) * exp(-n^2 t), exactly 0 (values_at not called) where that factor underflows."""
-    damp = np.exp(-(ns.astype(float) ** 2) * t)
+    damp = _decay(t, ns.astype(float) ** 2)
     live = damp != 0.0
     v = np.asarray(values_at(ns[live]))
     out = np.zeros(ns.shape, dtype=complex)
@@ -508,7 +508,7 @@ def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
     t = np.zeros(ns.shape, dtype=complex)
     t[live] = fv[live] * np.conj(Fv[live])
     if deficit_t is not None:
-        t *= np.expm1(-(ns.astype(float) ** 2) * deficit_t)
+        t *= np.expm1(-min(deficit_t, _RATE_CAP) * ns.astype(float) ** 2)
     return t
 
 
@@ -729,7 +729,7 @@ def positivity_check(F: UltraDistribution, t: float, trial_count: int = 20,
     for _ in range(trial_count):
         f = _nonneg_trial_coefficients(rng, _TRIAL_DEGREE)
         via_evolved = _pair_core(evolved.coeffs, f, None, None, _PAIR_TOL)
-        damp = np.exp(-f.indices().astype(float) ** 2 * t)
+        damp = _decay(t, f.indices().astype(float) ** 2)
         f_smooth = CoefficientSequence(f.halfwidth, f.coeffs * damp)
         via_smoothed = _pair_core(F.coeffs, f_smooth, None, None, _PAIR_TOL)
         worst = min(worst, via_evolved.value.real)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,18 @@ class TestFunctionCsv:
         lines.insert(2, "")  # a skipped blank line still counts
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line 5: non-finite value {raw}"):
+            load_function(p)
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (['x,"{}",im', "0.0,1.0,0.0"], 1),
+        (["x,re,im", '0.0,"{}",0.0'], 2),
+        (["x,re,im", "0.0,1.0,0.0", '3.14,"{}",0.0'], 3),
+    ])
+    def test_over_long_field_reports_line(self, tmp_path, lines, lineno):
+        # csv refuses a field over 131 072 characters, loadtxt a quoted one.
+        p = tmp_path / "long.csv"
+        p.write_text("\r\n".join(lines).format("1" * 200_001) + "\r\n")
+        with pytest.raises(ValueError, match=f"^line {lineno}: field larger than field limit"):
             load_function(p)
 
     def test_shuffled_rows_rejected(self, tmp_path):
@@ -557,7 +570,7 @@ class TestCommands:
     def test_overflow_error_exits_one(self, tmp_path, monkeypatch, capsys):
         def overflow(F, t):
             raise OverflowError("absolute value too large")
-        monkeypatch.setattr("thetaflow.cli.evolve_ultra", overflow)
+        monkeypatch.setattr("thetaflow.ultradist.evolve_ultra", overflow)
         fpath = tmp_path / "F.json"
         save_ultra(UltraDistribution(CoefficientSequence.from_dict({0: 1.0})), fpath)
         assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "1.0",
@@ -651,6 +664,21 @@ class TestCommands:
         assert main(["check", "--suite", "thm1", "--n", "16384"]) == 0
         assert "all pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t", ["1e160", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("command", [["heat"], ["poisson"],
+                                         ["poisson", "--method", "subordination"],
+                                         ["subordinate"]])
+    def test_huge_time_writes_the_mean(self, tmp_path, command, t):
+        # subordinate once wrote an all-NaN CSV here: t * t overflowed.
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        g = PeriodicGrid((16, 12))
+        x1, x2 = g.meshgrid()
+        save_function(SampledFunction(g, 0.5 + np.cos(x1) * np.sin(2 * x2)), init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--init", str(init), "--t", t, "--out", str(out)]) == 0
+        assert np.max(np.abs(load_function(out).values - 0.5)) < 1e-14
+
 
 class TestProcess:
     def test_module_entry_point(self):
@@ -700,3 +728,53 @@ print("scipy" in sys.modules and sys.modules["scipy"] is None)
         proc = _run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "True"
+
+    def test_over_long_csv_field_prints_one_error_line(self, tmp_path):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        init.write_text('x,re,im\r\n0.0,"' + "1" * 200_001 + '",0.0\r\n')
+        proc = _run_python("-m", "thetaflow.cli", "heat", "--init", str(init),
+                           "--t", "0.1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: line 2: field larger than field limit")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_import_loads_no_submodule(self):
+        proc = _run_python("-c", "import sys, thetaflow; "
+                                 "print([m for m in sys.modules if m.startswith('thetaflow.')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_flow_commands_load_only_io_and_semigroups(self, tmp_path):
+        _write_cos(tmp_path / "f.csv", n=32)
+        script = f"""
+import sys
+from thetaflow.cli import main
+d = {str(tmp_path)!r}
+assert main(["heat", "--init", d + "/f.csv", "--t", "0.1", "--out", d + "/u.csv"]) == 0
+assert main(["poisson", "--method", "subordination", "--init", d + "/u.csv",
+             "--t", "0.8", "--out", d + "/v.csv"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("thetaflow")))
+"""
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(["thetaflow", "thetaflow.cli", "thetaflow.fourier",
+                                           "thetaflow.io", "thetaflow.semigroups"])
+
+    def test_flow_commands_run_with_theta_checks_ultradist_blocked(self, tmp_path):
+        # A None entry in sys.modules makes every import of that module fail.
+        _write_cos(tmp_path / "f.csv", n=32)
+        script = f"""
+import sys
+for name in ("ultradist", "checks", "theta"):
+    sys.modules["thetaflow." + name] = None
+from thetaflow.cli import main
+d = {str(tmp_path)!r}
+for argv in (["heat"], ["poisson", "--method", "multiplier"],
+             ["poisson", "--method", "kernel"], ["poisson", "--method", "subordination"]):
+    assert main([*argv, "--init", d + "/f.csv", "--t", "0.5", "--out", d + "/u.csv"]) == 0
+print(all(sys.modules["thetaflow." + name] is None for name in ("ultradist", "checks", "theta")))
+"""
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from thetaflow import fourier
+from thetaflow import fourier, semigroups
 from thetaflow.checks import random_bandlimited, random_nonnegative
 from thetaflow.fourier import PeriodicGrid, SampledFunction, circular_convolve
 from thetaflow.semigroups import (
@@ -495,3 +496,42 @@ class TestRealPath:
                    lambda h: subordinate(h, 0.8)):
             ref = op(fc).values
             assert np.max(np.abs(op(f).values - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+HUGE_TIMES = [1e160, 1e300, 1.7e308]
+
+
+class TestHugeTimes:
+    """At these times only the mean survives; t^2 and t |n|^2 overflow on the way."""
+
+    @pytest.mark.parametrize("t", HUGE_TIMES)
+    @pytest.mark.parametrize("flow", [theta_evolve, poisson_evolve_multiplier, subordinate])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_flow_returns_the_grid_mean(self, flow, t, kind):
+        g = PeriodicGrid((16, 12))
+        f = random_bandlimited(g, 4, np.random.default_rng(21))
+        f = SampledFunction(g, f.values + 0.3, kind=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = flow(f, t)
+        assert out.kind == kind
+        assert np.max(np.abs(out.values - np.mean(f.values))) < 1e-14
+
+    @pytest.mark.parametrize("t", HUGE_TIMES)
+    def test_bochner_defect_check_passes(self, t):
+        f = _cos(_grid(64), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = subordinate(f, t, SubordinationQuadrature(tol=1e-14))
+        assert np.max(np.abs(out.values)) < 1e-15
+
+    def test_decay_is_the_plain_exponential_wherever_that_is_finite(self):
+        n2, _ = semigroups._mode_table((64, 48), False)
+        for x in (n2, np.sqrt(n2)):
+            for rate in (0.0, 1e-3, 1.0, 745.0, 746.0, 999.0, 1e3, 1e3 + 1, 1e10, 1e300):
+                with np.errstate(over="raise"):
+                    try:
+                        plain = np.exp(-rate * x)
+                    except FloatingPointError:
+                        continue
+                assert semigroups._decay(rate, x).tobytes() == plain.tobytes()

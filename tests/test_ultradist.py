@@ -744,3 +744,25 @@ class TestNonFiniteTime:
         F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}))
         with pytest.raises(ValueError, match="time must be finite"):
             positivity_check(F, t, trial_count=1)
+
+
+class TestHugeTime:
+    """exp(-n^2 t) overflows in its exponent; only n = 0 may survive."""
+
+    def test_evolve_and_positivity(self):
+        F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0, 1: 2.0, -3: 0.5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve_ultra(F, 1.7e308)
+            res = positivity_check(F, 1.7e308, trial_count=3)
+        assert np.array_equal(out.coeffs.coeffs, np.where(out.coeffs.indices() == 0, 1.0, 0.0))
+        assert res.positive and res.route_gap == 0.0
+
+    def test_evolution_deficit_pair(self):
+        f = seq_from_rule(4, PowerRule(0.3, 2))
+        F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0, 1: 2.0, 3: 0.5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evolution_deficit_pair(F, f, 1.7e308)
+        # Every mode but n = 0 loses all of itself: expm1 -> -1 (f_0 = F_0 = 1).
+        assert res.value == pytest.approx(-(pair(F, f).value - TWO_PI), abs=1e-12)
