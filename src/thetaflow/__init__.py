@@ -15,9 +15,9 @@ _EXPORTS = {
                 "circular_convolve", "inner", "synthesize"),
     "theta": ("MIN_KERNEL_TIME", "ThetaParams", "kernel", "theta3_bound",
               "theta3_product", "theta3_series"),
-    "semigroups": ("MultiplierSpec", "SubordinationError", "SubordinationQuadrature",
-                   "bochner_scalar", "generator_apply", "heat_residual",
-                   "maximal_function", "poisson_evolve_d", "poisson_evolve_kernel",
+    "semigroups": ("SubordinationError", "SubordinationQuadrature", "bochner_scalar",
+                   "generator_apply", "heat_residual", "maximal_function",
+                   "poisson_evolve_d", "poisson_evolve_kernel",
                    "poisson_evolve_multiplier", "poisson_kernel", "subordinate",
                    "theta_evolve", "theta_evolve_d"),
     "ultradist": ("DerivativeBound", "GrowthClass", "PowerRule", "UltraDistribution",

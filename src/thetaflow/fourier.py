@@ -321,17 +321,30 @@ def _is_conjugate_symmetric(c: CoefficientSequence) -> bool:
 
 
 def _forward(f: SampledFunction, real: bool) -> np.ndarray:
-    """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn."""
-    if real:
-        return np.fft.rfftn(f.values)
-    return np.fft.fftn(f.values)
+    """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn.
+
+    An overflow here shows up as inf or nan in the spectrum; _inverse reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
 
 
-def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool) -> np.ndarray:
-    """Inverse of _forward; the result is a real array when real is set."""
-    if real:
-        return np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
-    return np.fft.ifftn(spec)
+def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool,
+             operation: str, operands: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Inverse of _forward; the result is a real array when real is set.
+
+    spec is the product of the operands' spectra or of a spectrum and a
+    symbol. A non-finite result from finite operands means an overflow on
+    the way, which raises an OverflowError naming the operation.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if real:
+            out = np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
+        else:
+            out = np.fft.ifftn(spec)
+    if not np.isfinite(out).all() and all(np.isfinite(a).all() for a in operands):
+        raise OverflowError(f"{operation} of finite data overflowed double precision")
+    return out
 
 
 def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -344,7 +357,8 @@ def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction
     if f.grid != g.grid:
         raise ValueError("grid mismatch: convolution operands must share a grid")
     real = f.kind == "real" and g.kind == "real"
-    spec = _forward(f, real) * _forward(g, real)
-    vals = _inverse(spec, f.grid, real) * f.grid.cell_volume
-    return SampledFunction(f.grid, vals, kind="real" if real else "complex")
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = _forward(f, real) * _forward(g, real)
+    vals = _inverse(spec, f.grid, real, "circular convolution", (f.values, g.values))
+    return SampledFunction(f.grid, vals * f.grid.cell_volume,
+                           kind="real" if real else "complex")

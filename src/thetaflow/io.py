@@ -18,6 +18,7 @@ distributions as ``{window, rule, class}`` where only power rules
 
 from __future__ import annotations
 
+import cmath
 import csv
 import itertools
 import json
@@ -175,7 +176,10 @@ def _coeff_entries(c: CoefficientSequence) -> list[dict]:
 def _entries_to_sequence(entries, rule=None) -> CoefficientSequence:
     table = {}
     for e in entries:
-        table[int(e["n"])] = complex(float(e["re"]), float(e["im"]))
+        n, value = int(e["n"]), complex(float(e["re"]), float(e["im"]))
+        if not cmath.isfinite(value):
+            raise ValueError(f"coefficient n = {n} is not finite: {value}")
+        table[n] = value
     if not table:
         table = {0: 0.0}
     return CoefficientSequence.from_dict(table, rule=rule)
@@ -213,7 +217,10 @@ def ultra_from_dict(data: dict) -> UltraDistribution:
     if rule_obj == "none" or rule_obj is None:
         rule = None
     elif isinstance(rule_obj, dict) and rule_obj.get("type") == "power":
-        rule = PowerRule(float(rule_obj["base"]), int(rule_obj["k"]))
+        base = float(rule_obj["base"])
+        if not math.isfinite(base):
+            raise ValueError(f"power rule base must be finite, got {base}")
+        rule = PowerRule(base, int(rule_obj["k"]))
     else:
         raise ValueError(f"unknown rule spec {rule_obj!r}")
     seq = _entries_to_sequence(data.get("window", []), rule=rule)

@@ -39,8 +39,6 @@ import numpy as np
 
 from .fourier import PeriodicGrid, SampledFunction, _forward, _inverse, circular_convolve
 
-MULTIPLIER_KINDS = ("heat", "poisson", "laplacian")
-
 # Panel break for the substituted Gauss-Legendre rule: one panel resolves
 # the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
 # envelope. Chosen empirically; 64 total nodes then reach ~1e-10 absolute
@@ -104,59 +102,24 @@ def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndar
     return n2, index
 
 
-def _symbol_applier(f: SampledFunction) -> Callable[[np.ndarray], SampledFunction]:
-    """Transform f once; the returned function applies a symbol to that spectrum.
+def _symbol_applier(f: SampledFunction
+                    ) -> tuple[np.ndarray, Callable[[np.ndarray], SampledFunction]]:
+    """Transform f once: the grid's distinct |n|^2 and a function applying a symbol on them.
 
-    The symbol is given on the distinct |n|^2 of the grid: symbol[k] scales
-    every mode n whose |n|^2 is the k-th distinct value. Real-kind data goes
-    through rfftn/irfftn, so its outputs are exactly real.
+    symbol[k] scales every mode n whose |n|^2 is n2[k]. Real-kind data goes through
+    rfftn/irfftn, so its outputs are exactly real; an overflow raises OverflowError.
     """
     real = f.kind == "real"
-    _, index = _mode_table(f.grid.sizes, real)
+    n2, index = _mode_table(f.grid.sizes, real)
     spec = _forward(f, real)
 
     def apply(symbol: np.ndarray) -> SampledFunction:
-        return f.with_values(_inverse(spec * symbol[index], f.grid, real))
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = spec * symbol[index]
+        return f.with_values(_inverse(product, f.grid, real, "Fourier multiplier",
+                                      (f.values, symbol)))
 
-    return apply
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """A Fourier multiplier symbol: kind plus time parameter.
-
-    Kinds, each valid on a grid of any dimension: 'heat' exp(-t |n|^2),
-    'poisson' exp(-t |n|) and 'laplacian' -|n|^2, which ignores t; here
-    |n|^2 = sum n_j^2. The time must be finite.
-    """
-
-    kind: str
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in MULTIPLIER_KINDS:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if self.kind != "laplacian":
-            _require_time(self.t)
-        elif not math.isfinite(self.t):
-            raise ValueError(f"time must be finite, got {self.t}")
-
-    def _on_distinct_modes(self, grid: PeriodicGrid) -> np.ndarray:
-        n2, _ = _mode_table(grid.sizes, False)
-        if self.kind == "heat":
-            return _decay(self.t, n2)
-        if self.kind == "poisson":
-            return _decay(self.t, np.sqrt(n2))
-        return -n2
-
-    def on_grid(self, grid: PeriodicGrid) -> np.ndarray:
-        """Symbol values on the grid's FFT-layout mode array."""
-        return self._on_distinct_modes(grid)[_mode_table(grid.sizes, False)[1]]
-
-
-def apply_multiplier(f: SampledFunction, spec: MultiplierSpec) -> SampledFunction:
-    """Scale the Fourier modes of f by the symbol of spec."""
-    return _symbol_applier(f)(spec._on_distinct_modes(f.grid))
+    return n2, apply
 
 
 def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
@@ -166,9 +129,11 @@ def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
     kernel is the product of per-axis theta factors. t must be finite and
     nonnegative; t = 0 is the identity.
     """
+    _require_time(t)
     if t == 0.0:
         return f
-    return apply_multiplier(f, MultiplierSpec("heat", t))
+    n2, apply = _symbol_applier(f)
+    return apply(_decay(t, n2))
 
 
 def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
@@ -178,9 +143,11 @@ def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
     exp(-t sqrt(sum n_j^2)) does not factor across axes. t must be finite
     and nonnegative; t = 0 is the identity.
     """
+    _require_time(t)
     if t == 0.0:
         return f
-    return apply_multiplier(f, MultiplierSpec("poisson", t))
+    n2, apply = _symbol_applier(f)
+    return apply(_decay(t, np.sqrt(n2)))
 
 
 # The d-dim names of the two flows, kept for callers that use them.
@@ -312,8 +279,9 @@ def subordinate(f: SampledFunction, t: float,
     """
     _require_time(t, positive=True)
     quad = quad or SubordinationQuadrature()
-    n2, _ = _mode_table(f.grid.sizes, False)
+    n2, apply = _symbol_applier(f)
     symbol = _subordination_symbol(n2, t, quad)
+    out = apply(symbol)  # before the defect, so overflowed data raises OverflowError
     if quad.tol is not None:
         est = _bochner_defect(f, n2, symbol, t)
         if est > quad.tol:
@@ -321,12 +289,13 @@ def subordinate(f: SampledFunction, t: float,
                 f"estimated quadrature error {est:.3e} exceeds requested "
                 f"{quad.tol:.3e} (nodes = {quad.nodes}, t = {t})"
             )
-    return _symbol_applier(f)(symbol)
+    return out
 
 
 def generator_apply(f: SampledFunction) -> SampledFunction:
     """Spectral Laplacian: mode n scaled by -(sum n_j^2)."""
-    return apply_multiplier(f, MultiplierSpec("laplacian"))
+    n2, apply = _symbol_applier(f)
+    return apply(-n2)
 
 
 def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
@@ -357,8 +326,7 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
         )
     # du/dt - Lu is diagonal too: its symbol at each interior time is the
     # central difference of exp(-|n|^2 t) plus |n|^2 exp(-|n|^2 t_i).
-    apply = _symbol_applier(f)
-    n2, _ = _mode_table(f.grid.sizes, False)
+    n2, apply = _symbol_applier(f)
     worst = 0.0
     for lo, mid, hi in zip(ts, ts[1:], ts[2:]):
         dudt = (_decay(hi, n2) - _decay(lo, n2)) / (hi - lo)
@@ -385,8 +353,7 @@ def maximal_function(f: SampledFunction,
         raise ValueError("t_samples must be strictly positive")
     for t in ts:
         _require_time(t)
-    apply = _symbol_applier(f)
-    n2, _ = _mode_table(f.grid.sizes, False)
+    n2, apply = _symbol_applier(f)
     best = np.zeros(f.grid.sizes)
     for t in ts:
         best = np.maximum(best, np.abs(apply(_decay(t, n2)).values))

@@ -67,7 +67,10 @@ class ThetaParams:
 
 def _reduce_angle(x):
     # Reduction mod 2pi makes periodicity hold by construction and keeps
-    # cos(n x) accurate for large n.
+    # cos(n x) accurate for large n. A nan or inf angle has no reduction.
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"angle must be finite, got {x[~finite].flat[0]}")
     return np.mod(x, TWO_PI)
 
 

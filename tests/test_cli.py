@@ -679,6 +679,67 @@ class TestCommands:
             assert main([*command, "--init", str(init), "--t", t, "--out", str(out)]) == 0
         assert np.max(np.abs(load_function(out).values - 0.5)) < 1e-14
 
+    @pytest.mark.parametrize("command", [
+        ["heat", "--t", "0.1"], ["subordinate", "--t", "0.8"],
+        ["subordinate", "--t", "0.8", "--quad-tol", "1e-6"],
+        ["poisson", "--method", "multiplier", "--t", "0.8"],
+        ["poisson", "--method", "kernel", "--t", "0.8"],
+        ["poisson", "--method", "subordination", "--t", "0.8"],
+    ])
+    def test_transform_overflow_exits_one(self, tmp_path, capsys, command):
+        # Finite input whose transform overflows once wrote an all-NaN CSV.
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        g = PeriodicGrid.line(64)
+        save_function(SampledFunction.from_callable(
+            g, lambda x: 1e308 * (0.5 + 0.5 * np.cos(x))), init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--init", str(init), "--out", str(out)]) == 1
+        assert "overflowed double precision" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, field, message", [
+        ({"re": "nan"}, "window", "coefficient n = 0 is not finite"),
+        ({"im": "-inf"}, "window", "coefficient n = 0 is not finite"),
+        ({"base": "nan"}, "rule", "power rule base must be finite"),
+    ])
+    def test_ultra_evolve_refuses_non_finite_json(self, tmp_path, capsys, entry, field,
+                                                  message):
+        # A nan window entry was once written back out as a bare NaN.
+        data = ultra_to_dict(UltraDistribution(
+            CoefficientSequence.from_rule(2, PowerRule(0.5, 1))))
+        target = data["window"][2] if field == "window" else data["rule"]
+        target.update(entry)
+        fpath, gpath = tmp_path / "F.json", tmp_path / "G.json"
+        fpath.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "0.1",
+                         "--out", str(gpath)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not gpath.exists()
+
+    def test_ultra_pair_refuses_non_finite_sequence(self, tmp_path, capsys):
+        fpath, spath = tmp_path / "F.json", tmp_path / "s.json"
+        save_ultra(UltraDistribution(CoefficientSequence.from_dict({0: 1.0})), fpath)
+        spath.write_text(json.dumps([{"n": 0, "re": "inf", "im": 0.0}]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ultra", "pair", "--dist", str(fpath), "--seq", str(spath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: coefficient n = 0 is not finite")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form", ["series", "product"])
+    def test_theta_eval_refuses_non_finite_angle(self, capsys, form, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["theta", "eval", f"--x={x}", "--q", "0.5", "--form", form]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: angle must be finite")
+        assert captured.out == ""
+
 
 class TestProcess:
     def test_module_entry_point(self):

@@ -8,10 +8,8 @@ from thetaflow import fourier, semigroups
 from thetaflow.checks import random_bandlimited, random_nonnegative
 from thetaflow.fourier import PeriodicGrid, SampledFunction, circular_convolve
 from thetaflow.semigroups import (
-    MultiplierSpec,
     SubordinationError,
     SubordinationQuadrature,
-    apply_multiplier,
     bochner_scalar,
     generator_apply,
     heat_residual,
@@ -53,18 +51,19 @@ def _count_rfftn(monkeypatch):
 
 
 class TestMultiplierSpec:
-    def test_kind_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            MultiplierSpec("diffusion", 1.0)
+    """What each multiplier flow specifies: its time check and its symbol."""
 
     def test_negative_time(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            MultiplierSpec("heat", -0.5)
+        for flow in (theta_evolve, poisson_evolve_multiplier):
+            with pytest.raises(ValueError, match="nonnegative"):
+                flow(_cos(_grid(8)), -0.5)
 
     def test_laplacian_symbol(self):
         g = _grid(8)
-        sym = MultiplierSpec("laplacian").on_grid(g)
-        assert np.array_equal(sym, -(g.frequencies().astype(float) ** 2))
+        for k in range(4):
+            out = generator_apply(_cos(g, k))
+            assert np.allclose(out.values, -k * k * np.cos(k * g.points),
+                               rtol=0, atol=1e-13)
 
 
 class TestThetaEvolve:
@@ -347,13 +346,19 @@ class TestMaximalFunction:
 class TestMultidim:
     @pytest.mark.parametrize("kind", ["heat", "poisson", "laplacian"])
     def test_every_kind_on_any_grid(self, kind):
+        flow, symbol = {
+            "heat": (lambda f: theta_evolve(f, 0.3), lambda n2: math.exp(-0.3 * n2)),
+            "poisson": (lambda f: poisson_evolve_multiplier(f, 0.3),
+                        lambda n2: math.exp(-0.3 * math.sqrt(n2))),
+            "laplacian": (generator_apply, lambda n2: -n2),
+        }[kind]
         g = PeriodicGrid((8, 6, 4))
-        n2 = sum(k.astype(float) ** 2 for k in np.meshgrid(
-            *(g.frequencies(a) for a in range(3)), indexing="ij"))
-        expected = {"heat": np.exp(-0.3 * n2), "poisson": np.exp(-0.3 * np.sqrt(n2)),
-                    "laplacian": -n2}[kind]
-        assert np.allclose(MultiplierSpec(kind, 0.3).on_grid(g), expected,
-                           rtol=1e-15, atol=0)
+        x = g.meshgrid()
+        # cos(n.x) for every n with 0 <= n_j < N_j / 2: an eigenfunction of each flow.
+        for n in np.ndindex(4, 3, 2):
+            f = SampledFunction(g, np.cos(sum(k * xj for k, xj in zip(n, x))), kind="real")
+            n2 = sum(k * k for k in n)
+            assert np.allclose(flow(f).values, symbol(n2) * f.values, rtol=0, atol=1e-13)
 
     def test_product_eigenfunction(self):
         g = PeriodicGrid((64, 64))
@@ -414,12 +419,6 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 class TestNonFiniteTime:
     @pytest.mark.parametrize("t", NON_FINITE)
-    @pytest.mark.parametrize("kind", ["heat", "poisson", "laplacian"])
-    def test_multiplier_spec(self, kind, t):
-        with pytest.raises(ValueError, match="finite"):
-            MultiplierSpec(kind, t)
-
-    @pytest.mark.parametrize("t", NON_FINITE)
     # Explicit ids: the _d names are aliases and would share a __name__.
     @pytest.mark.parametrize("flow", [theta_evolve, theta_evolve_d, subordinate,
                                       poisson_evolve_d, poisson_evolve_multiplier,
@@ -442,7 +441,7 @@ class TestNonFiniteTime:
 
 class TestRealPath:
     @pytest.mark.parametrize("op", [
-        lambda f: apply_multiplier(f, MultiplierSpec("poisson", 0.3)),
+        lambda f: poisson_evolve_multiplier(f, 0.3),
         generator_apply,
         lambda f: circular_convolve(f, kernel(0.1, f.grid)),
     ])
@@ -535,3 +534,33 @@ class TestHugeTimes:
                     except FloatingPointError:
                         continue
                 assert semigroups._decay(rate, x).tobytes() == plain.tobytes()
+
+
+class TestOverflow:
+    """A flow whose result overflows on finite data raises instead of returning nan."""
+
+    def test_laplacian_of_data_near_the_float_limit(self):
+        g = _grid(64)
+        f = SampledFunction(g, 1e306 * np.cos(20 * g.points), kind="real")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="Fourier multiplier"):
+                generator_apply(f)
+
+    @pytest.mark.parametrize("flow", [
+        lambda f: theta_evolve(f, 0.1),
+        lambda f: poisson_evolve_kernel(f, 0.8),
+    ], ids=["multiplier", "convolution"])
+    def test_transform_overflow(self, flow):
+        g = _grid(64)
+        f = SampledFunction.from_callable(g, lambda x: 1e308 * (0.5 + 0.5 * np.cos(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflowed"):
+                flow(f)
+
+    def test_non_finite_data_is_not_an_overflow(self):
+        values = np.cos(_grid(16).points)
+        values[3] = math.nan
+        out = theta_evolve(SampledFunction(_grid(16), values, kind="real"), 0.1)
+        assert np.isnan(out.values).all()

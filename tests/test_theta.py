@@ -11,6 +11,7 @@ from thetaflow.theta import (
     MIN_KERNEL_TIME,
     ThetaParams,
     _image_terms,
+    _theta3_images,
     _product_factors,
     _series_terms,
     kernel,
@@ -342,3 +343,17 @@ class TestKernelRoute:
         assert np.max(np.abs(vals - exact)) <= 1e-14 * np.max(exact)
         assert float(np.min(vals)) >= 0.0
         assert kernel(1e-3, g).integral() == pytest.approx(1.0, abs=1e-13)
+
+
+class TestNonFiniteAngle:
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize("form", [
+        lambda x: theta3_series(x, ThetaParams(0.5)),
+        lambda x: theta3_product(x, ThetaParams(0.5)),
+        lambda x: _theta3_images(x, 1.0, 1e-14),
+    ], ids=["series", "product", "images"])
+    def test_refused_by_every_form(self, form, x):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            form(np.array([0.0, x, 1.0]))
+        with pytest.raises(ValueError, match="angle must be finite"):
+            form(x)
