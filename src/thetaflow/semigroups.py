@@ -22,6 +22,12 @@ FFT pair for real-kind data (a complex pair otherwise). Subordination is
 summed at the symbol level, S(|n|^2) = sum_i c_i exp(-tau_i |n|^2) over
 the quadrature nodes, and then applied with that single FFT pair.
 
+Cost of subordination: the Gauss-Legendre rule is built once per node
+count per process and cached, and the symbol costs one exp per (node,
+|n|^2) pair that does not underflow to 0.0; node i stops at the first
+|n|^2 with tau_i |n|^2 past the underflow point. Its optional error check
+reads the spectrum the flow has already taken, so no transform is added.
+
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
 order, making results independent of any parallel schedule.
@@ -33,11 +39,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import PeriodicGrid, SampledFunction, _forward, _inverse, circular_convolve
+from .fourier import (PeriodicGrid, SampledFunction, _forward, _integer, _inverse,
+                      circular_convolve)
 
 # Panel break for the substituted Gauss-Legendre rule: one panel resolves
 # the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
@@ -50,6 +57,13 @@ _TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
 # _decay caps a rate here: below the cap nothing changes, above it x = 0
 # still gives 1 and r x can neither overflow nor become inf * 0.
 _RATE_CAP = 1e3
+# exp(-x) is 0.0 in double precision once x passes about 745.2; past this
+# margin it is 0.0 however the platform's exp rounds its last bit.
+_EXP_ZERO = 750.0
+
+# Largest node count of a SubordinationQuadrature: the rule for m nodes is
+# built from a dense m x m matrix, and 64 nodes already reach ~1e-10.
+_MAX_NODES = 1024
 
 _COARSE_SPACING = 1e-2  # heat_residual warns on a coarser time grid
 _MAXIMAL_TIMES = np.geomspace(1e-3, 10.0, 64)  # maximal_function's default times
@@ -102,24 +116,40 @@ def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndar
     return n2, index
 
 
-def _symbol_applier(f: SampledFunction
-                    ) -> tuple[np.ndarray, Callable[[np.ndarray], SampledFunction]]:
-    """Transform f once: the grid's distinct |n|^2 and a function applying a symbol on them.
+class _Spectrum:
+    """f transformed once; symbols on the grid's distinct |n|^2 are applied to it.
 
-    symbol[k] scales every mode n whose |n|^2 is n2[k]. Real-kind data goes through
-    rfftn/irfftn, so its outputs are exactly real; an overflow raises OverflowError.
+    n2 holds the distinct |n|^2 and symbol[k] scales every mode n whose
+    |n|^2 is n2[k]. Real-kind data is held as its rfftn half spectrum and
+    goes back through irfftn, so its outputs are exactly real; other data
+    is held as its full fftn spectrum.
     """
-    real = f.kind == "real"
-    n2, index = _mode_table(f.grid.sizes, real)
-    spec = _forward(f, real)
 
-    def apply(symbol: np.ndarray) -> SampledFunction:
+    def __init__(self, f: SampledFunction):
+        self.f = f
+        self.real = f.kind == "real"
+        self.n2, self.index = _mode_table(f.grid.sizes, self.real)
+        self.spec = _forward(f, self.real)
+
+    def apply(self, symbol: np.ndarray) -> SampledFunction:
+        """f with every mode scaled by its symbol value; an overflow raises OverflowError."""
         with np.errstate(over="ignore", invalid="ignore"):
-            product = spec * symbol[index]
-        return f.with_values(_inverse(product, f.grid, real, "Fourier multiplier",
-                                      (f.values, symbol)))
+            product = self.spec * symbol[self.index]
+        return self.f.with_values(_inverse(product, self.f.grid, self.real,
+                                           "Fourier multiplier", (self.f.values, symbol)))
 
-    return n2, apply
+    def amplitudes(self) -> np.ndarray:
+        """For each distinct |n|^2, the sum of |f_hat(n)| over the modes n that have it.
+
+        A half spectrum holds one of each conjugate pair f_hat(-n) = conj f_hat(n)
+        of real data: the last-axis columns 1 .. N/2 - 1 stand for two modes,
+        columns 0 and N/2 for one.
+        """
+        amplitude = np.abs(self.spec) / self.f.grid.npoints
+        if self.real:
+            amplitude[..., 1:self.f.grid.sizes[-1] // 2] *= 2.0
+        return np.bincount(self.index.ravel(), weights=amplitude.ravel(),
+                           minlength=self.n2.size)
 
 
 def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
@@ -132,8 +162,8 @@ def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
     _require_time(t)
     if t == 0.0:
         return f
-    n2, apply = _symbol_applier(f)
-    return apply(_decay(t, n2))
+    spectrum = _Spectrum(f)
+    return spectrum.apply(_decay(t, spectrum.n2))
 
 
 def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
@@ -146,8 +176,8 @@ def poisson_evolve_multiplier(f: SampledFunction, t: float) -> SampledFunction:
     _require_time(t)
     if t == 0.0:
         return f
-    n2, apply = _symbol_applier(f)
-    return apply(_decay(t, np.sqrt(n2)))
+    spectrum = _Spectrum(f)
+    return spectrum.apply(_decay(t, np.sqrt(spectrum.n2)))
 
 
 # The d-dim names of the two flows, kept for callers that use them.
@@ -182,8 +212,8 @@ class SubordinationQuadrature:
     analytically by its mean-value limit. It yields a symbol S(|n|^2) that
     approximates exp(-t|n|).
 
-    u_max must be finite. tol, when set, must be finite and requests an
-    error check: the Bochner defect
+    nodes must be an integer from 8 to 1024 and u_max must be finite. tol,
+    when set, must be finite and requests an error check: the Bochner defect
     sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes of the input,
     which bounds the sup-norm quadrature error of the result, must not
     exceed tol, or a SubordinationError is raised.
@@ -194,12 +224,25 @@ class SubordinationQuadrature:
     tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError(f"need at least 8 nodes, got {self.nodes}")
+        nodes = _integer(self.nodes, "nodes")
+        object.__setattr__(self, "nodes", nodes)
+        if nodes < 8:
+            raise ValueError(f"need at least 8 nodes, got {nodes}")
+        if nodes > _MAX_NODES:
+            raise ValueError(f"at most {_MAX_NODES} nodes, got {nodes}")
         if not (math.isfinite(self.u_max) and self.u_max > 1):
             raise ValueError(f"u_max must be finite and exceed 1, got {self.u_max}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite when given, got {self.tol}")
+
+
+@lru_cache(maxsize=16)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], built once per m, read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _gauss_nodes(eps: float, s_max: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +255,7 @@ def _gauss_nodes(eps: float, s_max: float, nodes: int) -> tuple[np.ndarray, np.n
     counts.append(nodes - sum(counts))
     ss, ww = [], []
     for a, b, m in zip(breaks[:-1], breaks[1:], counts):
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = _legendre_rule(m)
         ss.append(0.5 * (b - a) * x + 0.5 * (b + a))
         ww.append(0.5 * (b - a) * w)
     return np.concatenate(ss), np.concatenate(ww)
@@ -225,8 +268,13 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     The quadrature of the subordination integral, carried out on symbol
     values: node i contributes the heat symbol at time tau_i with weight
     c_i = (2/sqrt(pi)) w_i exp(-s_i^2).
+
+    n2 must be sorted ascending, as the distinct |n|^2 of a grid are. Node
+    i then only adds over the prefix of n2 where exp(-tau_i |n|^2) is not
+    0.0, so a node costs one exp per mode it reaches: the sum equals the
+    full one bit for bit, since the terms left out are exact zeros.
     """
-    t = float(t)  # t * t below may overflow to inf, which _decay takes
+    t = float(t)  # t * t below may overflow to inf, which the rate cap takes
     s_max = math.sqrt(quad.u_max)
     eps = min(t / _TAIL_DECAY, s_max / 2)
     # Analytic small-s piece: the evolution time t^2/4s^2 blows up there,
@@ -234,23 +282,23 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     acc = np.where(n2 == 0, math.erf(eps), 0.0)
     s, w = _gauss_nodes(eps, s_max, quad.nodes)
     coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
-    for si, ci in zip(s, coef):
-        acc += ci * _decay(t * t / (4.0 * si * si), n2)
+    rates = np.minimum(t * t / (4.0 * s * s), _RATE_CAP)  # as _decay caps them
+    with np.errstate(divide="ignore", over="ignore"):  # a zero rate reaches every mode
+        reach = np.searchsorted(n2, _EXP_ZERO / rates, side="right")
+    for r, c, k in zip(rates, coef, reach):
+        acc[:k] += c * np.exp(-r * n2[:k])
     return acc
 
 
-def _bochner_defect(f: SampledFunction, n2: np.ndarray, symbol: np.ndarray,
-                    t: float) -> float:
+def _bochner_defect(spectrum: _Spectrum, symbol: np.ndarray, t: float) -> float:
     """Sum over the modes of f of |f_hat(n)| * |S(|n|^2) - exp(-t|n|)|.
 
     Applying the symbol S to f misses the Poisson flow of f by
     sum_n f_hat(n) (S(|n|^2) - exp(-t|n|)) exp(i n.x), so this bounds the
     sup-norm quadrature error of the result (FFT round-off aside).
     """
-    _, index = _mode_table(f.grid.sizes, False)
-    amplitude = np.abs(_forward(f, False)) / f.grid.npoints
-    weight = np.bincount(index.ravel(), weights=amplitude.ravel(), minlength=n2.size)
-    return float(weight @ np.abs(symbol - _decay(t, np.sqrt(n2))))
+    exact = _decay(t, np.sqrt(spectrum.n2))
+    return float(spectrum.amplitudes() @ np.abs(symbol - exact))
 
 
 def bochner_scalar(lam: float) -> float:
@@ -279,11 +327,11 @@ def subordinate(f: SampledFunction, t: float,
     """
     _require_time(t, positive=True)
     quad = quad or SubordinationQuadrature()
-    n2, apply = _symbol_applier(f)
-    symbol = _subordination_symbol(n2, t, quad)
-    out = apply(symbol)  # before the defect, so overflowed data raises OverflowError
+    spectrum = _Spectrum(f)
+    symbol = _subordination_symbol(spectrum.n2, t, quad)
+    out = spectrum.apply(symbol)  # before the defect, so overflowed data raises OverflowError
     if quad.tol is not None:
-        est = _bochner_defect(f, n2, symbol, t)
+        est = _bochner_defect(spectrum, symbol, t)
         if est > quad.tol:
             raise SubordinationError(
                 f"estimated quadrature error {est:.3e} exceeds requested "
@@ -294,8 +342,8 @@ def subordinate(f: SampledFunction, t: float,
 
 def generator_apply(f: SampledFunction) -> SampledFunction:
     """Spectral Laplacian: mode n scaled by -(sum n_j^2)."""
-    n2, apply = _symbol_applier(f)
-    return apply(-n2)
+    spectrum = _Spectrum(f)
+    return spectrum.apply(-spectrum.n2)
 
 
 def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
@@ -326,11 +374,12 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
         )
     # du/dt - Lu is diagonal too: its symbol at each interior time is the
     # central difference of exp(-|n|^2 t) plus |n|^2 exp(-|n|^2 t_i).
-    n2, apply = _symbol_applier(f)
+    spectrum = _Spectrum(f)
+    n2 = spectrum.n2
     worst = 0.0
     for lo, mid, hi in zip(ts, ts[1:], ts[2:]):
         dudt = (_decay(hi, n2) - _decay(lo, n2)) / (hi - lo)
-        mismatch = apply(dudt + n2 * _decay(mid, n2)).values
+        mismatch = spectrum.apply(dudt + n2 * _decay(mid, n2)).values
         worst = max(worst, float(np.max(np.abs(mismatch))))
     return worst
 
@@ -353,8 +402,9 @@ def maximal_function(f: SampledFunction,
         raise ValueError("t_samples must be strictly positive")
     for t in ts:
         _require_time(t)
-    n2, apply = _symbol_applier(f)
+    spectrum = _Spectrum(f)
+    n2 = spectrum.n2
     best = np.zeros(f.grid.sizes)
     for t in ts:
-        best = np.maximum(best, np.abs(apply(_decay(t, n2)).values))
+        best = np.maximum(best, np.abs(spectrum.apply(_decay(t, n2)).values))
     return SampledFunction(f.grid, best, kind="real")

@@ -620,6 +620,20 @@ class TestCommands:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["subordinate"],
+                                         ["poisson", "--method", "subordination"]])
+    def test_node_count_over_the_cap_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(m):
+            raise AssertionError("a Gauss-Legendre rule was built")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        assert main([*command, "--init", str(init), "--t", "0.8", "--nodes", "1025",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: at most 1024 nodes, got 1025\n"
+        assert not out.exists()
+
     def test_subordinate_is_poisson_by_subordination(self, tmp_path):
         init = tmp_path / "f.csv"
         g = PeriodicGrid((16, 12))

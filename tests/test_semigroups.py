@@ -37,16 +37,17 @@ def _cos(grid, k=1):
     return SampledFunction.from_callable(grid, lambda x: np.cos(k * x))
 
 
-def _count_rfftn(monkeypatch):
-    """Record every np.fft.rfftn call from here on; returns the record list."""
+def _count_fft_calls(monkeypatch):
+    """Record the name of every np.fft n-d transform called from here on."""
     calls = []
-    original = np.fft.rfftn
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfftn", counting)
+        monkeypatch.setattr(np.fft, name, counting)
     return calls
 
 
@@ -205,6 +206,28 @@ class TestSubordination:
         with pytest.raises(ValueError, match="u_max"):
             SubordinationQuadrature(u_max=0.5)
 
+    @pytest.mark.parametrize("nodes", [64.0, "64", 1.5, None])
+    def test_non_integer_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            SubordinationQuadrature(nodes=nodes)
+
+    def test_numpy_integer_nodes_accepted(self):
+        quad = SubordinationQuadrature(nodes=np.int64(48))
+        assert quad.nodes == 48 and type(quad.nodes) is int
+
+    def test_node_cap_refused_before_any_rule_is_built(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"leggauss({m}) was called")
+
+        semigroups._legendre_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        with pytest.raises(ValueError, match="at most 1024 nodes, got 1025"):
+            SubordinationQuadrature(nodes=1025)
+
+    def test_node_cap_is_usable(self):
+        out = subordinate(_cos(_grid(16)), 0.8, SubordinationQuadrature(nodes=1024))
+        assert np.max(np.abs(out.values - E_MINUS_08 * np.cos(_grid(16).points))) < 1e-12
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError, match="positive"):
             subordinate(_cos(_grid()), 0.0)
@@ -228,6 +251,116 @@ class TestSubordination:
         out = subordinate(f, 0.8, SubordinationQuadrature(tol=1e-6))
         direct = poisson_evolve_d(f, 0.8)
         assert np.max(np.abs(out.values - direct.values)) < 1e-10
+
+    def test_error_check_reuses_the_flow_transform(self, monkeypatch):
+        f = random_bandlimited(PeriodicGrid((256, 256)), 64, np.random.default_rng(12))
+        calls = _count_fft_calls(monkeypatch)
+        subordinate(f, 0.8, SubordinationQuadrature(tol=1.0))
+        assert calls == ["rfftn", "irfftn"]
+
+
+def _full_spectrum_defect(f, n2, symbol, t):
+    """Bochner defect summed over the full fftn spectrum of f, mode by mode."""
+    _, index = semigroups._mode_table(f.grid.sizes, False)
+    amplitude = np.abs(np.fft.fftn(f.values)) / f.grid.npoints
+    weight = np.bincount(index.ravel(), weights=amplitude.ravel(), minlength=n2.size)
+    return float(weight @ np.abs(symbol - np.exp(-t * np.sqrt(n2))))
+
+
+class TestBochnerDefect:
+    @pytest.mark.parametrize("sizes", [(256,), (64, 48), (8, 6, 4), (128, 128)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("t", [0.05, 0.8, 3.0])
+    def test_matches_the_full_spectrum_sum(self, sizes, kind, t):
+        # White noise fills every mode, the Nyquist columns included.
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal(sizes)
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(sizes)
+        f = SampledFunction(PeriodicGrid(sizes), values, kind=kind)
+        spectrum = semigroups._Spectrum(f)
+        symbol = semigroups._subordination_symbol(
+            spectrum.n2, t, SubordinationQuadrature(nodes=16))
+        expected = _full_spectrum_defect(f, spectrum.n2, symbol, t)
+        assert expected > 0
+        got = semigroups._bochner_defect(spectrum, symbol, t)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def _reference_symbol(n2, t, quad):
+    """The subordination symbol node by node over every mode, each rule built afresh."""
+    t = float(t)
+    s_max = math.sqrt(quad.u_max)
+    eps = min(t / semigroups._TAIL_DECAY, s_max / 2)
+    acc = np.where(n2 == 0, math.erf(eps), 0.0)
+    breaks = [eps]
+    if eps < semigroups._PANEL_SPLIT < s_max:
+        breaks.append(semigroups._PANEL_SPLIT)
+    breaks.append(s_max)
+    panels = len(breaks) - 1
+    counts = [quad.nodes // panels] * (panels - 1)
+    counts.append(quad.nodes - sum(counts))
+    ss, ww = [], []
+    for a, b, m in zip(breaks[:-1], breaks[1:], counts):
+        x, w = np.polynomial.legendre.leggauss(m)
+        ss.append(0.5 * (b - a) * x + 0.5 * (b + a))
+        ww.append(0.5 * (b - a) * w)
+    s, w = np.concatenate(ss), np.concatenate(ww)
+    coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
+    for si, ci in zip(s, coef):
+        acc += ci * np.exp(-min(t * t / (4.0 * si * si), semigroups._RATE_CAP) * n2)
+    return acc
+
+
+SYMBOL_TIMES = [1e-300, 1e-6, 0.01, 0.8, 3.0, 1e153, 1e300, 1.7e308]
+
+
+class TestSubordinationSymbol:
+    """The symbol equals the node-by-node sum over every mode, bit for bit."""
+
+    @pytest.mark.parametrize("rule", [(64, 36.0), (8, 1.5), (33, 36.0), (200, 400.0)])
+    @pytest.mark.parametrize("sizes", [(4,), (256,), (512,), (64, 64), (128, 128),
+                                       (256, 256), (8, 6, 4)])
+    def test_matches_the_reference_loop(self, sizes, rule):
+        n2, _ = semigroups._mode_table(sizes, True)
+        quad = SubordinationQuadrature(nodes=rule[0], u_max=rule[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in SYMBOL_TIMES:
+                got = semigroups._subordination_symbol(n2, t, quad)
+                assert got.tobytes() == _reference_symbol(n2, t, quad).tobytes(), t
+
+    def test_bochner_scalar_matches_the_reference_loop(self):
+        quad = SubordinationQuadrature()
+        assert bochner_scalar(0.0) == _reference_symbol(np.zeros(1), 1.0, quad)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (1e-300, 0.5, 1.0, 5.0, 745.0, 1e300):
+                assert bochner_scalar(lam) == _reference_symbol(np.ones(1), lam, quad)[0]
+
+    def test_rule_built_once_per_panel_size(self, monkeypatch):
+        built = []
+        original = np.polynomial.legendre.leggauss
+
+        def counting(m):
+            built.append(m)
+            return original(m)
+
+        semigroups._legendre_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        f = _cos(_grid(64))
+        for _ in range(2):
+            subordinate(f, 0.8, SubordinationQuadrature(nodes=33))
+        assert sorted(built) == [16, 17]
+        for _ in range(2):
+            subordinate(f, 0.8)
+        assert sorted(built) == [16, 17, 32]
+
+    def test_cached_rule_is_read_only(self):
+        x, w = semigroups._legendre_rule(32)
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestGenerator:
@@ -286,9 +419,9 @@ class TestHeatResidual:
             float(np.max(np.abs((states[i + 1] - states[i - 1]) / (ts[i + 1] - ts[i - 1])
                                 - generator_apply(theta_evolve_d(f, ts[i])).values)))
             for i in (1, 2))
-        calls = _count_rfftn(monkeypatch)
+        calls = _count_fft_calls(monkeypatch)
         resid = heat_residual(f, ts)
-        assert len(calls) == 1
+        assert calls.count("rfftn") == 1
         assert abs(resid - ref) <= 1e-11
 
     def test_validation(self):
@@ -337,9 +470,9 @@ class TestMaximalFunction:
         ref = np.zeros(g.sizes)
         for t in np.geomspace(1e-3, 10.0, 64):
             ref = np.maximum(ref, np.abs(theta_evolve_d(f, t).values))
-        calls = _count_rfftn(monkeypatch)
+        calls = _count_fft_calls(monkeypatch)
         star = maximal_function(f)
-        assert len(calls) == 1
+        assert calls.count("rfftn") == 1
         assert np.max(np.abs(star.values.real - ref)) <= 1e-15
 
 
