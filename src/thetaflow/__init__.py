@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fourier": ("CoefficientSequence", "PeriodicGrid", "SampledFunction", "analyze",
                 "circular_convolve", "inner", "synthesize"),
-    "theta": ("MIN_KERNEL_TIME", "ThetaParams", "kernel", "theta3_bound",
-              "theta3_product", "theta3_series"),
+    "theta": ("ThetaParams", "kernel", "theta3_bound", "theta3_product",
+              "theta3_series"),
     "semigroups": ("SubordinationError", "SubordinationQuadrature", "bochner_scalar",
                    "generator_apply", "heat_residual", "maximal_function",
                    "poisson_evolve_d", "poisson_evolve_kernel",

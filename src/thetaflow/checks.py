@@ -29,6 +29,9 @@ EVOLVE_TIMES = (0.1, 0.5, 1.3)
 DECAY_TIMES = (1.0, 0.1, 0.01, 0.001)
 GENERATOR_TIMES = (1e-2, 1e-3, 1e-4)
 SQRT2_TIMES = (0.3, 0.7, 1.5)
+# Chapman-Kolmogorov tolerance. The residual of sampled kernels at (s, t) is
+# set by their alias excess 2 exp(-n^2 st/(s + t)), so it also fixes the least n.
+_CK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def _record_chapman_kolmogorov(grid: PeriodicGrid) -> PropertyRecord:
     return PropertyRecord(
         "chapman_kolmogorov",
         "sup |K_s * K_t - K_(s+t)| for s,t in {0.1,0.5,1.3} (kernel self-consistency)",
-        worst, 1e-10,
+        worst, _CK_TOL,
     )
 
 
@@ -232,7 +235,7 @@ def _record_sqrt2_decay(grid: PeriodicGrid) -> PropertyRecord:
 
 
 def run_suite(suite: str, n: Optional[int] = None, seed: int = 42) -> CheckReport:
-    """Run the named property suite ('thm1': 1-d, n >= 18; 'thm2': 2-d, n >= 10)."""
+    """Run the named property suite ('thm1': 1-d; 'thm2': 2-d; both need n >= 22)."""
     if suite == "thm1":
         dims, n = 1, 256 if n is None else n
     elif suite == "thm2":
@@ -241,10 +244,17 @@ def run_suite(suite: str, n: Optional[int] = None, seed: int = 42) -> CheckRepor
         raise ValueError(f"unknown suite {suite!r}; expected 'thm1' or 'thm2'")
     grid = PeriodicGrid((n,) * dims)
     hw = 8 if dims == 1 else 4
-    if n < 2 * hw + 2:  # smaller grids alias the data's modes |n_a| <= hw
+    # The least even n that keeps the data's modes |n_a| <= hw from aliasing
+    # and the kernels at the smallest st/(s + t) within the CK tolerance.
+    tau = min(EVOLVE_TIMES) / 2
+    kernel_least = math.ceil(math.sqrt(math.log(2.0 / _CK_TOL) / tau))
+    kernel_least += kernel_least % 2
+    least = max(2 * hw + 2, kernel_least)
+    if n < least:
         raise ValueError(
-            f"suite {suite!r} needs n >= {2 * hw + 2} for its random data "
-            f"(modes up to {hw}), got {n}"
+            f"suite {suite!r} needs n >= {least} ({2 * hw + 2} for its random data with "
+            f"modes up to {hw}, {kernel_least} for the alias excess of its kernels at "
+            f"st/(s + t) = {tau} to stay within {_CK_TOL:g}), got {n}"
         )
     rng = np.random.default_rng(seed)
     f = random_bandlimited(grid, hw, rng)

@@ -182,15 +182,20 @@ def _run_ultra_membership(args: argparse.Namespace) -> int:
     from .ultradist import GrowthClass, check_membership
 
     F = load_ultra(args.dist)
-    if args.kind is None or args.base is None or args.order is None:
-        if F.declared_class is None:
-            raise ValueError(
-                "no growth class: give --kind/--base/--order or declare one "
-                "in the distribution file"
-            )
-        g = F.declared_class
-    else:
+    missing = [flag for flag, value in (("--kind", args.kind), ("--base", args.base),
+                                        ("--order", args.order)) if value is None]
+    if not missing:
         g = GrowthClass(args.kind, args.base, args.order, args.constant)
+    elif len(missing) < 3:
+        raise ValueError(f"give --kind, --base and --order together or none; "
+                         f"missing {', '.join(missing)}")
+    elif F.declared_class is None:
+        raise ValueError(
+            "no growth class: give --kind/--base/--order or declare one "
+            "in the distribution file"
+        )
+    else:
+        g = F.declared_class
     res = check_membership(F.coeffs, g, tol=args.tolerance)
     where = "" if res.worst_n is None else f" at n = {res.worst_n}"
     print(f"member: {str(res.ok).lower()} "

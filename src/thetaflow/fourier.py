@@ -13,6 +13,7 @@ a real-kind function, which are stored as float64 (complex128 otherwise).
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -177,6 +178,21 @@ def _stray_imag(values: np.ndarray) -> float:
     return worst if worst > 1e-9 * scale else 0.0
 
 
+def _require_resolved(kernel: str, grid: PeriodicGrid, t: float, tol: float,
+                      excess: float, least: float) -> None:
+    """Refuse a sampled kernel whose alias excess, the mass of its samples minus 1, passes tol.
+
+    least is a time from which on the grid keeps the excess within tol; the
+    message names it rounded up to three digits, so the named time is resolved.
+    """
+    if excess > tol:
+        step = 10.0 ** (math.floor(math.log10(least)) - 2)
+        raise ValueError(
+            f"grid {grid.sizes} does not resolve the {kernel} kernel at t = {t} "
+            f"(alias excess {excess:.3g} > {tol:g}); "
+            f"needs t >= {math.ceil(least / step) * step:.3g}")
+
+
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
     """L^2 inner product, integral of f * conj(g), by the trapezoid rule."""
     if f.grid != g.grid:
@@ -276,8 +292,6 @@ def analyze(f: SampledFunction) -> CoefficientSequence:
     if f.grid.dims != 1:
         raise ValueError("analyze expects a 1-d grid; d-dim data is handled axis-wise")
     n = f.grid.sizes[0]
-    if n < 4:
-        raise ValueError("grid underresolved")
     spec = np.fft.fft(f.values) / n
     hw = n // 2 - 1
     coeffs = np.concatenate([spec[n - hw:], spec[: hw + 1]])  # n = -hw .. hw

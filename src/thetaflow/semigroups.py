@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fourier import (PeriodicGrid, SampledFunction, _forward, _integer, _inverse,
-                      circular_convolve)
+                      _require_resolved, circular_convolve)
 
 # Panel break for the substituted Gauss-Legendre rule: one panel resolves
 # the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
@@ -186,10 +186,16 @@ poisson_evolve_d = poisson_evolve_multiplier
 
 
 def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
-    """Closed-form Poisson kernel (1/2pi)(1 - r^2)/(1 - 2r cos x + r^2), r = exp(-t)."""
+    """Closed-form Poisson kernel (1/2pi)(1 - r^2)/(1 - 2r cos x + r^2), r = exp(-t).
+
+    Refused where its samples' mass coth(N t / 2) passes 1 + 1e-14, kernel's default tol.
+    """
     if grid.dims != 1:
         raise ValueError("poisson_kernel expects a 1-d grid")
     _require_time(t, positive=True)
+    _require_resolved("Poisson", grid, t, 1e-14,  # expm1 overflows past 709.78
+                      excess=2.0 / math.expm1(min(grid.npoints * t, 700.0)),
+                      least=math.log1p(2e14) / grid.npoints)
     r = math.exp(-t)
     x = grid.points
     vals = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(x) + r * r) / (2.0 * np.pi)
@@ -212,7 +218,8 @@ class SubordinationQuadrature:
     analytically by its mean-value limit. It yields a symbol S(|n|^2) that
     approximates exp(-t|n|).
 
-    nodes must be an integer from 8 to 1024 and u_max must be finite. tol,
+    nodes must be an integer from 8 to 1024 and u_max a number in (1, 750],
+    since exp(-u) is 0.0 in double precision past about 745. tol,
     when set, must be finite and requests an error check: the Bochner defect
     sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes of the input,
     which bounds the sup-norm quadrature error of the result, must not
@@ -230,8 +237,9 @@ class SubordinationQuadrature:
             raise ValueError(f"need at least 8 nodes, got {nodes}")
         if nodes > _MAX_NODES:
             raise ValueError(f"at most {_MAX_NODES} nodes, got {nodes}")
-        if not (math.isfinite(self.u_max) and self.u_max > 1):
-            raise ValueError(f"u_max must be finite and exceed 1, got {self.u_max}")
+        if not 1 < self.u_max <= _EXP_ZERO:  # past it exp(-u) adds nothing but sparser nodes
+            raise ValueError(f"u_max must be finite, exceed 1 and be at most {_EXP_ZERO:g}, "
+                             f"got {self.u_max}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite when given, got {self.tol}")
 

@@ -27,13 +27,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .fourier import TWO_PI, PeriodicGrid, SampledFunction
-
-# Below this time the kernel is a near-delta of width sqrt(2t) < 0.045 that
-# coarse grids cannot resolve, so its sampled mass and convolutions degrade;
-# grid-kernel construction is refused rather than silently degraded. (The
-# image sum evaluates the kernel cheaply at any t; the cap is about the grid.)
-MIN_KERNEL_TIME = 1e-3
+from .fourier import TWO_PI, PeriodicGrid, SampledFunction, _require_resolved
 
 
 @dataclass(frozen=True)
@@ -208,16 +202,16 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
     Each axis factor comes from the image sum when its 2K images are fewer
     array passes than the series terms (small t), and from the cosine
     series otherwise; both truncate at the absolute tolerance tol.
-    Unit mass and pointwise nonnegativity hold at the discrete level.
+    Pointwise nonnegativity holds at the discrete level, and aliasing adds
+    at most tol to the unit mass: a grid whose alias excess, the leading
+    term sum_axes 2 exp(-N^2 t) of mass - 1, passes tol is refused.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     params = ThetaParams.from_time(t, tol=tol)
-    if t < MIN_KERNEL_TIME:
-        raise ValueError(
-            f"time {t} below the kernel construction cap {MIN_KERNEL_TIME}; "
-            "the kernel is too narrow to be resolved by a sampled grid"
-        )
+    _require_resolved("heat", grid, t, tol,
+                      excess=sum(2.0 * math.exp(-n * n * t) for n in grid.sizes),
+                      least=(math.log(2.0 * grid.dims) - math.log(tol)) / min(grid.sizes) ** 2)
     if 2 * _image_terms(t, tol) < _series_terms(params.q, tol):
         theta = partial(_theta3_images, t=t, tol=tol)
     else:

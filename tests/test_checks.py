@@ -88,15 +88,25 @@ class TestSuites:
         with pytest.raises(ValueError, match="underresolved"):
             run_suite(suite, n=0)
 
-    @pytest.mark.parametrize("suite, n, minimum", [("thm1", 8, 18), ("thm1", 16, 18),
-                                                   ("thm2", 8, 10)])
-    def test_grid_too_small_for_the_data_is_refused(self, suite, n, minimum):
-        with pytest.raises(ValueError, match=f"needs n >= {minimum} .*got {n}"):
+    @pytest.mark.parametrize("suite, n, data_minimum", [("thm1", 8, 18), ("thm1", 16, 18),
+                                                        ("thm2", 8, 10)])
+    def test_grid_too_small_for_the_data_is_refused(self, suite, n, data_minimum):
+        # The data needs 2 hw + 2 points; the kernels' alias excess needs 22.
+        with pytest.raises(ValueError,
+                           match=fr"needs n >= 22 \({data_minimum} for its random data.*got {n}$"):
             run_suite(suite, n=n)
 
-    @pytest.mark.parametrize("suite, n", [("thm1", 18), ("thm2", 10)])
+    @pytest.mark.parametrize("suite", ["thm1", "thm2"])
+    def test_grid_too_coarse_for_the_kernels_is_refused(self, suite):
+        # At n = 20 the Chapman-Kolmogorov residual reached 2.6e-9 (thm1) and 3.3e-9 (thm2).
+        with pytest.raises(ValueError, match=r"needs n >= 22 .*22 for the alias excess of "
+                           r"its kernels at st/\(s \+ t\) = 0.05 to stay within 1e-10\), got 20"):
+            run_suite(suite, n=20)
+
+    @pytest.mark.parametrize("suite, n", [("thm1", 22), ("thm2", 22)])
     def test_smallest_grid_runs(self, suite, n):
-        assert run_suite(suite, n=n).environment["n"] == n
+        report = run_suite(suite, n=n)
+        assert report.environment["n"] == n and report.all_pass
 
     def test_report_serialization_is_deterministic(self):
         a = run_suite("thm1", n=64, seed=1)

@@ -419,6 +419,42 @@ class TestCommands:
         assert np.max(np.abs(outs["multiplier"] - outs["kernel"])) < 1e-10
         assert np.max(np.abs(outs["multiplier"] - outs["subordination"])) < 1e-7
 
+    @pytest.mark.parametrize("n, t, resolved", [
+        (64, "0.6", True), (128, "0.3", True), (256, "0.3", True), (4096, "0.5", True),
+        (16, "0.5", False), (32, "0.8", False), (128, "0.25", False),
+        (64, "0.01", False), (64, "1e-9", False),
+    ])
+    def test_poisson_kernel_route_agrees_or_refuses(self, tmp_path, capsys, n, t, resolved):
+        # The samples' mass is coth(n t / 2); the kernel route needs it within 1e-14 of 1.
+        # At n = 64 it once wrote u(0) = 3.221 at t = 0.01 and NaN at t = 1e-9.
+        init = tmp_path / "f.csv"
+        _write_cos(init, n=n)
+        assert (2 * math.exp(-n * float(t)) / -math.expm1(-n * float(t)) <= 1e-14) == resolved
+        codes, outs = {}, {}
+        for method in ("multiplier", "kernel", "subordination"):
+            outs[method] = tmp_path / f"{method}.csv"
+            codes[method] = main(["poisson", "--method", method, "--t", t,
+                                  "--init", str(init), "--out", str(outs[method])])
+        if resolved:
+            assert codes == dict.fromkeys(outs, 0)
+            values = {m: load_function(path).values for m, path in outs.items()}
+            for method in ("kernel", "subordination"):
+                assert np.max(np.abs(values[method] - values["multiplier"])) < 1e-10
+        else:
+            assert codes["kernel"] == 1 and not outs["kernel"].exists()
+            least = math.log1p(2e14) / n
+            named = capsys.readouterr().err.rsplit("needs t >= ", 1)[1]
+            assert least <= float(named) <= least * 1.01
+
+    def test_check_least_grid_is_22(self, tmp_path, capsys):
+        # At n = 20 the Chapman-Kolmogorov record failed on a resolution artefact (exit 2).
+        report = tmp_path / "r.json"
+        assert main(["check", "--suite", "thm1", "--n", "20", "--report", str(report)]) == 1
+        assert "needs n >= 22" in capsys.readouterr().err
+        assert not report.exists()
+        assert main(["check", "--suite", "thm2", "--n", "22", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["all_pass"] is True
+
     def test_theta_eval(self, capsys):
         assert main(["theta", "eval", "--x", "1.0", "--q", "0.5"]) == 0
         printed = float(capsys.readouterr().out.strip())
@@ -510,6 +546,28 @@ class TestCommands:
                      "--kind", "test", "--base", repr(q), "--order", "2",
                      "--constant", "1.0"]) == 0
         assert "member: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, declared, code, printed", [
+        (["--kind", "test", "--base", "0.1", "--order", "1"], True, 0,
+         "member: false (worst ratio 15625 at n = -6"),
+        ([], True, 0, "member: true "),
+        ([], False, 1, "error: no growth class"),
+        (["--kind", "test", "--base", "0.1"], True, 1,
+         "error: give --kind, --base and --order together or none; missing --order\n"),
+        (["--order", "1"], False, 1,
+         "error: give --kind, --base and --order together or none; missing --kind, --base\n"),
+    ])
+    def test_membership_class_flags_all_or_none(self, tmp_path, capsys, flags, declared,
+                                               code, printed):
+        # --kind test --base 0.1 alone once fell back to the declared class: member: true.
+        fpath = tmp_path / "F.json"
+        save_ultra(UltraDistribution(
+            CoefficientSequence.from_rule(6, PowerRule(0.5, 1)),
+            declared_class=GrowthClass("test", 0.5, 1, 1.0) if declared else None,
+        ), fpath)
+        assert main(["ultra", "check-membership", "--dist", str(fpath), *flags]) == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).startswith(printed)
 
     def test_ultra_evolve_comb_serializes(self, tmp_path):
         F = UltraDistribution(
@@ -620,6 +678,19 @@ class TestCommands:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("u_max", ["751", "1e308"])
+    def test_u_max_past_the_exp_underflow_exits_one(self, tmp_path, u_max):
+        # At 1e308, 4 s^2 once overflowed with a RuntimeWarning; -W error makes one fatal.
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        proc = _run_python("-W", "error", "-m", "thetaflow.cli", "subordinate",
+                           "--init", str(init), "--t", "0.8", "--u-max", u_max,
+                           "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: u_max must be finite, exceed 1 and be at most 750, "
+                               f"got {float(u_max)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["subordinate"],
                                          ["poisson", "--method", "subordination"]])
     def test_node_count_over_the_cap_exits_one(self, tmp_path, capsys, monkeypatch, command):
@@ -661,7 +732,9 @@ class TestCommands:
         assert main(["check", "--suite", "thm1", "--n", "16",
                      "--report", str(report)]) == 1
         assert capsys.readouterr().err == (
-            "error: suite 'thm1' needs n >= 18 for its random data (modes up to 8), got 16\n")
+            "error: suite 'thm1' needs n >= 22 (18 for its random data with modes up to 8, "
+            "22 for the alias excess of its kernels at st/(s + t) = 0.05 to stay within 1e-10), "
+            "got 16\n")
         assert not report.exists()
 
     def test_bad_env_tolerance_refused_by_every_command(self, tmp_path, monkeypatch, capsys):
@@ -838,7 +911,7 @@ print(sorted(m for m in sys.modules if m.startswith("thetaflow")))
 
     def test_flow_commands_run_with_theta_checks_ultradist_blocked(self, tmp_path):
         # A None entry in sys.modules makes every import of that module fail.
-        _write_cos(tmp_path / "f.csv", n=32)
+        _write_cos(tmp_path / "f.csv", n=64)  # resolves the Poisson kernel at t >= 0.515
         script = f"""
 import sys
 for name in ("ultradist", "checks", "theta"):
@@ -847,7 +920,7 @@ from thetaflow.cli import main
 d = {str(tmp_path)!r}
 for argv in (["heat"], ["poisson", "--method", "multiplier"],
              ["poisson", "--method", "kernel"], ["poisson", "--method", "subordination"]):
-    assert main([*argv, "--init", d + "/f.csv", "--t", "0.5", "--out", d + "/u.csv"]) == 0
+    assert main([*argv, "--init", d + "/f.csv", "--t", "0.6", "--out", d + "/u.csv"]) == 0
 print(all(sys.modules["thetaflow." + name] is None for name in ("ultradist", "checks", "theta")))
 """
         proc = _run_python("-c", script)

@@ -1,8 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaflow import fourier, semigroups
 from thetaflow.checks import random_bandlimited, random_nonnegative
@@ -160,6 +163,58 @@ class TestPoissonEvolve:
         assert float(np.min(poisson_kernel(0.2, g).values.real)) >= 0.0
 
 
+def _poisson_excess(n, t):
+    """coth(n t / 2) - 1 = 2 / (exp(n t) - 1), without overflow."""
+    return 2.0 * math.exp(-n * t) / -math.expm1(-n * t)
+
+
+class TestPoissonKernelResolution:
+    """poisson_kernel refuses exactly where its samples' mass passes 1 + 1e-14."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 2048).map(lambda half: 2 * half), st.floats(1e-4, 2.0))
+    def test_sampled_mass_is_coth(self, n, t):
+        # Poisson summation: (1/N) sum_j P_r(x_j) = coth(N t / 2) for the Abel kernel
+        # P_r = (1 - r^2) / (1 - 2r cos x + r^2), here without cancellation:
+        # 1 - 2r cos x + r^2 = (1 - r)^2 + 4r sin^2(x/2).
+        g = PeriodicGrid.line(n)
+        r, gap = math.exp(-t), -math.expm1(-t)
+        samples = gap * (1.0 + r) / (gap * gap + 4.0 * r * np.sin(g.points / 2) ** 2)
+        mass = 1.0 + _poisson_excess(n, t)
+        assert float(np.mean(samples)) == pytest.approx(mass, rel=1e-12)
+        if _poisson_excess(n, t) <= 1e-14:
+            assert poisson_kernel(t, g).integral() == pytest.approx(mass, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match="does not resolve the Poisson kernel"):
+                poisson_kernel(t, g)
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 128, 4096])
+    def test_boundary_follows_the_excess(self, n):
+        g = PeriodicGrid.line(n)
+        with pytest.raises(ValueError, match=fr"grid \({n},\) .* at t = 1e-09") as info:
+            poisson_kernel(1e-9, g)
+        named = float(re.search(r"needs t >= (\S+)$", str(info.value)).group(1))
+        least = math.log1p(2e14) / n
+        assert least <= named <= least * 1.01
+        digit = 10.0 ** (math.floor(math.log10(named)) - 2)
+        for t in (named, named - digit, least * (1 + 1e-9), least * (1 - 1e-9)):
+            if _poisson_excess(n, t) <= 1e-14:
+                # Rounding in 1 - 2r cos x + r^2 costs 1.5e-13 at n = 4096.
+                assert poisson_kernel(t, g).integral() == pytest.approx(1.0, abs=1e-12)
+            else:
+                with pytest.raises(ValueError, match="does not resolve"):
+                    poisson_kernel(t, g)
+        with pytest.raises(ValueError):  # the named time is the least one, to three digits
+            poisson_evolve_kernel(_cos(g), named - digit)
+
+    def test_tiny_time_is_refused_not_nan(self):
+        # On 64 points, 1 - 2r cos x + r^2 once rounded to 0 at t = 1e-9: all NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs t >= 0.515"):
+                poisson_evolve_kernel(_cos(_grid(64)), 1e-9)
+
+
 class TestSubordination:
     def test_scalar_identity(self):
         assert bochner_scalar(1.0) == pytest.approx(E_MINUS_1, rel=1e-9)
@@ -231,6 +286,22 @@ class TestSubordination:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError, match="positive"):
             subordinate(_cos(_grid()), 0.0)
+
+    @pytest.mark.parametrize("u_max", [751.0, 1e4, 1e308])
+    def test_u_max_past_the_exp_underflow_rejected(self, u_max):
+        # Past u = 745 exp(-u) is 0.0, so a larger u_max only spreads the nodes
+        # thinner: the sup error at t = 0.8 was 3.2e-4 at u_max = 1e4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u_max must be .* at most 750, got"):
+                SubordinationQuadrature(u_max=u_max)
+
+    def test_u_max_at_the_cap_is_usable(self):
+        g = _grid(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = subordinate(_cos(g), 0.8, SubordinationQuadrature(u_max=750.0))
+        assert np.max(np.abs(out.values - E_MINUS_08 * np.cos(g.points))) < 1e-5
 
     @pytest.mark.parametrize("u_max", [math.nan, math.inf, -math.inf])
     def test_non_finite_u_max_rejected(self, u_max):
@@ -588,13 +659,13 @@ class TestRealPath:
     @pytest.mark.parametrize("make", [
         lambda f: theta_evolve(f, 0.2),
         lambda f: poisson_evolve_multiplier(f, 0.3),
-        lambda f: poisson_evolve_kernel(f, 0.3),
+        lambda f: poisson_evolve_kernel(f, 0.6),
         lambda f: subordinate(f, 0.8),
         lambda f: subordinate(f, 0.8, SubordinationQuadrature(tol=1e-6)),
         generator_apply,
         lambda f: circular_convolve(f, f),
         lambda f: kernel(0.1, f.grid),
-        lambda f: poisson_kernel(0.3, f.grid),
+        lambda f: poisson_kernel(0.6, f.grid),
         maximal_function,
     ])
     def test_real_outputs_are_frozen_float64(self, make):

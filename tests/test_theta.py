@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from thetaflow.fourier import PeriodicGrid
 from thetaflow.theta import (
-    MIN_KERNEL_TIME,
     ThetaParams,
     _image_terms,
     _theta3_images,
@@ -258,10 +258,20 @@ class TestKernel:
         with pytest.raises(ValueError, match="Dirac comb"):
             kernel(-1.0, g)
 
-    def test_rejects_time_below_cap(self):
-        g = PeriodicGrid.line(64)
-        with pytest.raises(ValueError, match="cap"):
-            kernel(MIN_KERNEL_TIME / 2, g)
+    def test_rejects_time_the_grid_cannot_resolve(self):
+        # On 8 points the samples at t = 1e-3 have mass theta3(0, exp(-0.064)) = 7.006;
+        # the grid resolves t >= ln(2e14) / 64 = 0.5145.
+        g = PeriodicGrid.line(8)
+        with pytest.raises(ValueError, match=r"grid \(8,\) does not resolve the heat kernel "
+                           r"at t = 0.001 .*; needs t >= 0.515$"):
+            kernel(1e-3, g)
+        assert kernel(0.515, g).integral() == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError, match="needs t >= 0.515"):
+            kernel(0.514, g)
+
+    def test_fine_grid_resolves_times_below_1e_3(self):
+        k = kernel(5e-4, PeriodicGrid.line(65536))
+        assert k.integral() == pytest.approx(1.0, abs=1e-13)
 
     def test_multidim_kernel_mass(self):
         g = PeriodicGrid((64, 64))
@@ -315,8 +325,11 @@ class TestKernelRoute:
 
     @pytest.mark.parametrize("sizes", [(512,), (96, 64)])
     def test_matches_series(self, sizes):
+        # (96, 64) resolves t >= 8.2e-3 only; (512,) resolves every time here.
         g = PeriodicGrid(sizes)
-        for t in self.TIMES:
+        resolved = [t for t in self.TIMES if sum(2 * math.exp(-n * n * t) for n in sizes) <= 1e-14]
+        assert len(resolved) == (len(self.TIMES) if sizes == (512,) else 18)
+        for t in resolved:
             p = ThetaParams.from_time(t)
             factors = [theta3_series(g.axis_points(a), p) / (2 * np.pi)
                        for a in range(g.dims)]
@@ -343,6 +356,56 @@ class TestKernelRoute:
         assert np.max(np.abs(vals - exact)) <= 1e-14 * np.max(exact)
         assert float(np.min(vals)) >= 0.0
         assert kernel(1e-3, g).integral() == pytest.approx(1.0, abs=1e-13)
+
+
+def _named_time(error):
+    return float(re.search(r"needs t >= (\S+)$", str(error)).group(1))
+
+
+class TestAliasExcess:
+    """kernel refuses exactly where the alias excess sum_axes 2 exp(-N^2 t) passes tol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 2048).map(lambda half: 2 * half), st.floats(1e-4, 2.0))
+    def test_sampled_mass_is_theta3_at_the_aliased_nome(self, n, t):
+        # Poisson summation: (1/N) sum_j theta3(x_j, exp(-t)) = theta3(0, exp(-N^2 t)).
+        g = PeriodicGrid.line(n)
+        aliased = theta3_series(0.0, ThetaParams(math.exp(-n * n * t)))
+        for samples in (_theta3_images(g.points, t, 1e-14),
+                        theta3_series(g.points, ThetaParams.from_time(t))):
+            assert float(np.mean(samples)) == pytest.approx(aliased, rel=1e-12)
+        if 2 * math.exp(-n * n * t) <= 1e-14:
+            assert kernel(t, g).integral() == pytest.approx(aliased, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match="does not resolve the heat kernel"):
+                kernel(t, g)
+
+    @pytest.mark.parametrize("sizes", [(4,), (8,), (64,), (4096,), (64, 64), (96, 64),
+                                       (4, 6, 8)])
+    @pytest.mark.parametrize("tol", [1e-14, 1e-8])
+    def test_boundary_follows_the_excess(self, sizes, tol):
+        g = PeriodicGrid(sizes)
+        with pytest.raises(ValueError, match=fr"grid \({', '.join(map(str, sizes))},?\)") as info:
+            kernel(1e-6, g, tol)
+        named = _named_time(info.value)
+        least = math.log(2 * len(sizes) / tol) / min(sizes) ** 2  # exact for equal sizes
+        assert least <= named <= least * 1.01
+        digit = 10.0 ** (math.floor(math.log10(named)) - 2)
+        for t in (named, named - digit, least * (1 + 1e-9), least * (1 - 1e-9)):
+            if sum(2 * math.exp(-n * n * t) for n in sizes) <= tol:
+                # The alias excess, plus at most tol from truncating the form.
+                assert kernel(t, g, tol).integral() == pytest.approx(1.0, abs=max(2 * tol, 1e-13))
+            else:
+                with pytest.raises(ValueError, match="does not resolve"):
+                    kernel(t, g, tol)
+        if len(set(sizes)) == 1:  # the named time is the least one, to three digits
+            with pytest.raises(ValueError):
+                kernel(named - digit, g, tol)
+
+    def test_subnormal_tol_still_names_a_time(self):
+        # 2 / tol overflows to inf at tol = 5e-324; its logarithm does not.
+        with pytest.raises(ValueError, match=r"needs t >= 11.7$"):
+            kernel(1e-3, PeriodicGrid.line(8), tol=5e-324)
 
 
 class TestNonFiniteAngle:
