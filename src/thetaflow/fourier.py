@@ -23,6 +23,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# exp(-x) is 0.0 in double precision once x passes about 745.2; past this
+# margin it is 0.0 however the platform's exp rounds its last bit.
+_EXP_ZERO = 750.0
+
 # Magnitude above which a discarded Nyquist coefficient triggers a warning,
 # relative to the largest retained coefficient.
 NYQUIST_WARN_RATIO = 1e-10
@@ -73,7 +77,10 @@ class PeriodicGrid:
     def axis_points(self, axis: int = 0) -> np.ndarray:
         """Sample points 2pi j / N along one axis."""
         n = self.sizes[axis]
-        return TWO_PI * np.arange(n) / n
+        x = np.arange(n, dtype=float)
+        x *= TWO_PI  # in place: the same bits as TWO_PI * j / N, without temporaries
+        x /= n
+        return x
 
     def axes(self) -> tuple[np.ndarray, ...]:
         return tuple(self.axis_points(a) for a in range(self.dims))

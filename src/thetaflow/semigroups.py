@@ -43,13 +43,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import (PeriodicGrid, SampledFunction, _forward, _integer, _inverse,
-                      _require_resolved, circular_convolve)
+from .fourier import (_EXP_ZERO, PeriodicGrid, SampledFunction, _forward, _integer,
+                      _inverse, _require_resolved, circular_convolve)
 
 # Panel break for the substituted Gauss-Legendre rule: one panel resolves
 # the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
-# envelope. Chosen empirically; 64 total nodes then reach ~1e-10 absolute
-# accuracy for evolution times down to t = 0.2.
+# envelope. Chosen empirically. With 64 total nodes, subordinating cos x
+# misses the multiplier by 7.3e-10 on 256 points at t = 0.2 and by 6.4e-5
+# on 4096 points at t = 0.01; the tol check (--quad-tol) bounds the error.
 _PANEL_SPLIT = 0.6
 _TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
 
@@ -57,9 +58,6 @@ _TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
 # _decay caps a rate here: below the cap nothing changes, above it x = 0
 # still gives 1 and r x can neither overflow nor become inf * 0.
 _RATE_CAP = 1e3
-# exp(-x) is 0.0 in double precision once x passes about 745.2; past this
-# margin it is 0.0 however the platform's exp rounds its last bit.
-_EXP_ZERO = 750.0
 
 # Largest node count of a SubordinationQuadrature: the rule for m nodes is
 # built from a dense m x m matrix, and 64 nodes already reach ~1e-10.
@@ -188,7 +186,9 @@ poisson_evolve_d = poisson_evolve_multiplier
 def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
     """Closed-form Poisson kernel (1/2pi)(1 - r^2)/(1 - 2r cos x + r^2), r = exp(-t).
 
-    Refused where its samples' mass coth(N t / 2) passes 1 + 1e-14, kernel's default tol.
+    The denominator is formed as (1 - r)^2 + 4r sin^2(x/2), with 1 - r and
+    1 - r^2 from expm1, so nothing cancels near x = 0 at small t. Refused
+    where its samples' mass coth(N t / 2) passes 1 + 1e-14, kernel's default tol.
     """
     if grid.dims != 1:
         raise ValueError("poisson_kernel expects a 1-d grid")
@@ -197,8 +197,9 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
                       excess=2.0 / math.expm1(min(grid.npoints * t, 700.0)),
                       least=math.log1p(2e14) / grid.npoints)
     r = math.exp(-t)
-    x = grid.points
-    vals = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(x) + r * r) / (2.0 * np.pi)
+    half_sine = np.sin(0.5 * grid.points)
+    denominator = math.expm1(-t) ** 2 + 4.0 * r * half_sine * half_sine
+    vals = -math.expm1(-2.0 * t) / denominator / (2.0 * np.pi)
     return SampledFunction(grid, vals, kind="real")
 
 

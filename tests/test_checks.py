@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from thetaflow.checks import _place_modes, random_bandlimited, random_nonnegative, run_suite
-from thetaflow.fourier import PeriodicGrid, analyze
+from thetaflow import checks
+from thetaflow.checks import (EVOLVE_TIMES, _place_modes, random_bandlimited, random_nonnegative,
+                              run_suite)
+from thetaflow.fourier import PeriodicGrid, analyze, circular_convolve
+from thetaflow.semigroups import theta_evolve
+from thetaflow.theta import kernel
 
 # Halfwidths and grids of the placement tests; the last three alias (2 hw + 1 > N).
 PLACEMENTS = [(8, (64,)), (4, (8, 6)), (8, (4,)), (8, (6,)), (4, (4, 8))]
@@ -123,3 +127,31 @@ class TestSuites:
         for rec in d["records"]:
             assert set(rec) == {"name", "detail", "max_error", "tolerance", "pass"}
             assert rec["pass"] == (rec["max_error"] <= rec["tolerance"])
+
+
+class TestRecordsSampleEachTimeOnce:
+    """The semigroup and Chapman-Kolmogorov records reuse the flows and kernels they repeat."""
+
+    @pytest.mark.parametrize("sizes", [(64,), (22, 22)])
+    def test_same_errors_from_fewer_calls(self, sizes, monkeypatch):
+        grid = PeriodicGrid(sizes)
+        f = random_bandlimited(grid, 4, np.random.default_rng(5))
+        twice = max(float(np.max(np.abs(theta_evolve(theta_evolve(f, t2), t1).values
+                                        - theta_evolve(f, t1 + t2).values)))
+                    for t1, t2 in itertools.product(EVOLVE_TIMES, repeat=2))
+        ck = max(float(np.max(np.abs(circular_convolve(kernel(s, grid), kernel(t, grid)).values
+                                     - kernel(s + t, grid).values)))
+                 for s, t in itertools.combinations_with_replacement(EVOLVE_TIMES, 2))
+        calls = {"theta_evolve": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(checks, "theta_evolve", counted("theta_evolve", theta_evolve))
+        monkeypatch.setattr(checks, "kernel", counted("kernel", kernel))
+        assert checks._record_semigroup(f).max_error == twice
+        assert checks._record_chapman_kolmogorov(grid).max_error == ck
+        assert calls == {"theta_evolve": 21, "kernel": 9}  # 27 and 18 without reuse

@@ -199,13 +199,19 @@ class TestPoissonKernelResolution:
         digit = 10.0 ** (math.floor(math.log10(named)) - 2)
         for t in (named, named - digit, least * (1 + 1e-9), least * (1 - 1e-9)):
             if _poisson_excess(n, t) <= 1e-14:
-                # Rounding in 1 - 2r cos x + r^2 costs 1.5e-13 at n = 4096.
-                assert poisson_kernel(t, g).integral() == pytest.approx(1.0, abs=1e-12)
+                assert poisson_kernel(t, g).integral() == pytest.approx(1.0, abs=1e-13)
             else:
                 with pytest.raises(ValueError, match="does not resolve"):
                     poisson_kernel(t, g)
         with pytest.raises(ValueError):  # the named time is the least one, to three digits
             poisson_evolve_kernel(_cos(g), named - digit)
+
+    @pytest.mark.parametrize("n, t", [(65536, 1e-3), (4096, math.log1p(2e14) / 4096 * (1 + 1e-9))])
+    def test_mass_has_no_cancellation_error(self, n, t):
+        # Formed as 1 - 2r cos x + r^2, the denominator cancelled near x = 0:
+        # the mass at (65536, 1e-3) was off by 2.9e-11, at the 4096-point
+        # boundary by 1.5e-13.
+        assert poisson_kernel(t, PeriodicGrid.line(n)).integral() == pytest.approx(1.0, abs=1e-13)
 
     def test_tiny_time_is_refused_not_nan(self):
         # On 64 points, 1 - 2r cos x + r^2 once rounded to 0 at t = 1e-9: all NaN.

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaflow.fourier import PeriodicGrid
+from thetaflow.fourier import _EXP_ZERO, PeriodicGrid
 from thetaflow.theta import (
     ThetaParams,
     _image_terms,
+    _reduce_angle,
     _theta3_images,
     _product_factors,
     _series_terms,
@@ -294,6 +295,142 @@ def _image_sum(x, t, images=range(-3, 5)):
                                         for k in images)
 
 
+# The loops of theta3_series, theta3_product and _theta3_images as they were
+# before they ran in place: each pass allocates fresh arrays, every angle is
+# reduced by np.mod and every image is summed over every sample. The
+# library's loops must give the same bits.
+
+def series_loop(x, params):
+    q = params.q
+    xr = np.mod(np.asarray(x, dtype=float), 2 * np.pi)
+    total = np.ones_like(xr)
+    for n in range(1, _series_terms(q, params.tol) + 1):
+        total = total + 2.0 * q ** (n * n) * np.cos(n * xr)
+    total = np.maximum(total, 0.0)
+    return total if total.ndim else float(total)
+
+
+def product_loop(x, params):
+    q = params.q
+    xr = np.mod(np.asarray(x, dtype=float), 2 * np.pi)
+    total = np.ones_like(xr)
+    if q > 0.0:
+        cx = np.cos(xr)
+        for n in range(1, _product_factors(q, params.tol) + 1):
+            b = q ** (2 * n - 1)
+            bracket = 1.0 + 2.0 * b * cx + b * b
+            euler = 1.0 - q ** (2 * n)
+            assert not np.any(bracket < 0.0) and euler >= 0.0
+            total = total * (bracket * euler)
+    return total if total.ndim else float(total)
+
+
+def images_loop(x, t, tol):
+    xr = np.mod(np.asarray(x, dtype=float), 2 * np.pi)
+    total = np.zeros_like(xr)
+    terms = _image_terms(t, tol)
+    for k in range(1 - terms, terms + 1):
+        total = total + np.exp(-(xr - 2 * np.pi * k) ** 2 / (4.0 * t))
+    return math.sqrt(math.pi / t) * total
+
+
+def kernel_loop(t, grid, tol=1e-14):
+    params = ThetaParams.from_time(t, tol=tol)
+    if 2 * _image_terms(t, tol) < _series_terms(params.q, tol):
+        theta = lambda x: images_loop(x, t, tol)
+    else:
+        theta = lambda x: series_loop(x, params)
+    factors = [theta(grid.axis_points(a)) / (2 * np.pi) for a in range(grid.dims)]
+    vals = factors[0]
+    for f in factors[1:]:
+        vals = np.multiply.outer(vals, f)
+    return vals
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+_RNG = np.random.default_rng(15)
+ANGLES = {
+    "grid": PeriodicGrid.line(4096).points,
+    "sorted": np.sort(_RNG.uniform(0.0, 2 * np.pi, 1000)),
+    "unsorted": _RNG.uniform(0.0, 2 * np.pi, 1000),
+    "negative": -_RNG.uniform(0.0, 50.0, 500),
+    "sorted_wide": np.sort(_RNG.uniform(-20.0, 20.0, 500)),
+    "large": _RNG.uniform(-1e10, 1e10, 500),
+    "two_dim": _RNG.uniform(-10.0, 10.0, (12, 20)),
+    "edges": np.array([0.0, -0.0, np.pi, 2 * np.pi, np.nextafter(2 * np.pi, 0.0),
+                       1e-300, -1e-300, 1e10]),
+    "empty": np.zeros(0),
+}
+SCALARS = [0.0, -0.0, 1.0, -1.0, np.pi, 2 * np.pi, 3.5e5, 1e10]
+
+
+class TestSameBitsAsTheLoops:
+    """The in-place loops, windows and skipped reduction change no bit of any output."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.1, 0.5, 0.9, 0.99])
+    def test_series_and_product(self, q):
+        p = ThetaParams(q)
+        for x in list(ANGLES.values()) + SCALARS:
+            assert same_bits(theta3_series(x, p), series_loop(x, p))
+            assert same_bits(theta3_product(x, p), product_loop(x, p))
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 30.0])
+    @pytest.mark.parametrize("tol", [1e-14, 1e-8])
+    def test_images(self, t, tol):
+        for x in list(ANGLES.values()) + SCALARS:
+            assert same_bits(_theta3_images(x, t, tol), images_loop(x, t, tol))
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    def test_images_at_the_window_edges(self, t):
+        # Angles at 2pi k -/+ w (1 -/+ 1e-9), w = sqrt(4t _EXP_ZERO): just
+        # inside and just outside the window of each image.
+        w = math.sqrt(4.0 * t * _EXP_ZERO)
+        x = np.array([2 * np.pi * k + s * w * (1.0 + e)
+                      for k in range(-2, 3) for s in (-1, 1) for e in (-1e-9, 1e-9)])
+        for angles in (x, np.sort(x), np.sort(np.mod(x, 2 * np.pi))):
+            assert same_bits(_theta3_images(angles, t, 1e-14), images_loop(angles, t, 1e-14))
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 512, 4096, 65536])
+    def test_kernel_on_lines(self, n):
+        g = PeriodicGrid.line(n)
+        times = [t for t in np.geomspace(1e-4, 3.0, 9) if 2 * math.exp(-n * n * t) <= 1e-14]
+        for t in times + [1e-3, 1e-2] * (n == 65536):
+            assert same_bits(kernel(t, g).values, kernel_loop(t, g))
+
+    @pytest.mark.parametrize("sizes", [(96, 64), (256, 256)])
+    def test_kernel_on_planes(self, sizes):
+        g = PeriodicGrid(sizes)
+        for t in (8.2e-3, 0.05, 0.3, 1.0, 2.6):
+            assert same_bits(kernel(t, g).values, kernel_loop(t, g))
+
+    def test_kernel_times_span_the_crossover(self):
+        routes = {2 * _image_terms(t, 1e-14) < _series_terms(math.exp(-t), 1e-14)
+                  for t in (8.2e-3, 0.05, 0.3, 1.0, 2.6)}
+        assert routes == {True, False}
+
+    def test_angles_in_range_skip_reduction(self):
+        x = PeriodicGrid.line(64).points
+        assert _reduce_angle(x) is x
+        assert not np.shares_memory(_reduce_angle(x - 1.0), x)
+
+    @pytest.mark.parametrize("form", [
+        lambda x: theta3_series(x, ThetaParams(0.5)),
+        lambda x: theta3_product(x, ThetaParams(0.5)),
+        lambda x: _theta3_images(x, 0.01, 1e-14),
+    ], ids=["series", "product", "images"])
+    def test_negative_zero_is_kept_and_harmless(self, form):
+        # np.mod turned -0.0 into +0.0; kept as it is, it gives the same
+        # bits, since every form is even in x.
+        x = np.array([-0.0, 1.0])
+        assert np.signbit(_reduce_angle(x)[0])
+        assert same_bits(form(x), form(np.array([0.0, 1.0])))
+        assert same_bits(form(-0.0), form(0.0))
+
+
 class TestKernelRoute:
     TIMES = np.geomspace(1e-3, 3.0, 25)
 
@@ -338,20 +475,29 @@ class TestKernelRoute:
             assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(ref)
 
     def test_small_time_on_fine_line(self, monkeypatch):
-        # At t = 1e-3 the image route runs no cosine pass; its values are
-        # nonnegative without a clamp.
-        cos_calls = []
+        # At t = 1e-3 the image route runs no cosine pass, and each image
+        # exponentiates only the samples within sqrt(4t _EXP_ZERO) = 1.73
+        # of its centre (about 55 % of the line for both images together);
+        # its values are nonnegative without a clamp.
+        cos_calls, exp_elements = [], []
 
         def counting_cos(*args, **kwargs):
             cos_calls.append(1)
             return original_cos(*args, **kwargs)
 
-        original_cos = np.cos
+        def counting_exp(x, *args, **kwargs):
+            exp_elements.append(np.size(x))
+            return original_exp(x, *args, **kwargs)
+
+        original_cos, original_exp = np.cos, np.exp
         monkeypatch.setattr(np, "cos", counting_cos)
+        monkeypatch.setattr(np, "exp", counting_exp)
         g = PeriodicGrid.line(65536)
         vals = kernel(1e-3, g).values.real
         monkeypatch.undo()
         assert not cos_calls
+        assert len(exp_elements) == 2 * _image_terms(1e-3, 1e-14)
+        assert sum(exp_elements) < 65536
         exact = _image_sum(g.points, 1e-3) / (2 * np.pi)
         assert np.max(np.abs(vals - exact)) <= 1e-14 * np.max(exact)
         assert float(np.min(vals)) >= 0.0
