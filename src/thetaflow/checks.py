@@ -20,7 +20,7 @@ from .fourier import PeriodicGrid, SampledFunction, circular_convolve, inner
 from .semigroups import (
     generator_apply,
     heat_residual,
-    poisson_evolve_multiplier,
+    subordinate,
     theta_evolve,
 )
 from .theta import kernel
@@ -226,7 +226,7 @@ def _record_sqrt2_decay(grid: PeriodicGrid) -> PropertyRecord:
     worst = 0.0
     for t in SQRT2_TIMES:
         expected = math.exp(-t * math.sqrt(2.0)) * f.values
-        got = poisson_evolve_multiplier(f, t).values
+        got = subordinate(f, t).values
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return PropertyRecord(
         "poisson_sqrt2_decay",

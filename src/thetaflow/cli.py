@@ -117,7 +117,7 @@ def _add_flow_args(parser: argparse.ArgumentParser, quad: bool) -> None:
     parser.add_argument("--t", type=float, required=True)
     parser.add_argument("--out", required=True, help="output function CSV")
     if quad:
-        parser.add_argument("--nodes", type=int, default=64)
+        parser.add_argument("--nodes", type=int, default=SubordinationQuadrature.nodes)
         parser.add_argument("--u-max", type=float, default=36.0, dest="u_max")
         parser.add_argument("--quad-tol", type=float, default=None, dest="quad_tol")
 

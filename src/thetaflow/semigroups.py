@@ -9,8 +9,10 @@ subordination identity
                 * exp(-lam^2 / 4u) du,
 
 which averages Gaussian decays into an exponential one. It is evaluated
-by one rule, Gauss-Legendre in the substituted variable u = s^2, and an
-optional check bounds its error by the Bochner defect. In d dimensions
+by one rule, the trapezoid rule in v = ln s after the substitution
+u = s^2, whose error is bounded a priori for every t and |n| (see
+SubordinationQuadrature); an optional check also bounds it a posteriori
+by the Bochner defect. In d dimensions
 the heat multiplier tensorizes to exp(-t * sum n_j^2) while the
 subordinated multiplier exp(-t * sqrt(sum n_j^2)) does not factor; the
 two flows coincide only on one axis.
@@ -19,14 +21,14 @@ Every flow is diagonal in Fourier space with a symbol that depends on
 |n|^2 alone, so all of them go through one spectral core: the symbol is
 evaluated once per distinct |n|^2 on the grid and applied with a real
 FFT pair for real-kind data (a complex pair otherwise). Subordination is
-summed at the symbol level, S(|n|^2) = sum_i c_i exp(-tau_i |n|^2) over
+summed at the symbol level, S(|n|^2) = sum_k c_k exp(-tau_k |n|^2) over
 the quadrature nodes, and then applied with that single FFT pair.
 
-Cost of subordination: the Gauss-Legendre rule is built once per node
-count per process and cached, and the symbol costs one exp per (node,
-|n|^2) pair that does not underflow to 0.0; node i stops at the first
-|n|^2 with tau_i |n|^2 past the underflow point. Its optional error check
-reads the spectrum the flow has already taken, so no transform is added.
+Cost of subordination: the rule has about (ln 72 - ln t) / 0.15 nodes,
+whatever the grid, and the symbol costs one exp per (node, |n|^2) pair
+that does not underflow to 0.0; node k stops at the first |n|^2 with
+tau_k |n|^2 past the underflow point. Its optional error check reads the
+spectrum the flow has already taken, so no transform is added.
 
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
@@ -46,21 +48,20 @@ import numpy as np
 from .fourier import (_EXP_ZERO, PeriodicGrid, SampledFunction, _forward, _integer,
                       _inverse, _require_resolved, circular_convolve)
 
-# Panel break for the substituted Gauss-Legendre rule: one panel resolves
-# the rise of exp(-lam^2 / 4 s^2) near the origin, the other the Gaussian
-# envelope. Chosen empirically. With 64 total nodes, subordinating cos x
-# misses the multiplier by 7.3e-10 on 256 points at t = 0.2 and by 6.4e-5
-# on 4096 points at t = 0.01; the tol check (--quad-tol) bounds the error.
-_PANEL_SPLIT = 0.6
-_TAIL_DECAY = 10.0  # eps = t / _TAIL_DECAY puts exp(-t^2/4eps^2) ~ 1e-11
+# Step of the subordination trapezoid rule in v = ln s. Its discretisation
+# error is at most 1.1e-13 for every t and |n| (SubordinationQuadrature).
+_STEP = 0.15
+# The lowest node sits at s = t / _LOW_NODE, where the smallest nonzero
+# lam = t|n| = t has lam^2 / 4 s^2 = 36: the nodes below add under e^-36.
+_LOW_NODE = 12.0
 
 # exp(-r x) is 0.0 in double precision for every x >= 1 once r > 745.2, so
 # _decay caps a rate here: below the cap nothing changes, above it x = 0
 # still gives 1 and r x can neither overflow nor become inf * 0.
 _RATE_CAP = 1e3
 
-# Largest node count of a SubordinationQuadrature: the rule for m nodes is
-# built from a dense m x m matrix, and 64 nodes already reach ~1e-10.
+# Most nodes a SubordinationQuadrature may allow, and its default: 1024
+# nodes reach every t down to about 1.4e-65.
 _MAX_NODES = 1024
 
 _COARSE_SPACING = 1e-2  # heat_residual warns on a coarser time grid
@@ -197,7 +198,10 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
                       excess=2.0 / math.expm1(min(grid.npoints * t, 700.0)),
                       least=math.log1p(2e14) / grid.npoints)
     r = math.exp(-t)
-    half_sine = np.sin(0.5 * grid.points)
+    # sin(x_j / 2) as sin(pi min(j, N - j) / N): the float points near 2pi
+    # sit off their exact place, and their error would shift the mass.
+    j = np.arange(grid.npoints)
+    half_sine = np.sin(np.pi / grid.npoints * np.minimum(j, grid.npoints - j))
     denominator = math.expm1(-t) ** 2 + 4.0 * r * half_sine * half_sine
     vals = -math.expm1(-2.0 * t) / denominator / (2.0 * np.pi)
     return SampledFunction(grid, vals, kind="real")
@@ -213,21 +217,36 @@ def poisson_evolve_kernel(f: SampledFunction, t: float) -> SampledFunction:
 class SubordinationQuadrature:
     """Quadrature plan for the subordination integral over (0, inf).
 
-    The rule substitutes u = s^2 to remove the 1/sqrt(u) singularity and
-    applies panelled Gauss-Legendre with the given number of nodes on
-    [eps, sqrt(u_max)]; the remaining [0, eps) piece is replaced
-    analytically by its mean-value limit. It yields a symbol S(|n|^2) that
-    approximates exp(-t|n|).
+    The integral (2/sqrt(pi)) int_0^inf exp(-s^2 - lam^2/4s^2) ds, lam = t|n|,
+    becomes with s = e^v the integral of
+    f(v) = (2/sqrt(pi)) e^v exp(-e^{2v} - lam^2 e^{-2v}/4) over the real line.
+    The rule is the trapezoid rule of step h = 0.15 on the nodes
+    v_k = ln(u_max)/2 - k h, k = 0, 1, ..., down to v = ln(t/12), with
+    weights c_k = (2/sqrt(pi)) h s_k exp(-s_k^2); mode n = 0 gets exactly 1.
+    It yields a symbol S(|n|^2) that approximates exp(-t|n|).
 
-    nodes must be an integer from 8 to 1024 and u_max a number in (1, 750],
-    since exp(-u) is 0.0 in double precision past about 745. tol,
-    when set, must be finite and requests an error check: the Bochner defect
-    sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes of the input,
-    which bounds the sup-norm quadrature error of the result, must not
-    exceed tol, or a SubordinationError is raised.
+    Error bound, for every t and |n|: f is analytic in the strip
+    |Im v| < pi/4, and on |Im v| <= pi/4 - delta, where
+    Re e^{+-2v} >= e^{+-2 Re v} sin(2 delta), its absolute integral is at
+    most M = sin(2 delta)^(-1/2). The trapezoid rule on the whole line then
+    errs by at most 2M / (exp(2 pi (pi/4 - delta) / h) - 1) (Trefethen and
+    Weideman, SIAM Review 56 (2014), Thm 5.1): 1.1e-13 at delta = 0.012. The
+    nodes left out add at most (2/sqrt(pi)) min(t/12, sqrt(u_max)) e^-36
+    h / (1 - e^-h) below, under 7.7e-15, and erfc(sqrt(u_max)) above,
+    2.2e-17 at the default u_max = 36. So |S - exp(-t|n|)| <= 1.2e-13 by
+    default, rounding aside.
+
+    nodes is the most nodes the rule may take, an integer from 8 to 1024;
+    a t that needs more, about (ln(12 sqrt(u_max)) - ln t) / h + 1, is
+    refused with a ValueError. u_max, the upper truncation point, is a
+    number in (1, 750], since exp(-u) is 0.0 in double precision past about
+    745. tol, when set, must be finite and requests an error check: the
+    Bochner defect sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes
+    of the input, which bounds the sup-norm quadrature error of the result,
+    must not exceed tol, or a SubordinationError is raised.
     """
 
-    nodes: int = 64
+    nodes: int = _MAX_NODES
     u_max: float = 36.0
     tol: Optional[float] = None
 
@@ -238,64 +257,40 @@ class SubordinationQuadrature:
             raise ValueError(f"need at least 8 nodes, got {nodes}")
         if nodes > _MAX_NODES:
             raise ValueError(f"at most {_MAX_NODES} nodes, got {nodes}")
-        if not 1 < self.u_max <= _EXP_ZERO:  # past it exp(-u) adds nothing but sparser nodes
+        if not 1 < self.u_max <= _EXP_ZERO:  # past it exp(-u) adds nothing
             raise ValueError(f"u_max must be finite, exceed 1 and be at most {_EXP_ZERO:g}, "
                              f"got {self.u_max}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite when given, got {self.tol}")
 
 
-@lru_cache(maxsize=16)
-def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre nodes and weights on [-1, 1], built once per m, read-only."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _gauss_nodes(eps: float, s_max: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    breaks = [eps]
-    if eps < _PANEL_SPLIT < s_max:
-        breaks.append(_PANEL_SPLIT)
-    breaks.append(s_max)
-    panels = len(breaks) - 1
-    counts = [nodes // panels] * (panels - 1)
-    counts.append(nodes - sum(counts))
-    ss, ww = [], []
-    for a, b, m in zip(breaks[:-1], breaks[1:], counts):
-        x, w = _legendre_rule(m)
-        ss.append(0.5 * (b - a) * x + 0.5 * (b + a))
-        ww.append(0.5 * (b - a) * w)
-    return np.concatenate(ss), np.concatenate(ww)
-
-
 def _subordination_symbol(n2: np.ndarray, t: float,
                           quad: SubordinationQuadrature) -> np.ndarray:
-    """S(|n|^2) = erf(eps) [n = 0] + sum_i c_i exp(-tau_i |n|^2), tau_i = t^2 / 4 s_i^2.
+    """S(|n|^2) = sum_k c_k exp(-tau_k |n|^2), tau_k = t^2 / 4 s_k^2, and S(0) = 1.
 
-    The quadrature of the subordination integral, carried out on symbol
-    values: node i contributes the heat symbol at time tau_i with weight
-    c_i = (2/sqrt(pi)) w_i exp(-s_i^2).
+    The trapezoid rule of SubordinationQuadrature, carried out on symbol
+    values: node k contributes the heat symbol at time tau_k with weight
+    c_k. A t past 12 sqrt(u_max) leaves no nodes; a t that needs more
+    than quad.nodes is refused with a ValueError.
 
     n2 must be sorted ascending, as the distinct |n|^2 of a grid are. Node
-    i then only adds over the prefix of n2 where exp(-tau_i |n|^2) is not
+    k then only adds over the prefix of n2 where exp(-tau_k |n|^2) is not
     0.0, so a node costs one exp per mode it reaches: the sum equals the
     full one bit for bit, since the terms left out are exact zeros.
     """
-    t = float(t)  # t * t below may overflow to inf, which the rate cap takes
-    s_max = math.sqrt(quad.u_max)
-    eps = min(t / _TAIL_DECAY, s_max / 2)
-    # Analytic small-s piece: the evolution time t^2/4s^2 blows up there,
-    # where the heat flow has already flattened f to its mean.
-    acc = np.where(n2 == 0, math.erf(eps), 0.0)
-    s, w = _gauss_nodes(eps, s_max, quad.nodes)
-    coef = 2.0 / math.sqrt(math.pi) * w * np.exp(-s * s)
-    rates = np.minimum(t * t / (4.0 * s * s), _RATE_CAP)  # as _decay caps them
-    with np.errstate(divide="ignore", over="ignore"):  # a zero rate reaches every mode
-        reach = np.searchsorted(n2, _EXP_ZERO / rates, side="right")
+    top = 0.5 * math.log(quad.u_max)
+    count = max(math.floor((top + math.log(_LOW_NODE) - math.log(t)) / _STEP) + 1, 0)
+    if count > quad.nodes:
+        raise ValueError(f"t = {t} needs {count} subordination nodes, "
+                         f"more than the {quad.nodes} allowed")
+    s = np.exp(top - _STEP * np.arange(count))
+    coef = 2.0 / math.sqrt(math.pi) * _STEP * s * np.exp(-s * s)
+    rates = (0.5 * t / s) ** 2  # at most 36: the lowest node has s >= t / 12
+    reach = np.searchsorted(n2, _EXP_ZERO / rates, side="right")
+    acc = np.zeros_like(n2)
     for r, c, k in zip(rates, coef, reach):
         acc[:k] += c * np.exp(-r * n2[:k])
+    acc[n2 == 0] = 1.0
     return acc
 
 
@@ -315,7 +310,9 @@ def bochner_scalar(lam: float) -> float:
 
     Equals exp(-lam); the default quadrature's scalar sanity check. It
     evaluates the symbol that subordinate applies: at t = lam on a mode
-    with |n| = 1, or, for lam = 0, on the mode n = 0 (at t = 1).
+    with |n| = 1, or, for lam = 0, on the mode n = 0 (at t = 1). A lam
+    below about 1.4e-65 needs more than the 1024 nodes the rule allows
+    and is refused with a ValueError.
     """
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -344,7 +341,7 @@ def subordinate(f: SampledFunction, t: float,
         if est > quad.tol:
             raise SubordinationError(
                 f"estimated quadrature error {est:.3e} exceeds requested "
-                f"{quad.tol:.3e} (nodes = {quad.nodes}, t = {t})"
+                f"{quad.tol:.3e} (t = {t}, u_max = {quad.u_max})"
             )
     return out
 

@@ -95,7 +95,7 @@ def test_criterion_4_subordination_recovers_poisson():
         )))
         if gap > 1e-7:
             failures.append(f"t={t}: sup gap {gap:.3e} > 1e-7")
-    _finish(4, "64-node subordination matches the closed-form kernel path to 1e-7",
+    _finish(4, "default subordination rule matches the closed-form kernel path to 1e-7",
             failures, time.perf_counter() - t0, budget=5.0)
 
 

@@ -155,3 +155,19 @@ class TestRecordsSampleEachTimeOnce:
         assert checks._record_semigroup(f).max_error == twice
         assert checks._record_chapman_kolmogorov(grid).max_error == ck
         assert calls == {"theta_evolve": 21, "kernel": 9}  # 27 and 18 without reuse
+
+
+class TestSqrt2DecayIsSubordinated:
+    """thm2's poisson_sqrt2_decay record measures the subordinated flow, as its detail says."""
+
+    def test_record_goes_through_subordinate(self, monkeypatch):
+        calls = []
+
+        def heat_instead(f, t):
+            calls.append(t)
+            return theta_evolve(f, t)  # damps cos(x1)cos(x2) by exp(-2t), not exp(-t sqrt 2)
+
+        monkeypatch.setattr(checks, "subordinate", heat_instead)
+        record = checks._record_sqrt2_decay(PeriodicGrid((22, 22)))
+        assert calls == list(checks.SQRT2_TIMES)
+        assert not record.passed

@@ -693,17 +693,37 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", [["subordinate"],
                                          ["poisson", "--method", "subordination"]])
-    def test_node_count_over_the_cap_exits_one(self, tmp_path, capsys, monkeypatch, command):
-        def refuse(m):
-            raise AssertionError("a Gauss-Legendre rule was built")
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    def test_node_count_over_the_cap_exits_one(self, tmp_path, capsys, command):
         init, out = tmp_path / "f.csv", tmp_path / "u.csv"
         _write_cos(init, n=16)
         assert main([*command, "--init", str(init), "--t", "0.8", "--nodes", "1025",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: at most 1024 nodes, got 1025\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["subordinate"],
+                                         ["poisson", "--method", "subordination"]])
+    def test_time_that_needs_more_nodes_exits_one(self, tmp_path, capsys, command):
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        assert main([*command, "--init", str(init), "--t", "1e-3", "--nodes", "64",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: t = 0.001 needs 75 subordination nodes, "
+                                           "more than the 64 allowed\n")
+        assert not out.exists()
+
+    def test_subordination_matches_the_multiplier_at_small_time(self, tmp_path):
+        # The 64-node Gauss-Legendre rule this replaced missed by 6.4e-5 here.
+        init = tmp_path / "f.csv"
+        _write_cos(init, n=4096)
+        outs = {}
+        for method in ("subordination", "multiplier"):
+            outs[method] = tmp_path / f"{method}.csv"
+            assert main(["poisson", "--method", method, "--init", str(init), "--t", "0.01",
+                         "--out", str(outs[method])]) == 0
+        gap = np.abs(load_function(outs["subordination"]).values
+                     - load_function(outs["multiplier"]).values)
+        assert float(np.max(gap)) <= 1e-13
 
     def test_subordinate_is_poisson_by_subordination(self, tmp_path):
         init = tmp_path / "f.csv"
@@ -903,11 +923,14 @@ assert main(["heat", "--init", d + "/f.csv", "--t", "0.1", "--out", d + "/u.csv"
 assert main(["poisson", "--method", "subordination", "--init", d + "/u.csv",
              "--t", "0.8", "--out", d + "/v.csv"]) == 0
 print(sorted(m for m in sys.modules if m.startswith("thetaflow")))
+print("numpy.polynomial" in sys.modules)
 """
         proc = _run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str(["thetaflow", "thetaflow.cli", "thetaflow.fourier",
-                                           "thetaflow.io", "thetaflow.semigroups"])
+        loaded, polynomial = proc.stdout.strip().splitlines()
+        assert loaded == str(["thetaflow", "thetaflow.cli", "thetaflow.fourier",
+                              "thetaflow.io", "thetaflow.semigroups"])
+        assert polynomial == "False"  # the subordination rule needs no Gauss-Legendre nodes
 
     def test_flow_commands_run_with_theta_checks_ultradist_blocked(self, tmp_path):
         # A None entry in sys.modules makes every import of that module fail.
