@@ -9,6 +9,8 @@ Grids are node-centered at x_j = 2pi j / N, so the implied quadrature is
 the trapezoid rule, which is exact for band-limited integrands. The
 discrete transform is computed with the FFT, a real one for the samples of
 a real-kind function, which are stored as float64 (complex128 otherwise).
+Each SampledFunction is transformed forward at most once: the first flow
+or convolution keeps the spectrum on it for the ones that follow.
 """
 
 from __future__ import annotations
@@ -112,6 +114,16 @@ class SampledFunction:
     makes them safe to share across threads. Complex values declared real
     may carry round-off imaginary parts up to 1e-9 * max(1, max |re|),
     which are dropped; larger ones are refused.
+
+    The first flow or convolution of a function keeps its forward
+    spectrum (rfftn if real-kind, else fftn) on the object, read-only and
+    for the object's lifetime, so later ones skip that transform. This
+    costs one extra array about the size of the samples. The spectrum is
+    not a field: ==, repr and dataclasses.replace ignore it, and
+    with_values, replace, copy and pickle results start without one. Two threads may
+    both compute it and both store it; the bits are the same and the
+    store is one attribute write. Making values writable again is
+    unsupported: the kept spectrum would no longer match them.
     """
 
     grid: PeriodicGrid
@@ -156,7 +168,9 @@ class SampledFunction:
         return (self.values.sum() * self.grid.cell_volume).item()
 
     def norm(self, p: float = 2) -> float:
-        """Discrete L^p norm with the grid measure; p=inf gives the sup norm."""
+        """Discrete L^p norm with the grid measure, p in [1, inf]; p=inf gives the sup norm."""
+        if not 1 <= p <= math.inf:  # also refuses nan
+            raise ValueError(f"norm needs p in [1, inf], got p = {p}")
         a = np.abs(self.values)
         if np.isinf(p):
             return float(a.max())
@@ -164,6 +178,11 @@ class SampledFunction:
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values, kind=self.kind)
+
+    def __reduce__(self):
+        # Copies and unpickled objects are rebuilt by __init__: their values
+        # are frozen again and no spectrum travels with them.
+        return SampledFunction, (self.grid, self.values, self.kind)
 
 
 def _integer(n, what: str) -> int:
@@ -344,10 +363,22 @@ def _is_conjugate_symmetric(c: CoefficientSequence) -> bool:
 def _forward(f: SampledFunction, real: bool) -> np.ndarray:
     """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn.
 
-    An overflow here shows up as inf or nan in the spectrum; _inverse reports it.
+    The transform that matches f's kind (rfftn for real-kind f, fftn for
+    complex-kind f) is computed once and kept, read-only, on f itself, so
+    every later flow or convolution of the same object reuses it. The
+    fftn of real-kind f, which only a convolution with complex data asks
+    for, is computed each time. An overflow here shows up as inf or nan
+    in the spectrum; _inverse reports it on every use.
     """
+    own = real == (f.kind == "real")
+    if own and "_spectrum" in f.__dict__:
+        return f.__dict__["_spectrum"]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+        spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+    if own:
+        spec.flags.writeable = False
+        object.__setattr__(f, "_spectrum", spec)  # outside the fields: ==, repr, replace
+    return spec
 
 
 def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool,
@@ -379,7 +410,10 @@ def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction
         raise ValueError("grid mismatch: convolution operands must share a grid")
     real = f.kind == "real" and g.kind == "real"
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = _forward(f, real) * _forward(g, real)
+        # Not the * operator: it may reuse a temporary right operand as the
+        # output and compute g_hat * f_hat, whose complex products can round
+        # differently from f_hat * g_hat.
+        spec = np.multiply(_forward(f, real), _forward(g, real))
     vals = _inverse(spec, f.grid, real, "circular convolution", (f.values, g.values))
     return SampledFunction(f.grid, vals * f.grid.cell_volume,
                            kind="real" if real else "complex")

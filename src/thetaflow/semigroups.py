@@ -30,6 +30,11 @@ that does not underflow to 0.0; node k stops at the first |n|^2 with
 tau_k |n|^2 past the underflow point. Its optional error check reads the
 spectrum the flow has already taken, so no transform is added.
 
+Cost of a flow: one inverse FFT, plus a forward one the first time a
+function object is transformed. The forward spectrum is kept on the
+SampledFunction (fourier._forward), so each function is transformed once
+whichever flows, and however many, are applied to it.
+
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
 order, making results independent of any parallel schedule.
@@ -116,12 +121,13 @@ def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndar
 
 
 class _Spectrum:
-    """f transformed once; symbols on the grid's distinct |n|^2 are applied to it.
+    """f's forward spectrum, kept on f; symbols on the grid's distinct |n|^2 are applied to it.
 
     n2 holds the distinct |n|^2 and symbol[k] scales every mode n whose
     |n|^2 is n2[k]. Real-kind data is held as its rfftn half spectrum and
     goes back through irfftn, so its outputs are exactly real; other data
-    is held as its full fftn spectrum.
+    is held as its full fftn spectrum. The spectrum is read-only and comes
+    from fourier._forward, which transforms each function once.
     """
 
     def __init__(self, f: SampledFunction):
@@ -360,7 +366,8 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
     maximum of the sup-norm mismatch is returned. A small residual
     certifies that the evolution solves du/dt = Lu; a time spacing above
     1e-2 draws a warning. Both sides are Fourier
-    multipliers, so f is transformed forward once and each interior time
+    multipliers, so f is transformed forward once per function (not at
+    all if a flow has transformed it before) and each interior time
     costs one inverse transform of the mismatch.
     """
     ts = [float(t) for t in t_grid]
@@ -396,8 +403,9 @@ def maximal_function(f: SampledFunction,
 
     A lower bound for the true supremum over all t > 0 (the supremum is
     approached as the smallest sampled time tends to 0). The default times
-    are 64 log-spaced ones from 1e-3 to 10. f is transformed forward once;
-    each time costs one inverse transform.
+    are 64 log-spaced ones from 1e-3 to 10. f is transformed forward once
+    per function (not at all if a flow has transformed it before); each
+    time costs one inverse transform.
     """
     if t_samples is None:
         t_samples = _MAXIMAL_TIMES

@@ -1,6 +1,11 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from thetaflow import fourier
 from thetaflow.fourier import (
     CoefficientSequence,
     PeriodicGrid,
@@ -128,6 +133,19 @@ class TestSampledFunction:
         g = PeriodicGrid.line(8)
         with pytest.raises(ValueError, match="shape"):
             SampledFunction(g, np.zeros(9, dtype=complex))
+
+    @pytest.mark.parametrize("p", [np.nan, -np.inf, -1.0, 0.0, 0.5])
+    def test_norm_refuses_p_outside_one_to_inf(self, p):
+        # nan gave nan, -inf the sup norm, -1 about 5.8e-17 and 0 a ZeroDivisionError.
+        f = SampledFunction.from_callable(PeriodicGrid.line(8), np.cos)
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            f.norm(p)
+
+    def test_norm_at_the_ends_of_its_range(self):
+        f = SampledFunction.constant(PeriodicGrid.line(8), -3.0)
+        assert f.norm(1) == pytest.approx(6 * np.pi)
+        assert f.norm(2) == pytest.approx(3 * np.sqrt(2 * np.pi))
+        assert f.norm(np.inf) == 3.0
 
 
 class TestAnalyze:
@@ -292,3 +310,62 @@ class TestCoefficientSequence:
     def test_numpy_integer_halfwidth_accepted(self):
         c = CoefficientSequence(np.int64(2), np.ones(5))
         assert type(c.halfwidth) is int and list(c.indices()) == [-2, -1, 0, 1, 2]
+
+
+class TestKeptSpectrum:
+    """_forward keeps the kind-matching spectrum on the function, outside its fields."""
+
+    @pytest.mark.parametrize("sizes", [(64, 48), (65536,), (256, 256)])
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"),
+                                       ("complex", "real"), ("complex", "complex")])
+    @pytest.mark.parametrize("kept", ["none", "f", "h", "both"])
+    def test_convolution_bits_do_not_depend_on_what_is_kept(self, sizes, kinds, kept):
+        # Past numpy's 256 KiB temporary-elision threshold, the * operator
+        # on a kept f_hat and a fresh h_hat computes h_hat * f_hat, and
+        # complex products round differently in the two orders.
+        rng = np.random.default_rng(45)
+        f, h = (SampledFunction(PeriodicGrid(sizes), rng.normal(size=sizes)
+                                + (1j * rng.normal(size=sizes) if kind == "complex" else 0),
+                                kind=kind) for kind in kinds)
+        for x in {"none": (), "f": (f,), "h": (h,), "both": (f, h)}[kept]:
+            fourier._forward(x, x.kind == "real")
+        real = kinds == ("real", "real")
+        fwd = np.fft.rfftn if real else np.fft.fftn
+        spec = np.multiply(fwd(f.values), fwd(h.values))
+        if real:
+            ref = np.fft.irfftn(spec, s=sizes, axes=tuple(range(len(sizes))))
+        else:
+            ref = np.fft.ifftn(spec)
+        assert circular_convolve(f, h).values.tobytes() == (ref * f.grid.cell_volume).tobytes()
+
+    def test_kept_spectrum_is_read_only(self):
+        for f in (_random_real(PeriodicGrid.line(8), 2, seed=42),
+                  SampledFunction(PeriodicGrid.line(8), np.exp(1j * np.arange(8)))):
+            spec = fourier._forward(f, f.kind == "real")
+            assert fourier._forward(f, f.kind == "real") is spec
+            assert not spec.flags.writeable
+            with pytest.raises(ValueError):
+                spec[0] = 0.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda f: f.with_values(f.values), dataclasses.replace, copy.copy, copy.deepcopy,
+        lambda f: pickle.loads(pickle.dumps(f)),
+    ], ids=["with_values", "replace", "copy", "deepcopy", "pickle"])
+    def test_copies_start_without_a_spectrum(self, clone):
+        # deepcopy and pickle used to give writable values; with a kept
+        # spectrum beside them, a write would then flow stale data.
+        f = _random_real(PeriodicGrid.line(16), 4, seed=46)
+        fourier._forward(f, True)
+        assert "_spectrum" in vars(f)
+        g = clone(f)
+        assert "_spectrum" not in vars(g) and g.kind == f.kind and g.grid == f.grid
+        assert g.values.tobytes() == f.values.tobytes() and not g.values.flags.writeable
+
+    def test_fields_eq_and_repr_ignore_the_spectrum(self):
+        f = _random_real(PeriodicGrid.line(16), 4, seed=44)
+        before = repr(f)
+        fourier._forward(f, True)
+        assert repr(f) == before
+        assert [field.name for field in dataclasses.fields(f)] == ["grid", "values", "kind"]
+        assert f == f
+        assert f != SampledFunction.constant(PeriodicGrid.line(8), 1.0)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaflow import fourier, semigroups
-from thetaflow.checks import random_bandlimited, random_nonnegative
+from thetaflow.checks import random_bandlimited, random_nonnegative, run_suite
 from thetaflow.fourier import PeriodicGrid, SampledFunction, circular_convolve
 from thetaflow.semigroups import (
     SubordinationError,
@@ -523,10 +525,15 @@ class TestHeatResidual:
             float(np.max(np.abs((states[i + 1] - states[i - 1]) / (ts[i + 1] - ts[i - 1])
                                 - generator_apply(theta_evolve_d(f, ts[i])).values)))
             for i in (1, 2))
+        # The reference loop has transformed f already: count on a fresh copy.
+        fresh = SampledFunction(g, f.values, kind="real")
         calls = _count_fft_calls(monkeypatch)
-        resid = heat_residual(f, ts)
+        resid = heat_residual(fresh, ts)
         assert calls.count("rfftn") == 1
         assert abs(resid - ref) <= 1e-11
+        calls.clear()
+        assert heat_residual(fresh, ts) == resid
+        assert calls.count("rfftn") == 0
 
     def test_validation(self):
         g = _grid()
@@ -574,10 +581,15 @@ class TestMaximalFunction:
         ref = np.zeros(g.sizes)
         for t in np.geomspace(1e-3, 10.0, 64):
             ref = np.maximum(ref, np.abs(theta_evolve_d(f, t).values))
+        # The reference loop has transformed f already: count on a fresh copy.
+        fresh = SampledFunction(g, f.values, kind="real")
         calls = _count_fft_calls(monkeypatch)
-        star = maximal_function(f)
+        star = maximal_function(fresh)
         assert calls.count("rfftn") == 1
         assert np.max(np.abs(star.values.real - ref)) <= 1e-15
+        calls.clear()
+        assert np.array_equal(maximal_function(fresh).values, star.values)
+        assert calls.count("rfftn") == 0
 
 
 class TestMultidim:
@@ -801,3 +813,109 @@ class TestOverflow:
         values[3] = math.nan
         out = theta_evolve(SampledFunction(_grid(16), values, kind="real"), 0.1)
         assert np.isnan(out.values).all()
+
+
+def _fresh(f):
+    """A copy of f that has not been transformed yet."""
+    return SampledFunction(f.grid, f.values, kind=f.kind)
+
+
+_KEPT_FLOWS = {
+    "heat": lambda f: theta_evolve(f, 0.3),
+    "poisson": lambda f: poisson_evolve_multiplier(f, 0.3),
+    "subordinate": lambda f: subordinate(f, 0.8),
+    "subordinate_tol": lambda f: subordinate(f, 0.8, SubordinationQuadrature(tol=1e-6)),
+    "laplacian": generator_apply,
+    "convolve": lambda f: circular_convolve(f, f),
+}
+
+
+class TestSpectrumIsKept:
+    """A SampledFunction is transformed forward once, whatever flows follow."""
+
+    @pytest.mark.parametrize("sizes", [(64,), (65536,), (64, 48), (256, 256), (8, 6, 4)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_first_and_second_call_give_the_bits_of_a_fresh_copy(self, sizes, kind):
+        # Mixed-kind convolutions: tests/test_fourier.py::TestKeptSpectrum.
+        rng = np.random.default_rng(31)
+        vals = rng.normal(size=sizes)
+        if kind == "complex":
+            vals = vals + 1j * rng.normal(size=sizes)
+        f = SampledFunction(PeriodicGrid(sizes), vals, kind=kind)
+        expected = {name: flow(_fresh(f)).values.tobytes() for name, flow in _KEPT_FLOWS.items()}
+        for _ in range(2):
+            for name, flow in _KEPT_FLOWS.items():
+                assert flow(f).values.tobytes() == expected[name], name
+
+    def test_flows_after_the_first_make_no_forward_transform(self, monkeypatch):
+        f = random_bandlimited(PeriodicGrid((64, 48)), 6, np.random.default_rng(32))
+        calls = _count_fft_calls(monkeypatch)
+        for flow in _KEPT_FLOWS.values():
+            flow(f)
+        assert calls.count("rfftn") == 1
+        assert calls.count("irfftn") == len(_KEPT_FLOWS)
+        assert "fftn" not in calls
+
+    def test_self_convolution_transforms_once(self, monkeypatch):
+        f = random_bandlimited(PeriodicGrid.line(64), 10, np.random.default_rng(40))
+        calls = _count_fft_calls(monkeypatch)
+        circular_convolve(f, f)
+        assert calls == ["rfftn", "irfftn"]
+
+    def test_real_operand_of_a_complex_convolution_keeps_no_full_spectrum(self, monkeypatch):
+        g = PeriodicGrid.line(64)
+        f = random_bandlimited(g, 10, np.random.default_rng(41))
+        h = SampledFunction(g, np.exp(1j * g.points))
+        calls = _count_fft_calls(monkeypatch)
+        first = circular_convolve(f, h)
+        assert "_spectrum" not in vars(f) and calls == ["fftn", "fftn", "ifftn"]
+        calls.clear()
+        assert circular_convolve(f, h).values.tobytes() == first.values.tobytes()
+        assert calls == ["fftn", "ifftn"]  # f again; h's spectrum is kept
+        calls.clear()
+        fourier._forward(f, True)
+        fourier._forward(f, True)
+        assert calls == ["rfftn"]
+
+    def test_thm1_transforms_each_function_once(self, monkeypatch):
+        calls = _count_fft_calls(monkeypatch)
+        assert run_suite("thm1").all_pass
+        assert calls.count("rfftn") == 9  # 57 when every flow transformed its input
+
+    @pytest.mark.parametrize("flow", [
+        lambda f: theta_evolve(f, 0.1),
+        lambda f: circular_convolve(f, f),
+    ], ids=["multiplier", "convolution"])
+    def test_kept_overflowed_spectrum_raises_on_every_use(self, flow):
+        g = _grid(64)
+        f = SampledFunction.from_callable(g, lambda x: 1e308 * (0.5 + 0.5 * np.cos(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(OverflowError, match="overflowed"):
+                    flow(f)
+        assert not np.isfinite(fourier._forward(f, True)).all()
+
+    def test_two_threads_sharing_one_function_get_the_same_bits(self):
+        f = random_bandlimited(PeriodicGrid((256, 256)), 32, np.random.default_rng(33))
+        expected = [flow(_fresh(f)).values.tobytes() for flow in _KEPT_FLOWS.values()]
+        start = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def worker(slot):
+            start.wait()
+            results[slot] = [flow(f).values.tobytes() for flow in _KEPT_FLOWS.values()]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let both threads race to keep the spectrum
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[0] == expected and results[1] == expected
+        assert fourier._forward(f, True).tobytes() == np.fft.rfftn(f.values).tobytes()
