@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import PeriodicGrid, SampledFunction, circular_convolve, inner
+from .fourier import (PeriodicGrid, SampledFunction, _require_unaliased, _synthesize_cube,
+                      circular_convolve, inner)
 from .semigroups import (
     generator_apply,
     heat_residual,
@@ -74,27 +75,14 @@ class CheckReport:
         }
 
 
-def _place_modes(cube: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """FFT-layout spectrum with cube[m + hw] at each mode m, |m_a| <= hw.
-
-    Where modes alias (2 hw + 1 > N), an axis keeps its last N modes: the
-    ones that a fill in lexicographic order writes last.
-    """
-    hw = cube.shape[0] // 2
-    kept = [np.arange(max(-hw, hw + 1 - n), hw + 1) for n in sizes]
-    spec = np.zeros(sizes, dtype=complex)
-    spec[np.ix_(*(m % n for m, n in zip(kept, sizes)))] = cube[np.ix_(*(m + hw for m in kept))]
-    return spec
-
-
 def random_bandlimited(grid: PeriodicGrid, halfwidth: int,
                        rng: np.random.Generator) -> SampledFunction:
-    """Random real function with modes restricted to |n_a| <= halfwidth."""
+    """Random real function with modes |n_a| <= halfwidth; an aliasing grid is refused."""
+    _require_unaliased(grid, halfwidth)
     shape = (2 * halfwidth + 1,) * grid.dims
     cube = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     cube = 0.5 * (cube + np.conj(np.flip(cube)))  # Hermitian: c(-n) = conj(c(n))
-    vals = np.fft.ifftn(_place_modes(cube, grid.sizes)) * grid.npoints
-    return SampledFunction(grid, vals, kind="real")
+    return SampledFunction(grid, _synthesize_cube(cube, grid), kind="real")
 
 
 def random_nonnegative(grid: PeriodicGrid, halfwidth: int,
@@ -102,8 +90,7 @@ def random_nonnegative(grid: PeriodicGrid, halfwidth: int,
     """|p|^2 for a random band-limited trig polynomial p; pointwise >= 0."""
     shape = (2 * halfwidth + 1,) * grid.dims
     z = rng.normal(size=(math.prod(shape), 2))  # mode by mode, re then im
-    spec = _place_modes((z[:, 0] + 1j * z[:, 1]).reshape(shape), grid.sizes)
-    p = np.fft.ifftn(spec) * grid.npoints
+    p = _synthesize_cube((z[:, 0] + 1j * z[:, 1]).reshape(shape), grid)
     return SampledFunction(grid, np.abs(p) ** 2, kind="real")
 
 

@@ -6,11 +6,13 @@ Conventions used throughout the package:
     synthesis      f(x)     = sum over n of f_hat(n) exp(i n x)   (no 1/2pi)
 
 Grids are node-centered at x_j = 2pi j / N, so the implied quadrature is
-the trapezoid rule, which is exact for band-limited integrands. The
-discrete transform is computed with the FFT, a real one for the samples of
-a real-kind function, which are stored as float64 (complex128 otherwise).
-Each SampledFunction is transformed forward at most once: the first flow
-or convolution keeps the spectrum on it for the ones that follow.
+the trapezoid rule, which is exact for band-limited integrands. Only
+this module calls the FFT: flows, convolutions and analyze go through
+_Spectrum (a real transform for the samples of a real-kind function,
+which are stored as float64, complex128 otherwise), and synthesize and
+the suites' random data through _synthesize_cube. Each SampledFunction is
+transformed forward at most once: the first flow or convolution (or
+analyze, of complex-kind data) keeps the spectrum on it for the rest.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,7 +107,7 @@ class PeriodicGrid:
         return self.axis_points(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Function values on a PeriodicGrid.
 
@@ -113,13 +116,14 @@ class SampledFunction:
     operations in this package treat SampledFunction as immutable, which
     makes them safe to share across threads. Complex values declared real
     may carry round-off imaginary parts up to 1e-9 * max(1, max |re|),
-    which are dropped; larger ones are refused.
+    which are dropped; larger ones are refused. == and hash() are by
+    identity: arrays have no single truth value.
 
     The first flow or convolution of a function keeps its forward
     spectrum (rfftn if real-kind, else fftn) on the object, read-only and
     for the object's lifetime, so later ones skip that transform. This
     costs one extra array about the size of the samples. The spectrum is
-    not a field: ==, repr and dataclasses.replace ignore it, and
+    not a field: repr and dataclasses.replace ignore it, and
     with_values, replace, copy and pickle results start without one. Two threads may
     both compute it and both store it; the bits are the same and the
     store is one attribute write. Making values writable again is
@@ -238,7 +242,7 @@ def rule_values(rule: Callable[[int], complex], ns: np.ndarray) -> np.ndarray:
     return np.fromiter(map(rule, ns.tolist()), dtype=complex, count=ns.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Two-sided coefficient sequence c_n for n in [-halfwidth, halfwidth].
 
@@ -246,7 +250,8 @@ class CoefficientSequence:
     window; ``value(n)`` consults the window first, then the rule, and
     returns 0 for indices that neither covers. ``values(ns)`` does the
     same for an index array: a rule with a ``values`` method of its own is
-    evaluated on the array, any other callable once per index.
+    evaluated on the array, any other callable once per index. == and
+    hash() are by identity, as for SampledFunction.
     """
 
     halfwidth: int
@@ -313,12 +318,13 @@ def analyze(f: SampledFunction) -> CoefficientSequence:
     Returns f_hat(n) = (1/2pi) * integral f(y) exp(-i n y) dy computed by the
     exact discrete transform on the grid. The usable halfwidth is N/2 - 1;
     the Nyquist mode is ambiguous on the grid and is discarded (a warning
-    is emitted if it carries non-negligible energy).
+    is emitted if it carries non-negligible energy). A complex-kind f
+    that a flow has transformed costs no FFT.
     """
     if f.grid.dims != 1:
         raise ValueError("analyze expects a 1-d grid; d-dim data is handled axis-wise")
     n = f.grid.sizes[0]
-    spec = np.fft.fft(f.values) / n
+    spec = _Spectrum(f, real=False).spec / n
     hw = n // 2 - 1
     coeffs = np.concatenate([spec[n - hw:], spec[: hw + 1]])  # n = -hw .. hw
     nyq = abs(spec[n // 2])
@@ -339,64 +345,133 @@ def synthesize(c: CoefficientSequence, grid: PeriodicGrid) -> SampledFunction:
     """
     if grid.dims != 1:
         raise ValueError("synthesize expects a 1-d grid")
-    n = grid.sizes[0]
-    if n < 2 * c.halfwidth + 2:
-        raise ValueError(
-            f"aliasing: grid with {n} points cannot hold halfwidth {c.halfwidth} "
-            f"(needs at least {2 * c.halfwidth + 2})"
-        )
-    spec = np.zeros(n, dtype=complex)
-    hw = c.halfwidth
-    spec[: hw + 1] = c.coeffs[hw:]
-    if hw > 0:
-        spec[n - hw:] = c.coeffs[:hw]
-    vals = np.fft.ifft(spec) * n
-    kind = "real" if _is_conjugate_symmetric(c) else "complex"
-    return SampledFunction(grid, vals, kind=kind)
-
-
-def _is_conjugate_symmetric(c: CoefficientSequence) -> bool:
+    _require_unaliased(grid, c.halfwidth)
     scale = max(float(np.max(np.abs(c.coeffs))), 1e-300)
-    return c.conjugate_symmetry_defect() <= 1e-12 * scale
+    kind = "real" if c.conjugate_symmetry_defect() <= 1e-12 * scale else "complex"
+    return SampledFunction(grid, _synthesize_cube(c.coeffs, grid), kind=kind)
 
 
-def _forward(f: SampledFunction, real: bool) -> np.ndarray:
-    """Unnormalized DFT of f: the rfftn half-spectrum if real, else the full fftn.
+def _require_unaliased(grid: PeriodicGrid, halfwidth: int) -> None:
+    """Refuse a grid with an axis too small for the modes |n_a| <= halfwidth."""
+    if min(grid.sizes) < 2 * halfwidth + 2:
+        raise ValueError(f"aliasing: axis size {min(grid.sizes)} cannot hold halfwidth "
+                         f"{halfwidth} (needs at least {2 * halfwidth + 2})")
 
-    The transform that matches f's kind (rfftn for real-kind f, fftn for
-    complex-kind f) is computed once and kept, read-only, on f itself, so
-    every later flow or convolution of the same object reuses it. The
-    fftn of real-kind f, which only a convolution with complex data asks
-    for, is computed each time. An overflow here shows up as inf or nan
-    in the spectrum; _inverse reports it on every use.
+
+def _place_modes(cube: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """FFT-layout spectrum with cube[m + hw] at each mode m, |m_a| <= hw.
+
+    Where modes alias (2 hw + 1 > N), an axis keeps its last N modes: the
+    ones that a fill in lexicographic order writes last.
     """
-    own = real == (f.kind == "real")
-    if own and "_spectrum" in f.__dict__:
-        return f.__dict__["_spectrum"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
-    if own:
-        spec.flags.writeable = False
-        object.__setattr__(f, "_spectrum", spec)  # outside the fields: ==, repr, replace
+    hw = cube.shape[0] // 2
+    kept = [np.arange(max(-hw, hw + 1 - n), hw + 1) for n in sizes]
+    spec = np.zeros(sizes, dtype=complex)
+    spec[np.ix_(*(m % n for m, n in zip(kept, sizes)))] = cube[np.ix_(*(m + hw for m in kept))]
     return spec
 
 
-def _inverse(spec: np.ndarray, grid: PeriodicGrid, real: bool,
-             operation: str, operands: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Inverse of _forward; the result is a real array when real is set.
+def _synthesize_cube(cube: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Samples of the sum of cube[m + hw] exp(i m.x), placed by _place_modes."""
+    return np.fft.ifftn(_place_modes(cube, grid.sizes)) * grid.npoints
 
-    spec is the product of the operands' spectra or of a spectrum and a
-    symbol. A non-finite result from finite operands means an overflow on
-    the way, which raises an OverflowError naming the operation.
+
+@lru_cache(maxsize=16)
+def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct |n|^2 on a grid, and for each FFT mode the index of its |n|^2.
+
+    half selects the rfftn layout, whose last axis holds n = 0 .. N/2; the
+    full fftn layout is used otherwise. Both layouts have the same distinct
+    values, so a symbol evaluated on them serves either one. The tables
+    are cached per grid shape and returned read-only.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if real:
-            out = np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
-        else:
-            out = np.fft.ifftn(spec)
-    if not np.isfinite(out).all() and all(np.isfinite(a).all() for a in operands):
-        raise OverflowError(f"{operation} of finite data overflowed double precision")
-    return out
+    grid = PeriodicGrid(sizes)
+    total = np.zeros((), dtype=np.int64)
+    for axis, size in enumerate(sizes):
+        last = axis == len(sizes) - 1
+        n = np.arange(size // 2 + 1) if half and last else grid.frequencies(axis)
+        shape = [1] * len(sizes)
+        shape[axis] = n.size
+        total = total + (n * n).reshape(shape)
+    n2, index = np.unique(total, return_inverse=True)
+    n2 = n2.astype(float)
+    index = index.reshape(total.shape)
+    n2.flags.writeable = False
+    index.flags.writeable = False
+    return n2, index
+
+
+class _Spectrum:
+    """Unnormalized DFT of f: the rfftn half spectrum if real, else the full fftn.
+
+    real defaults to f's kind; real data goes back through irfftn, so its
+    outputs are exactly real. The transform that matches f's kind is kept,
+    read-only, on f itself for every later use; the fftn of real-kind f
+    is computed each time. Symbols act on n2, the grid's distinct |n|^2,
+    whose tables are built on first use, so a convolution builds none.
+
+    Cost of a flow: one inverse FFT, plus a forward one the first time a
+    function object is transformed, whichever flows, and however many,
+    are applied to it. An overflow shows up as inf or nan in the
+    spectrum; inverse reports it on every use.
+    """
+
+    def __init__(self, f: SampledFunction, real: Optional[bool] = None):
+        self.f = f
+        self.real = f.kind == "real" if real is None else real
+        own = self.real == (f.kind == "real")
+        self.spec = f.__dict__.get("_spectrum") if own else None
+        if self.spec is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.spec = np.fft.rfftn(f.values) if self.real else np.fft.fftn(f.values)
+            if own:
+                self.spec.flags.writeable = False
+                object.__setattr__(f, "_spectrum", self.spec)  # outside the fields: repr, replace
+
+    @property
+    def n2(self) -> np.ndarray:  # the distinct |n|^2, ascending
+        return _mode_table(self.f.grid.sizes, self.real)[0]
+
+    @property
+    def index(self) -> np.ndarray:  # each mode's position in n2
+        return _mode_table(self.f.grid.sizes, self.real)[1]
+
+    def inverse(self, spec: np.ndarray, operation: str,
+                operands: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Inverse DFT of spec, a product of the operands' spectra or of one and a symbol.
+
+        A non-finite result from finite operands means an overflow on the
+        way, which raises an OverflowError naming the operation.
+        """
+        grid = self.f.grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.real:
+                out = np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
+            else:
+                out = np.fft.ifftn(spec)
+        if not np.isfinite(out).all() and all(np.isfinite(a).all() for a in operands):
+            raise OverflowError(f"{operation} of finite data overflowed double precision")
+        return out
+
+    def apply(self, symbol: np.ndarray) -> SampledFunction:
+        """f with every mode scaled by its symbol value; an overflow raises OverflowError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = self.spec * symbol[self.index]
+        return self.f.with_values(self.inverse(product, "Fourier multiplier",
+                                               (self.f.values, symbol)))
+
+    def amplitudes(self) -> np.ndarray:
+        """For each distinct |n|^2, the sum of |f_hat(n)| over the modes n that have it.
+
+        A half spectrum holds one of each conjugate pair f_hat(-n) = conj f_hat(n)
+        of real data: the last-axis columns 1 .. N/2 - 1 stand for two modes,
+        columns 0 and N/2 for one.
+        """
+        amplitude = np.abs(self.spec) / self.f.grid.npoints
+        if self.real:
+            amplitude[..., 1:self.f.grid.sizes[-1] // 2] *= 2.0
+        return np.bincount(self.index.ravel(), weights=amplitude.ravel(),
+                           minlength=self.n2.size)
 
 
 def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -409,11 +484,12 @@ def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction
     if f.grid != g.grid:
         raise ValueError("grid mismatch: convolution operands must share a grid")
     real = f.kind == "real" and g.kind == "real"
+    f_hat = _Spectrum(f, real)
     with np.errstate(over="ignore", invalid="ignore"):
         # Not the * operator: it may reuse a temporary right operand as the
         # output and compute g_hat * f_hat, whose complex products can round
         # differently from f_hat * g_hat.
-        spec = np.multiply(_forward(f, real), _forward(g, real))
-    vals = _inverse(spec, f.grid, real, "circular convolution", (f.values, g.values))
+        spec = np.multiply(f_hat.spec, _Spectrum(g, real).spec)
+    vals = f_hat.inverse(spec, "circular convolution", (f.values, g.values))
     return SampledFunction(f.grid, vals * f.grid.cell_volume,
                            kind="real" if real else "complex")

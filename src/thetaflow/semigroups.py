@@ -17,23 +17,17 @@ the heat multiplier tensorizes to exp(-t * sum n_j^2) while the
 subordinated multiplier exp(-t * sqrt(sum n_j^2)) does not factor; the
 two flows coincide only on one axis.
 
-Every flow is diagonal in Fourier space with a symbol that depends on
-|n|^2 alone, so all of them go through one spectral core: the symbol is
-evaluated once per distinct |n|^2 on the grid and applied with a real
-FFT pair for real-kind data (a complex pair otherwise). Subordination is
-summed at the symbol level, S(|n|^2) = sum_k c_k exp(-tau_k |n|^2) over
-the quadrature nodes, and then applied with that single FFT pair.
+Every flow is diagonal in Fourier space with a symbol of |n|^2 alone,
+evaluated once per distinct |n|^2 on the grid and applied by
+fourier._Spectrum, which owns the transforms and their cost.
+Subordination sums S(|n|^2) = sum_k c_k exp(-tau_k |n|^2) over the
+quadrature nodes and applies it like any other symbol.
 
 Cost of subordination: the rule has about (ln 72 - ln t) / 0.15 nodes,
 whatever the grid, and the symbol costs one exp per (node, |n|^2) pair
 that does not underflow to 0.0; node k stops at the first |n|^2 with
 tau_k |n|^2 past the underflow point. Its optional error check reads the
 spectrum the flow has already taken, so no transform is added.
-
-Cost of a flow: one inverse FFT, plus a forward one the first time a
-function object is transformed. The forward spectrum is kept on the
-SampledFunction (fourier._forward), so each function is transformed once
-whichever flows, and however many, are applied to it.
 
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
@@ -45,13 +39,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fourier import (_EXP_ZERO, PeriodicGrid, SampledFunction, _forward, _integer,
-                      _inverse, _require_resolved, circular_convolve)
+from .fourier import (_EXP_ZERO, PeriodicGrid, SampledFunction, _Spectrum, _integer,
+                      _require_resolved, circular_convolve)
 
 # Step of the subordination trapezoid rule in v = ln s. Its discretisation
 # error is at most 1.1e-13 for every t and |n| (SubordinationQuadrature).
@@ -93,68 +86,6 @@ def _decay(rate: float, x: np.ndarray) -> np.ndarray:
     would overflow (even inf) leaves 1 at x = 0 and 0 elsewhere.
     """
     return np.exp(-min(rate, _RATE_CAP) * x)
-
-
-@lru_cache(maxsize=16)
-def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |n|^2 on a grid, and for each FFT mode the index of its |n|^2.
-
-    half selects the rfftn layout, whose last axis holds n = 0 .. N/2; the
-    full fftn layout is used otherwise. Both layouts have the same distinct
-    values, so a symbol evaluated on them serves either one. The tables
-    are cached per grid shape and returned read-only.
-    """
-    grid = PeriodicGrid(sizes)
-    total = np.zeros((), dtype=np.int64)
-    for axis, size in enumerate(sizes):
-        last = axis == len(sizes) - 1
-        n = np.arange(size // 2 + 1) if half and last else grid.frequencies(axis)
-        shape = [1] * len(sizes)
-        shape[axis] = n.size
-        total = total + (n * n).reshape(shape)
-    n2, index = np.unique(total, return_inverse=True)
-    n2 = n2.astype(float)
-    index = index.reshape(total.shape)
-    n2.flags.writeable = False
-    index.flags.writeable = False
-    return n2, index
-
-
-class _Spectrum:
-    """f's forward spectrum, kept on f; symbols on the grid's distinct |n|^2 are applied to it.
-
-    n2 holds the distinct |n|^2 and symbol[k] scales every mode n whose
-    |n|^2 is n2[k]. Real-kind data is held as its rfftn half spectrum and
-    goes back through irfftn, so its outputs are exactly real; other data
-    is held as its full fftn spectrum. The spectrum is read-only and comes
-    from fourier._forward, which transforms each function once.
-    """
-
-    def __init__(self, f: SampledFunction):
-        self.f = f
-        self.real = f.kind == "real"
-        self.n2, self.index = _mode_table(f.grid.sizes, self.real)
-        self.spec = _forward(f, self.real)
-
-    def apply(self, symbol: np.ndarray) -> SampledFunction:
-        """f with every mode scaled by its symbol value; an overflow raises OverflowError."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = self.spec * symbol[self.index]
-        return self.f.with_values(_inverse(product, self.f.grid, self.real,
-                                           "Fourier multiplier", (self.f.values, symbol)))
-
-    def amplitudes(self) -> np.ndarray:
-        """For each distinct |n|^2, the sum of |f_hat(n)| over the modes n that have it.
-
-        A half spectrum holds one of each conjugate pair f_hat(-n) = conj f_hat(n)
-        of real data: the last-axis columns 1 .. N/2 - 1 stand for two modes,
-        columns 0 and N/2 for one.
-        """
-        amplitude = np.abs(self.spec) / self.f.grid.npoints
-        if self.real:
-            amplitude[..., 1:self.f.grid.sizes[-1] // 2] *= 2.0
-        return np.bincount(self.index.ravel(), weights=amplitude.ravel(),
-                           minlength=self.n2.size)
 
 
 def theta_evolve(f: SampledFunction, t: float) -> SampledFunction:
@@ -239,13 +170,15 @@ class SubordinationQuadrature:
     Weideman, SIAM Review 56 (2014), Thm 5.1): 1.1e-13 at delta = 0.012. The
     nodes left out add at most (2/sqrt(pi)) min(t/12, sqrt(u_max)) e^-36
     h / (1 - e^-h) below, under 7.7e-15, and erfc(sqrt(u_max)) above,
-    2.2e-17 at the default u_max = 36. So |S - exp(-t|n|)| <= 1.2e-13 by
-    default, rounding aside.
+    2.2e-17 at the default u_max = 36 and 7.2e-14 at the least, 28. So
+    |S - exp(-t|n|)| <= 1.2e-13 by default and <= 1.9e-13 for every
+    accepted u_max, rounding aside.
 
     nodes is the most nodes the rule may take, an integer from 8 to 1024;
     a t that needs more, about (ln(12 sqrt(u_max)) - ln t) / h + 1, is
     refused with a ValueError. u_max, the upper truncation point, is a
-    number in (1, 750], since exp(-u) is 0.0 in double precision past about
+    number in [28, 750]: below 28 the truncation error alone would pass
+    the bound above, and exp(-u) is 0.0 in double precision past about
     745. tol, when set, must be finite and requests an error check: the
     Bochner defect sum_n |f_hat(n)| * |S(|n|^2) - exp(-t|n|)| over the modes
     of the input, which bounds the sup-norm quadrature error of the result,
@@ -263,8 +196,8 @@ class SubordinationQuadrature:
             raise ValueError(f"need at least 8 nodes, got {nodes}")
         if nodes > _MAX_NODES:
             raise ValueError(f"at most {_MAX_NODES} nodes, got {nodes}")
-        if not 1 < self.u_max <= _EXP_ZERO:  # past it exp(-u) adds nothing
-            raise ValueError(f"u_max must be finite, exceed 1 and be at most {_EXP_ZERO:g}, "
+        if not 28.0 <= self.u_max <= _EXP_ZERO:  # erfc(sqrt(28)) = 7.2e-14: the bound above holds
+            raise ValueError(f"u_max must be finite, at least 28 and at most {_EXP_ZERO:g}, "
                              f"got {self.u_max}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite when given, got {self.tol}")

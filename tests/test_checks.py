@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from thetaflow import checks
-from thetaflow.checks import (EVOLVE_TIMES, _place_modes, random_bandlimited, random_nonnegative,
-                              run_suite)
-from thetaflow.fourier import PeriodicGrid, analyze, circular_convolve
+from thetaflow.checks import EVOLVE_TIMES, random_bandlimited, random_nonnegative, run_suite
+from thetaflow.fourier import PeriodicGrid, _place_modes, analyze, circular_convolve
 from thetaflow.semigroups import theta_evolve
 from thetaflow.theta import kernel
 
@@ -61,6 +60,21 @@ class TestRandomData:
         p = np.fft.ifftn(_loop_place(np.reshape(draws, shape), sizes)) * grid.npoints
         f = random_nonnegative(grid, hw, np.random.default_rng(5))
         assert np.array_equal(f.values, np.abs(p) ** 2)
+
+    @pytest.mark.parametrize("sizes, hw, axis", [((8, 6, 4), 3, 4), ((64,), 32, 64),
+                                                 ((16, 12), 6, 12)])
+    def test_bandlimited_refuses_an_aliasing_halfwidth_before_any_draw(self, sizes, hw, axis):
+        # (8, 6, 4) with halfwidth 3 used to fail as "kind='real' but max imaginary part ...".
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"aliasing: axis size {axis} cannot hold "
+                                             rf"halfwidth {hw} \(needs at least {2 * hw + 2}\)"):
+            random_bandlimited(PeriodicGrid(sizes), hw, rng)
+        assert rng.bit_generator.state == state
+
+    def test_bandlimited_takes_the_least_unaliased_grid(self):
+        f = random_bandlimited(PeriodicGrid((8, 6, 4)), 1, np.random.default_rng(8))
+        assert f.kind == "real" and f.values.shape == (8, 6, 4)
 
     def test_seeded_reproducibility(self):
         g = PeriodicGrid.line(32)

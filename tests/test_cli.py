@@ -687,8 +687,20 @@ class TestCommands:
                            "--init", str(init), "--t", "0.8", "--u-max", u_max,
                            "--out", str(out))
         assert proc.returncode == 1
-        assert proc.stderr == ("error: u_max must be finite, exceed 1 and be at most 750, "
+        assert proc.stderr == ("error: u_max must be finite, at least 28 and at most 750, "
                                f"got {float(u_max)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["subordinate"],
+                                         ["poisson", "--method", "subordination"]])
+    def test_u_max_below_28_exits_one(self, tmp_path, capsys, command):
+        # --u-max 1.5 used to exit 0 with a symbol error of 5.7e-2 at t = 0.8.
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=16)
+        assert main([*command, "--init", str(init), "--t", "0.8", "--u-max", "27.9",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: u_max must be finite, at least 28 and "
+                                           "at most 750, got 27.9\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["subordinate"],

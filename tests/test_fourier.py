@@ -313,7 +313,7 @@ class TestCoefficientSequence:
 
 
 class TestKeptSpectrum:
-    """_forward keeps the kind-matching spectrum on the function, outside its fields."""
+    """_Spectrum keeps the kind-matching spectrum on the function, outside its fields."""
 
     @pytest.mark.parametrize("sizes", [(64, 48), (65536,), (256, 256)])
     @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"),
@@ -328,7 +328,7 @@ class TestKeptSpectrum:
                                 + (1j * rng.normal(size=sizes) if kind == "complex" else 0),
                                 kind=kind) for kind in kinds)
         for x in {"none": (), "f": (f,), "h": (h,), "both": (f, h)}[kept]:
-            fourier._forward(x, x.kind == "real")
+            fourier._Spectrum(x, x.kind == "real").spec
         real = kinds == ("real", "real")
         fwd = np.fft.rfftn if real else np.fft.fftn
         spec = np.multiply(fwd(f.values), fwd(h.values))
@@ -341,8 +341,8 @@ class TestKeptSpectrum:
     def test_kept_spectrum_is_read_only(self):
         for f in (_random_real(PeriodicGrid.line(8), 2, seed=42),
                   SampledFunction(PeriodicGrid.line(8), np.exp(1j * np.arange(8)))):
-            spec = fourier._forward(f, f.kind == "real")
-            assert fourier._forward(f, f.kind == "real") is spec
+            spec = fourier._Spectrum(f, f.kind == "real").spec
+            assert fourier._Spectrum(f, f.kind == "real").spec is spec
             assert not spec.flags.writeable
             with pytest.raises(ValueError):
                 spec[0] = 0.0
@@ -355,7 +355,7 @@ class TestKeptSpectrum:
         # deepcopy and pickle used to give writable values; with a kept
         # spectrum beside them, a write would then flow stale data.
         f = _random_real(PeriodicGrid.line(16), 4, seed=46)
-        fourier._forward(f, True)
+        fourier._Spectrum(f, True).spec
         assert "_spectrum" in vars(f)
         g = clone(f)
         assert "_spectrum" not in vars(g) and g.kind == f.kind and g.grid == f.grid
@@ -364,8 +364,40 @@ class TestKeptSpectrum:
     def test_fields_eq_and_repr_ignore_the_spectrum(self):
         f = _random_real(PeriodicGrid.line(16), 4, seed=44)
         before = repr(f)
-        fourier._forward(f, True)
+        fourier._Spectrum(f, True).spec
         assert repr(f) == before
         assert [field.name for field in dataclasses.fields(f)] == ["grid", "values", "kind"]
         assert f == f
         assert f != SampledFunction.constant(PeriodicGrid.line(8), 1.0)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_analyze_gives_the_bits_of_fft(self, kind, kept):
+        # analyze reads _Spectrum's full fftn, which is kept for complex-kind f;
+        # fft and fftn give the same bits in 1-d.
+        rng = np.random.default_rng(47)
+        vals = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
+        f = SampledFunction(PeriodicGrid.line(64), vals, kind=kind)
+        if kept:
+            circular_convolve(f, f)
+        spec = np.fft.fft(f.values) / 64
+        expected = np.concatenate([spec[64 - 31:], spec[:32]])
+        with pytest.warns(UserWarning, match="Nyquist"):  # white noise fills every mode
+            coeffs = analyze(f).coeffs
+        assert coeffs.tobytes() == expected.tobytes()
+        assert ("_spectrum" in vars(f)) == (kept or kind == "complex")
+
+
+class TestIdentityEquality:
+    """Both value classes hold arrays: == and hash() are by identity and never raise."""
+
+    def test_sampled_function(self):
+        g = PeriodicGrid.line(8)
+        f, h = SampledFunction.constant(g, 1.0), SampledFunction.constant(g, 1.0)
+        assert f == f and not f == h and f != h  # == used to raise on the values array
+        assert hash(f) == hash(f) and len({f, h}) == 2  # hash() used to raise TypeError
+
+    def test_coefficient_sequence(self):
+        c, d = CoefficientSequence(1, np.ones(3)), CoefficientSequence(1, np.ones(3))
+        assert c == c and not c == d and c != d
+        assert hash(c) == hash(c) and len({c, d}) == 2

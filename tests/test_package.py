@@ -1,10 +1,15 @@
-"""The package namespace: lazy exports that behave like eager ones."""
+"""The package namespace: lazy exports that behave like eager ones, and its layering."""
 
+import ast
 import importlib
+import pathlib
 
+import numpy as np
 import pytest
 
 import thetaflow
+from thetaflow.fourier import PeriodicGrid, SampledFunction, analyze
+from thetaflow.semigroups import theta_evolve
 
 # Home module of every public name, frozen; __all__ lists them in this order.
 HOMES = {
@@ -57,3 +62,51 @@ def test_unknown_name_raises_attribute_error(name):
         getattr(thetaflow, name)
     assert not hasattr(thetaflow, name)
 
+
+
+# Each module of the package, parsed.
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(pathlib.Path(thetaflow.__file__).parent.glob("*.py"))}
+
+
+def _uses_numpy_fft(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            return True
+        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.fft")
+                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+            return True
+    return False
+
+
+def test_only_fourier_references_numpy_fft():
+    assert "fourier" in TREES and "semigroups" in TREES
+    assert [name for name, tree in TREES.items() if _uses_numpy_fft(tree)] == ["fourier"]
+
+
+@pytest.mark.parametrize("module", ["semigroups", "checks"])
+def test_transform_internals_stay_in_fourier(module):
+    names = {alias.name for node in ast.walk(TREES[module])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(TREES[module]) if isinstance(node, ast.Attribute)}
+    assert names.isdisjoint({"_forward", "_inverse", "_place_modes"})
+
+
+def test_flow_then_analyze_transforms_a_complex_function_once(monkeypatch):
+    calls = []
+    for name in ("fft", "fftn", "fft2", "rfft", "rfftn", "rfft2"):
+        def counting(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    g = PeriodicGrid.line(64)
+    f = SampledFunction(g, np.exp(2j * g.points) + np.cos(3 * g.points))
+    theta_evolve(f, 0.3)
+    c = analyze(f)
+    assert calls == ["fftn"]
+    assert abs(c[2] - 1.0) < 1e-14 and abs(c[3] - 0.5) < 1e-14

@@ -323,6 +323,19 @@ class TestSubordination:
             with pytest.raises(ValueError, match="u_max must be .* at most 750, got"):
                 SubordinationQuadrature(u_max=u_max)
 
+    @pytest.mark.parametrize("u_max", [27.9, 1.5])
+    def test_u_max_below_28_rejected(self, u_max):
+        # At 1.5 the symbol silently erred by 5.7e-2 at t = 0.8, truncated by erfc(sqrt(u_max)).
+        with pytest.raises(ValueError, match=re.escape(
+                f"u_max must be finite, at least 28 and at most 750, got {u_max}")):
+            SubordinationQuadrature(u_max=u_max)
+
+    def test_least_u_max_keeps_the_stated_bound(self):
+        assert _rule_error_bound(1e300, 28.0) <= 1.9e-13
+        g = _grid(16)
+        out = subordinate(_cos(g), 0.8, SubordinationQuadrature(u_max=28.0))
+        assert np.max(np.abs(out.values - E_MINUS_08 * np.cos(g.points))) < 2e-13
+
     def test_u_max_at_the_cap_is_usable(self):
         g = _grid(16)
         with warnings.catch_warnings():
@@ -359,7 +372,7 @@ class TestSubordination:
 
 def _full_spectrum_defect(f, n2, symbol, t):
     """Bochner defect summed over the full fftn spectrum of f, mode by mode."""
-    _, index = semigroups._mode_table(f.grid.sizes, False)
+    _, index = fourier._mode_table(f.grid.sizes, False)
     amplitude = np.abs(np.fft.fftn(f.values)) / f.grid.npoints
     weight = np.bincount(index.ravel(), weights=amplitude.ravel(), minlength=n2.size)
     return float(weight @ np.abs(symbol - np.exp(-t * np.sqrt(n2))))
@@ -376,7 +389,7 @@ class TestBochnerDefect:
         if kind == "complex":
             values = values + 1j * rng.standard_normal(sizes)
         f = SampledFunction(PeriodicGrid(sizes), values, kind=kind)
-        spectrum = semigroups._Spectrum(f)
+        spectrum = fourier._Spectrum(f)
         # The default rule is exact to ~1e-14; a perturbation keeps the defect clear of 0.
         symbol = semigroups._subordination_symbol(
             spectrum.n2, t, SubordinationQuadrature()) + 1e-6 * np.cos(spectrum.n2)
@@ -416,11 +429,11 @@ def _rule_error_bound(t, u_max):
 class TestSubordinationSymbol:
     """The symbol equals the node-by-node sum over every mode, bit for bit."""
 
-    @pytest.mark.parametrize("rule", [(1024, 36.0), (8, 1.5), (64, 36.0), (200, 750.0)])
+    @pytest.mark.parametrize("rule", [(1024, 36.0), (8, 28.0), (64, 36.0), (200, 750.0)])
     @pytest.mark.parametrize("sizes", [(4,), (256,), (512,), (64, 64), (128, 128),
                                        (256, 256), (8, 6, 4)])
     def test_matches_the_reference_loop(self, sizes, rule):
-        n2, _ = semigroups._mode_table(sizes, True)
+        n2, _ = fourier._mode_table(sizes, True)
         quad = SubordinationQuadrature(nodes=rule[0], u_max=rule[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -446,7 +459,7 @@ class TestSubordinationSymbol:
     @pytest.mark.parametrize("n, t, count", [(256, 0.8, 30), (65536, 1e-3, 75),
                                              (65536, 1e-5, 106)])
     def test_node_count_is_logarithmic_in_one_over_t(self, n, t, count):
-        n2, _ = semigroups._mode_table((n,), True)
+        n2, _ = fourier._mode_table((n,), True)
         semigroups._subordination_symbol(n2, t, SubordinationQuadrature(nodes=count))
         with pytest.raises(ValueError, match=f"needs {count} subordination nodes"):
             semigroups._subordination_symbol(n2, t, SubordinationQuadrature(nodes=count - 1))
@@ -455,16 +468,16 @@ class TestSubordinationSymbol:
                                       (65536, 1e-3), (65536, 1e-5)])
     def test_default_rule_within_its_bound(self, n, t):
         # The 64-node Gauss-Legendre rule it replaced missed by 7.3e-10 ... 3.2e-4 here.
-        n2, _ = semigroups._mode_table((n,), True)
+        n2, _ = fourier._mode_table((n,), True)
         symbol = semigroups._subordination_symbol(n2, t, SubordinationQuadrature())
         assert _rule_error_bound(t, 36.0) <= 1.2e-13
         assert np.max(np.abs(symbol - np.exp(-t * np.sqrt(n2)))) <= _rule_error_bound(t, 36.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1e-6, 50.0), st.integers(2, 2 ** 15).map(lambda half: 2 * half),
-           st.sampled_from([1.5, 36.0, 750.0]))
+           st.sampled_from([28.0, 36.0, 750.0]))
     def test_symbol_within_the_stated_bound(self, t, n, u_max):
-        n2, _ = semigroups._mode_table((n,), True)
+        n2, _ = fourier._mode_table((n,), True)
         symbol = semigroups._subordination_symbol(n2, t, SubordinationQuadrature(u_max=u_max))
         assert np.max(np.abs(symbol - np.exp(-t * np.sqrt(n2)))) <= _rule_error_bound(t, u_max)
 
@@ -774,7 +787,7 @@ class TestHugeTimes:
         assert np.max(np.abs(out.values)) < 1e-15
 
     def test_decay_is_the_plain_exponential_wherever_that_is_finite(self):
-        n2, _ = semigroups._mode_table((64, 48), False)
+        n2, _ = fourier._mode_table((64, 48), False)
         for x in (n2, np.sqrt(n2)):
             for rate in (0.0, 1e-3, 1.0, 745.0, 746.0, 999.0, 1e3, 1e3 + 1, 1e10, 1e300):
                 with np.errstate(over="raise"):
@@ -873,8 +886,8 @@ class TestSpectrumIsKept:
         assert circular_convolve(f, h).values.tobytes() == first.values.tobytes()
         assert calls == ["fftn", "ifftn"]  # f again; h's spectrum is kept
         calls.clear()
-        fourier._forward(f, True)
-        fourier._forward(f, True)
+        fourier._Spectrum(f, True).spec
+        fourier._Spectrum(f, True).spec
         assert calls == ["rfftn"]
 
     def test_thm1_transforms_each_function_once(self, monkeypatch):
@@ -894,7 +907,7 @@ class TestSpectrumIsKept:
             for _ in range(2):
                 with pytest.raises(OverflowError, match="overflowed"):
                     flow(f)
-        assert not np.isfinite(fourier._forward(f, True)).all()
+        assert not np.isfinite(fourier._Spectrum(f, True).spec).all()
 
     def test_two_threads_sharing_one_function_get_the_same_bits(self):
         f = random_bandlimited(PeriodicGrid((256, 256)), 32, np.random.default_rng(33))
@@ -918,4 +931,4 @@ class TestSpectrumIsKept:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results[0] == expected and results[1] == expected
-        assert fourier._forward(f, True).tobytes() == np.fft.rfftn(f.values).tobytes()
+        assert fourier._Spectrum(f, True).spec.tobytes() == np.fft.rfftn(f.values).tobytes()
