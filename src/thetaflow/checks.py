@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import (PeriodicGrid, SampledFunction, _require_unaliased, _synthesize_cube,
-                      circular_convolve, inner)
+from .fourier import (PeriodicGrid, SampledFunction, _integer, _require_unaliased,
+                      _synthesize_cube, circular_convolve, inner)
 from .semigroups import (
     generator_apply,
     heat_residual,
@@ -75,11 +75,18 @@ class CheckReport:
         }
 
 
+def _cube_shape(grid: PeriodicGrid, halfwidth: int) -> tuple[int, ...]:
+    """Shape of the modes |n_a| <= halfwidth; a halfwidth that is no integer >= 0 is refused."""
+    if _integer(halfwidth, "halfwidth") < 0:
+        raise ValueError(f"halfwidth must be >= 0, got {halfwidth}")
+    return (2 * halfwidth + 1,) * grid.dims
+
+
 def random_bandlimited(grid: PeriodicGrid, halfwidth: int,
                        rng: np.random.Generator) -> SampledFunction:
     """Random real function with modes |n_a| <= halfwidth; an aliasing grid is refused."""
+    shape = _cube_shape(grid, halfwidth)
     _require_unaliased(grid, halfwidth)
-    shape = (2 * halfwidth + 1,) * grid.dims
     cube = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     cube = 0.5 * (cube + np.conj(np.flip(cube)))  # Hermitian: c(-n) = conj(c(n))
     return SampledFunction(grid, _synthesize_cube(cube, grid), kind="real")
@@ -88,7 +95,7 @@ def random_bandlimited(grid: PeriodicGrid, halfwidth: int,
 def random_nonnegative(grid: PeriodicGrid, halfwidth: int,
                        rng: np.random.Generator) -> SampledFunction:
     """|p|^2 for a random band-limited trig polynomial p; pointwise >= 0."""
-    shape = (2 * halfwidth + 1,) * grid.dims
+    shape = _cube_shape(grid, halfwidth)
     z = rng.normal(size=(math.prod(shape), 2))  # mode by mode, re then im
     p = _synthesize_cube((z[:, 0] + 1j * z[:, 1]).reshape(shape), grid)
     return SampledFunction(grid, np.abs(p) ** 2, kind="real")

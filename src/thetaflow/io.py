@@ -13,7 +13,9 @@ also accepts what ``float()`` takes and loadtxt does not (quoted fields,
 values. Blank lines are skipped but keep their line numbers.
 Coefficient sequences serialize as a JSON array of ``{n, re, im}``;
 distributions as ``{window, rule, class}`` where only power rules
-(``base^(|n|^k)``) have a serialized form.
+(``base^(|n|^k)``) have a serialized form. A missing or ill-typed JSON
+field is refused with a ValueError naming it; ``n`` and ``k`` must be
+JSON integers.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -173,10 +176,31 @@ def _coeff_entries(c: CoefficientSequence) -> list[dict]:
     ]
 
 
+def _field(obj, name: str, where: str, convert=float):
+    """convert(obj[name]); a missing field, or one convert refuses, is a ValueError naming it.
+
+    float takes what float() takes, so "nan" and "inf" strings reach the
+    finiteness checks; operator.index takes integers only.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if name not in obj:
+        raise ValueError(f"{where} has no field {name!r}")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError):
+        what = "an integer" if convert is operator.index else "a number"
+        raise ValueError(f"{where}: field {name!r} must be {what}, got {obj[name]!r}") from None
+
+
 def _entries_to_sequence(entries, rule=None) -> CoefficientSequence:
+    if not isinstance(entries, list):
+        raise ValueError("a coefficient window must be a JSON array of {n, re, im}")
     table = {}
-    for e in entries:
-        n, value = int(e["n"]), complex(float(e["re"]), float(e["im"]))
+    for i, e in enumerate(entries):
+        where = f"coefficient entry {i}"
+        n = _field(e, "n", where, operator.index)
+        value = complex(_field(e, "re", where), _field(e, "im", where))
         if not cmath.isfinite(value):
             raise ValueError(f"coefficient n = {n} is not finite: {value}")
         table[n] = value
@@ -187,10 +211,7 @@ def _entries_to_sequence(entries, rule=None) -> CoefficientSequence:
 
 def load_coefficients(path) -> CoefficientSequence:
     with open(path) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ValueError("coefficient JSON must be an array of {n, re, im}")
-    return _entries_to_sequence(entries)
+        return _entries_to_sequence(json.load(fh))
 
 
 def ultra_to_dict(F: UltraDistribution) -> dict:
@@ -202,7 +223,8 @@ def ultra_to_dict(F: UltraDistribution) -> dict:
     elif isinstance(rule, PowerRule):
         rule_obj = {"type": "power", "base": rule.base, "k": rule.order}
     else:
-        raise ValueError("only power rules have a serialized form")
+        raise ValueError("only power rules have a serialized form: the evolved tail "
+                         "b^(|n|^k) exp(-t n^2) is one only for k = 2 or b = 1")
     g = F.declared_class
     cls_obj = None if g is None else {
         "kind": g.kind, "base": g.base, "k": g.order, "c": g.constant,
@@ -213,28 +235,30 @@ def ultra_to_dict(F: UltraDistribution) -> dict:
 def ultra_from_dict(data: dict) -> UltraDistribution:
     from .ultradist import GrowthClass, PowerRule, UltraDistribution
 
+    if not isinstance(data, dict):
+        raise ValueError("distribution JSON must be an object {window, rule, class}")
     rule_obj = data.get("rule", "none")
     if rule_obj == "none" or rule_obj is None:
         rule = None
     elif isinstance(rule_obj, dict) and rule_obj.get("type") == "power":
-        base = float(rule_obj["base"])
-        if not math.isfinite(base):
-            raise ValueError(f"power rule base must be finite, got {base}")
-        rule = PowerRule(base, int(rule_obj["k"]))
+        rule = PowerRule(_field(rule_obj, "base", "rule"),
+                         _field(rule_obj, "k", "rule", operator.index))
     else:
         raise ValueError(f"unknown rule spec {rule_obj!r}")
     seq = _entries_to_sequence(data.get("window", []), rule=rule)
     cls_obj = data.get("class")
     declared = None if cls_obj is None else GrowthClass(
-        cls_obj["kind"], float(cls_obj["base"]), int(cls_obj["k"]),
-        float(cls_obj.get("c", 1.0)),
+        _field(cls_obj, "kind", "class", str), _field(cls_obj, "base", "class"),
+        _field(cls_obj, "k", "class", operator.index),
+        _field(cls_obj, "c", "class") if "c" in cls_obj else 1.0,
     )
     return UltraDistribution(seq, declared_class=declared)
 
 
 def save_ultra(F: UltraDistribution, path) -> None:
+    data = ultra_to_dict(F)  # before the file is opened: a refusal leaves it as it was
     with open(path, "w") as fh:
-        json.dump(ultra_to_dict(F), fh, indent=2)
+        json.dump(data, fh, indent=2)
 
 
 def load_ultra(path) -> UltraDistribution:

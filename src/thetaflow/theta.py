@@ -34,27 +34,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from typing import ClassVar
 
 import numpy as np
 
 from .fourier import _EXP_ZERO, TWO_PI, PeriodicGrid, SampledFunction, _require_resolved
 
+_MAX_TERMS = 1_000_000  # the most series terms or product factors an evaluation forms
+
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Evaluation parameters: nome q in [0, 1), truncation tol, term cap."""
+    """Evaluation parameters: nome q in [0, 1) and truncation tol."""
 
     q: float
     tol: float = 1e-14
-    max_terms: int = 1_000_000
+    max_terms: ClassVar[int] = _MAX_TERMS  # read-only; bench/tracing.py reads it
 
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise ValueError(f"nome out of range: q = {self.q} not in [0, 1)")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
     @classmethod
     def from_time(cls, t: float, tol: float = 1e-14) -> "ThetaParams":
@@ -112,10 +113,9 @@ def theta3_series(x, params: ThetaParams):
     """
     q = params.q
     terms = _series_terms(q, params.tol)
-    if terms > params.max_terms:
+    if terms > _MAX_TERMS:
         raise RuntimeError(
-            f"theta3 series needs {terms} terms at q = {q}, "
-            f"more than max_terms = {params.max_terms}"
+            f"theta3 series needs {terms} terms at q = {q}, more than max_terms = {_MAX_TERMS}"
         )
     xr = _reduce_angle(np.asarray(x, dtype=float))
     total = np.ones_like(xr)
@@ -162,10 +162,10 @@ def theta3_product(x, params: ThetaParams):
     total = np.ones_like(xr)
     if q > 0.0:
         factors = _product_factors(q, params.tol)
-        if factors > params.max_terms:
+        if factors > _MAX_TERMS:
             raise RuntimeError(
                 f"theta3 product needs {factors} factors at q = {q}, "
-                f"more than max_terms = {params.max_terms}"
+                f"more than max_terms = {_MAX_TERMS}"
             )
         cx = np.cos(xr)
         # The bracket is nondecreasing in cx (2b >= 0, and rounding is

@@ -19,8 +19,11 @@ sizes (64 indices, doubling up to 2048); a scalar call evaluates the
 array form at one index. A pairing sum takes n = 0, then the chunks of
 n = +-1, +-2, ... in order, each added as one numpy sum, so a result
 depends only on its inputs. Declared growth classes are verified, not
-trusted. Membership ratios have one evaluator, which the closed form of
-a PowerRule tail steers to the few indices that decide it.
+trusted. Membership ratios and the stop test of a tail scan have one
+evaluator: the closed form of a PowerRule tail searches that stop test
+for its stop index and steers the scan to the few indices that can hold
+the worst ratio, and fit_growth takes its constant from the same ratios,
+so a window is a member of its own fit.
 """
 
 from __future__ import annotations
@@ -138,6 +141,17 @@ def _heat_damped(ns: np.ndarray, t: float,
     return out
 
 
+def _order(k) -> int:
+    """The growth order k as an int; ValueError unless it is an integer >= 1."""
+    try:
+        whole = int(k) == k
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and k >= 1):
+        raise ValueError(f"order must be an integer >= 1, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class GrowthClass:
     """Coefficient growth bound |F_n| <= constant * base^(|n|^order).
@@ -162,9 +176,7 @@ class GrowthClass:
             raise ValueError(f"dual kind requires base >= 1, got {self.base}")
         if not math.isfinite(self.base):
             raise ValueError(f"base must be finite, got {self.base}")
-        if int(self.order) != self.order or self.order < 1:
-            raise ValueError(f"order must be an integer >= 1, got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _order(self.order))
         if not (self.constant >= 0 and math.isfinite(self.constant)):
             raise ValueError(f"constant must be nonnegative and finite, got {self.constant}")
 
@@ -189,10 +201,15 @@ class _ArrayRule:
 
 @dataclass(frozen=True)
 class PowerRule(_ArrayRule):
-    """Lazy coefficient rule n -> base^(|n|^order)."""
+    """Lazy coefficient rule n -> base^(|n|^order), for a finite base and an integer order >= 1."""
 
     base: float
     order: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.base):
+            raise ValueError(f"power rule base must be finite, got {self.base}")
+        object.__setattr__(self, "order", _order(self.order))
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         return _power_law(ns, self.base, self.order)
@@ -339,35 +356,36 @@ def _log_ratio(rule: PowerRule, g: GrowthClass, ns: np.ndarray) -> np.ndarray:
         return _index_powers(ns, rule.order) * A - (D + _index_powers(ns, g.order) * C)
 
 
-def _tail_ratios(rule: Callable[[int], complex], g: GrowthClass, ns: np.ndarray):
-    """|rule(n)| / bound(n) and |rule(-n)| / bound(n), max(|rule(+-n)|) and bound(n) at ns > 0.
+def _tail_ratios(rule: Callable[[int], complex], g: GrowthClass, tol: float, ns: np.ndarray):
+    """|rule(n)| / bound(n) and |rule(-n)| / bound(n) at ns > 0, and the mask where a scan stops.
 
-    Where both sides overflow, a PowerRule ratio comes from log magnitudes;
-    for any other rule it is inf, a violation.
+    A scan stops at a ratio above the slack, or where the bound and both
+    magnitudes are below tol. Where both sides overflow, a PowerRule ratio
+    comes from log magnitudes; for any other rule it is inf, a violation.
     """
     b = g.bounds(ns)
     with np.errstate(over="ignore"):
         vp = np.abs(rule_values(rule, ns))
         if isinstance(rule, PowerRule):  # |rule(-n)| = |rule(n)|
-            r = _ratios(vp, b, lambda at: _log_ratio(rule, g, ns[at]))
-            return r, r, vp, b
-        vm = np.abs(rule_values(rule, -ns))
-    return _ratios(vp, b), _ratios(vm, b), np.maximum(vp, vm), b
+            vm = vp
+            rp = rm = _ratios(vp, b, lambda at: _log_ratio(rule, g, ns[at]))
+        else:
+            vm = np.abs(rule_values(rule, -ns))
+            rp, rm = _ratios(vp, b), _ratios(vm, b)
+    return rp, rm, (np.maximum(rp, rm) > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
 
 
 def _scan(rule: Callable[[int], complex], g: GrowthClass, tol: float, lo: int, hi: int,
           worst_ratio: float, worst_n: Optional[int]):
     """Check the tail indices lo..hi and their negatives in chunks, up to the first stop.
 
-    A stop is a ratio above the slack, or the bound and both magnitudes
-    below tol. Returns the worst ratio and its index (the first on ties, n
-    before -n), and the last index checked.
+    Returns the worst ratio and its index (the first on ties, n before -n),
+    and the last index checked.
     """
     checked = lo - 1
     for ns in _chunks(lo, hi):
-        rp, rm, v, b = _tail_ratios(rule, g, ns)
+        rp, rm, stops = _tail_ratios(rule, g, tol, ns)
         r = np.maximum(rp, rm)
-        stops = (r > _SLACK) | ((b < tol) & (v < tol))
         end = int(np.argmax(stops)) if stops.any() else ns.size - 1
         i = int(np.argmax(r[:end + 1]))
         if r[i] > worst_ratio:
@@ -383,12 +401,14 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
     """_scan of a PowerRule tail m0..M, steered by its closed form.
 
     The log ratio A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c) has
-    at most one interior extremum, so each stop predicate of the scan is
-    monotone on either side of it, and _first finds the stop index by
-    probing those predicates. Up to the stop, the worst ratio lies where
-    the log ratio is within rounding of its maximum, and only those tie
-    spans are scanned: a few indices, m0 alone when the ratio is exactly 1
-    (equal bases and orders, constant 1), all when it is flat otherwise.
+    at most one interior extremum. On either side of it the ratio, the
+    rule and the bound are monotone, so the scan's stop mask holds there
+    from the first index or on a suffix (except where rule and bound cross
+    tol within the slack of each other), and one _first search per piece
+    finds the stop. Up to the stop, the worst ratio lies where the log
+    ratio is within rounding of its maximum, and only those tie spans are
+    scanned: a few indices, m0 alone when the ratio is exactly 1 (equal
+    bases and orders, constant 1), all when it is flat otherwise.
     """
     k, K, cuts, mc = rule.order, g.order, [m0, M + 1], None
     A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
@@ -398,19 +418,8 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
             cuts.insert(1, int(mc) + 1)
     pieces = [(a, z - 1) for a, z in zip(cuts, cuts[1:])]
 
-    lo, hi = m0, M + 1  # both quiet conditions hold on lo..hi-1
-    for quiet in (lambda ms: g.bounds(ms) < tol, lambda ms: np.abs(rule.values(ms)) < tol):
-        s = _first(quiet, m0, M)
-        lo, hi = max(lo, s), min(hi, _first(lambda ms: ~quiet(ms), s, M))
-    # Before the quiet stop the two sides never both underflow to a 0 / 0
-    # ratio, so there the violation test is monotone on each piece.
-    stop = lo if lo < hi else M
-    violates = lambda ms: _tail_ratios(rule, g, ms)[0] > _SLACK
-    for a, z in pieces:
-        first = _first(violates, a, min(z, stop - (lo < hi)))
-        if first < stop and first <= z:
-            stop = first
-            break
+    stops = lambda ms: _tail_ratios(rule, g, tol, ms)[2]
+    stop = next((s for a, z in pieces if (s := _first(stops, a, z)) <= z), M)
 
     if k == K and abs(rule.base) == g.base and g.constant == 1.0:
         near = lambda ms: ms == m0  # |c_m| and bound(m) are one float: the ratio is 1 or 0
@@ -461,14 +470,14 @@ def fit_growth(c: CoefficientSequence, k: int) -> GrowthClass:
     """Least-squares growth classification of a coefficient window.
 
     Fits log|c_n| against |n|^k over the nonzero coefficients, returning
-    the fitted base and the max-ratio constant. An all-zero window yields
-    the degenerate marker (test kind, base 0.5, constant 0).
+    the fitted base and, as constant, the largest ratio |c_n| / base^(|n|^k)
+    as check_membership forms it, so the window is a member of its fit.
+    An all-zero window yields the degenerate marker (test kind, base 0.5,
+    constant 0).
     """
     if c.halfwidth < 4:
         raise ValueError(f"window radius {c.halfwidth} < 4 is too small to fit")
-    if int(k) != k or k < 1:
-        raise ValueError(f"order must be an integer >= 1, got {k}")
-    k = int(k)
+    k = _order(k)
     idx = c.indices()
     mags = np.abs(c.coeffs)
     nz = mags > 0.0
@@ -482,9 +491,8 @@ def fit_growth(c: CoefficientSequence, k: int) -> GrowthClass:
         xm, ym = x.mean(), y.mean()
         slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
     base = math.exp(slope)
-    with np.errstate(over="ignore"):
-        constant = float(np.max(mags[nz] / np.exp(slope * x)))
     kind = "test" if base < 1.0 else "dual"
+    constant = float(np.max(_ratios(mags, GrowthClass(kind, base, k).bounds(idx))))
     return GrowthClass(kind, base, k, constant)
 
 
@@ -495,7 +503,8 @@ def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
     With declared classes (F_class, f_class) both sides are evaluated at
     every index and checked against their bounds; otherwise F is
     evaluated only where f_n != 0. A product is formed only where neither
-    factor is 0: an overflowed F_n beyond an underflowed f_n gives 0.
+    factor is 0: an overflowed F_n beyond an underflowed f_n gives 0. A
+    product that is not finite raises OverflowError naming the first such n.
     """
     fv = f.values(ns)
     if classes is None:
@@ -506,7 +515,11 @@ def _pair_terms(F: CoefficientSequence, f: CoefficientSequence, ns: np.ndarray,
         _verify(ns, [("F", Fv, classes[0]), ("f", fv, classes[1])])
     live = (fv != 0.0) & (Fv != 0.0)
     t = np.zeros(ns.shape, dtype=complex)
-    t[live] = fv[live] * np.conj(Fv[live])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t[live] = fv[live] * np.conj(Fv[live])
+    if not np.isfinite(t).all():
+        n = int(ns[np.argmin(np.isfinite(t))])
+        raise OverflowError(f"pairing term f_n conj(F_n) at n = {n} is not finite")
     if deficit_t is not None:
         t *= np.expm1(-min(deficit_t, _RATE_CAP) * ns.astype(float) ** 2)
     return t
@@ -591,7 +604,8 @@ def pair(F: UltraDistribution, f: CoefficientSequence,
     converge (pq >= 1, or a growing base of higher order than the decay)
     is refused. Otherwise the sum runs over the stored windows and rules
     with a heuristic tail estimate. Sums run n = 0, then |n| = 1, 2, ...
-    in index chunks of fixed sizes.
+    in index chunks of fixed sizes. A term that is not finite, such as an
+    overflowed F_n against a subnormal f_n, raises OverflowError naming n.
     """
     return _pair_core(F.coeffs, f, F.declared_class, f_class, tol)
 

@@ -72,6 +72,15 @@ class TestRandomData:
             random_bandlimited(PeriodicGrid(sizes), hw, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("draw", [random_bandlimited, random_nonnegative])
+    @pytest.mark.parametrize("hw, message", [(-1, "halfwidth must be >= 0"),
+                                             (2.5, "halfwidth must be an integer"),
+                                             (2.0, "halfwidth must be an integer")])
+    def test_halfwidth_is_a_nonnegative_integer(self, draw, hw, message):
+        # -1 failed inside numpy, and 2.5 and 2.0 with a TypeError.
+        with pytest.raises(ValueError, match=message):
+            draw(PeriodicGrid.line(16), hw, np.random.default_rng(0))
+
     def test_bandlimited_takes_the_least_unaliased_grid(self):
         f = random_bandlimited(PeriodicGrid((8, 6, 4)), 1, np.random.default_rng(8))
         assert f.kind == "real" and f.values.shape == (8, 6, 4)

@@ -838,6 +838,49 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not gpath.exists()
 
+    def test_failed_ultra_evolve_keeps_the_out_file(self, tmp_path, capsys):
+        # The tail 0.5^|n| exp(-t n^2) has no file form; the refusal came after
+        # --out was opened, which left an existing file empty.
+        fpath, gpath = tmp_path / "F.json", tmp_path / "G.json"
+        save_ultra(UltraDistribution(CoefficientSequence.from_rule(2, PowerRule(0.5, 1))), fpath)
+        gpath.write_bytes(b"kept\n")
+        assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "0.1",
+                     "--out", str(gpath)]) == 1
+        assert "only for k = 2 or b = 1" in capsys.readouterr().err
+        assert gpath.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: {**d, "class": {"base": 0.5, "k": 2}}, "class has no field 'kind'"),
+        (lambda d: {**d, "window": [{"n": 0, "re": 1.0}]}, "coefficient entry 0 has no field 'im'"),
+        (lambda d: [d], "distribution JSON must be an object"),
+        (lambda d: {**d, "window": {"n": 0, "re": 1.0, "im": 0.0}}, "must be a JSON array"),
+        (lambda d: {**d, "window": [{"n": 0.5, "re": 1.0, "im": 0.0}]},
+         "coefficient entry 0: field 'n' must be an integer, got 0.5"),
+        (lambda d: {**d, "rule": {"type": "power", "base": 0.5, "k": 0}},
+         "order must be an integer >= 1, got 0"),
+        (lambda d: {**d, "rule": {"type": "power", "base": 0.5, "k": -1}},
+         "order must be an integer >= 1, got -1"),
+        (lambda d: {**d, "rule": {"type": "power", "base": 0.5, "k": 1.9}},
+         "rule: field 'k' must be an integer, got 1.9"),
+        (lambda d: {**d, "class": {"kind": "test", "base": 0.5, "k": 1.9}},
+         "class: field 'k' must be an integer, got 1.9"),
+    ])
+    def test_ultra_evolve_refuses_malformed_json(self, tmp_path, capsys, edit, message):
+        # These ended in a KeyError, AttributeError, TypeError or
+        # ZeroDivisionError traceback, or n and k were silently truncated.
+        data = ultra_to_dict(UltraDistribution(
+            CoefficientSequence.from_rule(2, PowerRule(0.5, 2)), GrowthClass("test", 0.5, 2)))
+        fpath, gpath = tmp_path / "F.json", tmp_path / "G.json"
+        fpath.write_text(json.dumps(edit(data)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ultra", "evolve", "--dist", str(fpath), "--t", "0.1",
+                         "--out", str(gpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not gpath.exists()
+
     def test_ultra_pair_refuses_non_finite_sequence(self, tmp_path, capsys):
         fpath, spath = tmp_path / "F.json", tmp_path / "s.json"
         save_ultra(UltraDistribution(CoefficientSequence.from_dict({0: 1.0})), fpath)

@@ -63,6 +63,16 @@ class TestGrowthClass:
         with pytest.raises(ValueError, match="constant"):
             GrowthClass(kind, base, 1, math.nan)
 
+    @pytest.mark.parametrize("base, order, message", [
+        (0.5, 0, "order"), (0.5, -1, "order"), (0.5, 1.9, "order"), (0.5, "2", "order"),
+        (math.nan, 1, "base"), (math.inf, 2, "base"),
+    ])
+    def test_power_rule_checks_order_and_base(self, base, order, message):
+        # Order 0 once failed later with a ZeroDivisionError, 1.9 ran as order 1.
+        with pytest.raises(ValueError, match=message):
+            PowerRule(base, order)
+        assert PowerRule(0.5, 2.0).order == 2 and type(PowerRule(0.5, 2.0).order) is int
+
     def test_bound_overflow_is_inf(self):
         g = GrowthClass("dual", 2.0, 2, 1.0)
         assert g.bound(100) == math.inf
@@ -376,6 +386,19 @@ class TestFitGrowth:
         g = fit_growth(seq_from_rule(6, rule), k)
         assert math.isfinite(g.base) and g.constant >= 0
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(4, 30), st.booleans())
+    @example(1, 3, 30, True)  # worst ratio 1 + 2.2e-12 at n = -30 against the old fit
+    @settings(max_examples=60, deadline=None)
+    def test_window_is_a_member_of_its_fit(self, seed, k, hw, growing):
+        # The constant was fitted against exp(slope |n|^k), not the bound
+        # check_membership forms; near base 1 they part by more than the slack.
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(1e-4, 1e-2)
+        base = 1.0 + d if growing else 1.0 - d
+        n = np.abs(np.arange(-hw, hw + 1)).astype(float)
+        c = CoefficientSequence(hw, rng.uniform(0.5, 1.0, 2 * hw + 1) * base ** n**k)
+        assert check_membership(c, fit_growth(c, k)).ok
+
     def test_small_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             fit_growth(CoefficientSequence(3, np.ones(7, dtype=complex)), 1)
@@ -478,6 +501,22 @@ class TestPairing:
         assert a == b
         exact = TWO_PI * (1.999 / 0.001)
         assert abs(a.value - exact) <= a.tail_bound + 2 * a.terms * 2.3e-16 * exact
+
+
+    @pytest.mark.parametrize("classes", [True, False])
+    def test_overflowed_term_is_refused(self, classes):
+        # 2^|n| overflows at |n| = 1024 while 0.49^|n| is still subnormal: the
+        # sum was nan + nan j with a tail bound of 6.2e-14.
+        F = UltraDistribution(seq_from_rule(4, PowerRule(2.0, 1)),
+                              GrowthClass("dual", 2.0, 1, 1.0) if classes else None)
+        f = seq_from_rule(4, PowerRule(0.49, 1))
+        f_class = GrowthClass("test", 0.49, 1, 1.0) if classes else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"at n = 1024 is not finite"):
+                pair(F, f, f_class=f_class)
+            with pytest.raises(OverflowError, match=r"at n = 1024 is not finite"):
+                evolution_deficit_pair(F, f, 0.5, f_class)
 
 
 class TestEvolve:
