@@ -119,6 +119,11 @@ class SampledFunction:
     which are dropped; larger ones are refused. == and hash() are by
     identity: arrays have no single truth value.
 
+    The constructor and with_values copy the array they are given, so a
+    caller may go on writing to it. The flows, convolutions and kernels
+    of this package build each result in a fresh array that nothing else
+    holds, and the result takes that array over instead of copying it.
+
     The first flow or convolution of a function keeps its forward
     spectrum (rfftn if real-kind, else fftn) on the object, read-only and
     for the object's lifetime, so later ones skip that transform. This
@@ -135,8 +140,7 @@ class SampledFunction:
     kind: str = "complex"
 
     def __post_init__(self):
-        if self.kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
+        dtype = _dtype_of(self.kind)
         vals = np.asarray(self.values)
         if self.kind == "real" and np.iscomplexobj(vals):
             if stray := _stray_imag(vals):
@@ -144,8 +148,25 @@ class SampledFunction:
                     f"kind='real' but max imaginary part {stray:.3e} exceeds tolerance"
                 )
             vals = vals.real
-        dtype = float if self.kind == "real" else complex
-        vals = np.array(vals, dtype=dtype, order="C")  # own the buffer
+        self._freeze(np.array(vals, dtype=dtype, order="C"))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _adopt(cls, grid: PeriodicGrid, values: np.ndarray, kind: str) -> "SampledFunction":
+        """A result whose values are taken over, not copied.
+
+        values must be a fresh C-ordered array of kind's dtype that nothing
+        else holds or writes to; the same kind and shape checks as the
+        constructor's apply.
+        """
+        if values.dtype != _dtype_of(kind) or not values.flags.c_contiguous:
+            raise TypeError(f"cannot adopt {values.dtype} values as kind {kind!r}")
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "kind", kind)
+        f._freeze(values)
+        return f
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if vals.shape != self.grid.sizes:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid sizes {self.grid.sizes}"
@@ -187,6 +208,13 @@ class SampledFunction:
         # Copies and unpickled objects are rebuilt by __init__: their values
         # are frozen again and no spectrum travels with them.
         return SampledFunction, (self.grid, self.values, self.kind)
+
+
+def _dtype_of(kind: str) -> np.dtype:
+    """The dtype values of a kind are stored in; an unknown kind is refused."""
+    if kind not in ("real", "complex"):
+        raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
+    return np.dtype(float if kind == "real" else complex)
 
 
 def _integer(n, what: str) -> int:
@@ -382,8 +410,10 @@ def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndar
 
     half selects the rfftn layout, whose last axis holds n = 0 .. N/2; the
     full fftn layout is used otherwise. Both layouts have the same distinct
-    values, so a symbol evaluated on them serves either one. The tables
-    are cached per grid shape and returned read-only.
+    values, so a symbol evaluated on them serves either one. Only the 1-d
+    half layout has as many distinct values as modes, and there the index
+    is the identity. The tables are cached per grid shape and returned
+    read-only.
     """
     grid = PeriodicGrid(sizes)
     total = np.zeros((), dtype=np.int64)
@@ -404,16 +434,21 @@ def _mode_table(sizes: tuple[int, ...], half: bool) -> tuple[np.ndarray, np.ndar
 class _Spectrum:
     """Unnormalized DFT of f: the rfftn half spectrum if real, else the full fftn.
 
-    real defaults to f's kind; real data goes back through irfftn, so its
-    outputs are exactly real. The transform that matches f's kind is kept,
-    read-only, on f itself for every later use; the fftn of real-kind f
-    is computed each time. Symbols act on n2, the grid's distinct |n|^2,
-    whose tables are built on first use, so a convolution builds none.
+    real defaults to f's kind; real data goes back through irfftn's
+    passes, so its outputs are exactly real. The transform that matches
+    f's kind is kept, read-only, on f itself for every later use; the
+    fftn of real-kind f is computed each time. Symbols act on n2, the
+    grid's distinct |n|^2, whose tables are built on first use, so a
+    convolution builds none.
 
     Cost of a flow: one inverse FFT, plus a forward one the first time a
     function object is transformed, whichever flows, and however many,
-    are applied to it. An overflow shows up as inf or nan in the
-    spectrum; inverse reports it on every use.
+    are applied to it. Memory: two arrays, the result, taken first, and
+    the product of spectrum and symbol. inverse consumes the product it
+    is handed, running its complex passes in place, and a forward
+    transform writes all its passes into the spectrum's own buffer. An
+    overflow shows up as inf or nan in the spectrum; inverse reports it
+    on every use.
     """
 
     def __init__(self, f: SampledFunction, real: Optional[bool] = None):
@@ -422,8 +457,13 @@ class _Spectrum:
         own = self.real == (f.kind == "real")
         self.spec = f.__dict__.get("_spectrum") if own else None
         if self.spec is None:
+            sizes = f.grid.sizes
+            if self.real:
+                sizes = sizes[:-1] + (sizes[-1] // 2 + 1,)
+            out = np.empty(sizes, dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
-                self.spec = np.fft.rfftn(f.values) if self.real else np.fft.fftn(f.values)
+                self.spec = (np.fft.rfftn(f.values, out=out) if self.real
+                             else np.fft.fftn(f.values, out=out))
             if own:
                 self.spec.flags.writeable = False
                 object.__setattr__(f, "_spectrum", self.spec)  # outside the fields: repr, replace
@@ -436,29 +476,57 @@ class _Spectrum:
     def index(self) -> np.ndarray:  # each mode's position in n2
         return _mode_table(self.f.grid.sizes, self.real)[1]
 
-    def inverse(self, spec: np.ndarray, operation: str,
+    def output(self) -> Optional[np.ndarray]:
+        """The array inverse writes a real result into; None for complex data.
+
+        Take it before the product. The product is freed first: above
+        the result, its memory serves the next flow; below it, it can
+        leave a free heap top that the allocator returns to the system,
+        for the next request to fault in again page by page.
+        """
+        return np.empty(self.f.grid.sizes) if self.real else None
+
+    def inverse(self, spec: np.ndarray, out: Optional[np.ndarray], operation: str,
                 operands: tuple[np.ndarray, ...]) -> np.ndarray:
         """Inverse DFT of spec, a product of the operands' spectra or of one and a symbol.
 
-        A non-finite result from finite operands means an overflow on the
+        spec must be a fresh array that the caller gives up: the complex
+        passes overwrite it, and complex data end there. For real data
+        they are those of irfftn over axes 0 .. d-2, in its order, and the
+        last-axis irfft writes the result into out, from output(). A
+        non-finite result from finite operands means an overflow on the
         way, which raises an OverflowError naming the operation.
         """
-        grid = self.f.grid
+        sizes = self.f.grid.sizes
         with np.errstate(over="ignore", invalid="ignore"):
             if self.real:
-                out = np.fft.irfftn(spec, s=grid.sizes, axes=tuple(range(grid.dims)))
+                for axis in range(len(sizes) - 1):
+                    np.fft.ifft(spec, axis=axis, out=spec)
+                out = np.fft.irfft(spec, n=sizes[-1], axis=-1, out=out)
             else:
-                out = np.fft.ifftn(spec)
+                out = np.fft.ifftn(spec, out=spec)
         if not np.isfinite(out).all() and all(np.isfinite(a).all() for a in operands):
             raise OverflowError(f"{operation} of finite data overflowed double precision")
         return out
 
+    def scaled(self, symbol: np.ndarray) -> np.ndarray:
+        """Samples of f with every mode scaled by its symbol value, in a fresh array.
+
+        The caller owns the array. An overflow raises OverflowError.
+        """
+        out = self.output()
+        product = symbol.astype(complex)
+        if product.size != self.index.size:  # else the index is the identity
+            product = product[self.index]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # spec times symbol, in that order: complex products can round
+            # differently with the operands swapped.
+            np.multiply(self.spec, product, out=product)
+        return self.inverse(product, out, "Fourier multiplier", (self.f.values, symbol))
+
     def apply(self, symbol: np.ndarray) -> SampledFunction:
         """f with every mode scaled by its symbol value; an overflow raises OverflowError."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = self.spec * symbol[self.index]
-        return self.f.with_values(self.inverse(product, "Fourier multiplier",
-                                               (self.f.values, symbol)))
+        return SampledFunction._adopt(self.f.grid, self.scaled(symbol), self.f.kind)
 
     def amplitudes(self) -> np.ndarray:
         """For each distinct |n|^2, the sum of |f_hat(n)| over the modes n that have it.
@@ -484,12 +552,13 @@ def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction
     if f.grid != g.grid:
         raise ValueError("grid mismatch: convolution operands must share a grid")
     real = f.kind == "real" and g.kind == "real"
-    f_hat = _Spectrum(f, real)
+    f_hat, g_hat = _Spectrum(f, real), _Spectrum(g, real)
+    out = f_hat.output()
     with np.errstate(over="ignore", invalid="ignore"):
         # Not the * operator: it may reuse a temporary right operand as the
         # output and compute g_hat * f_hat, whose complex products can round
         # differently from f_hat * g_hat.
-        spec = np.multiply(f_hat.spec, _Spectrum(g, real).spec)
-    vals = f_hat.inverse(spec, "circular convolution", (f.values, g.values))
-    return SampledFunction(f.grid, vals * f.grid.cell_volume,
-                           kind="real" if real else "complex")
+        spec = np.multiply(f_hat.spec, g_hat.spec)
+    vals = f_hat.inverse(spec, out, "circular convolution", (f.values, g.values))
+    vals *= f.grid.cell_volume
+    return SampledFunction._adopt(f.grid, vals, "real" if real else "complex")

@@ -15,7 +15,8 @@ Coefficient sequences serialize as a JSON array of ``{n, re, im}``;
 distributions as ``{window, rule, class}`` where only power rules
 (``base^(|n|^k)``) have a serialized form. A missing or ill-typed JSON
 field is refused with a ValueError naming it; ``n`` and ``k`` must be
-JSON integers.
+JSON integers, and ``|n|`` at most 100 000, the largest index a pairing
+sums (the window is sized from it); the writers refuse a wider window.
 """
 
 from __future__ import annotations
@@ -165,11 +166,23 @@ def _reconstruct_grid(coords: np.ndarray) -> PeriodicGrid:
 
 
 def save_coefficients(c: CoefficientSequence, path) -> None:
+    entries = _coeff_entries(c)  # before the file is opened: a refusal leaves it as it was
     with open(path, "w") as fh:
-        json.dump(_coeff_entries(c), fh, indent=2)
+        json.dump(entries, fh, indent=2)
+
+
+def _largest_index() -> int:
+    """The largest |n| a coefficient file may hold: the largest index a pairing sums."""
+    from .ultradist import _PAIR_TERMS
+
+    return _PAIR_TERMS
 
 
 def _coeff_entries(c: CoefficientSequence) -> list[dict]:
+    largest = _largest_index()
+    if c.halfwidth > largest:  # so every file written here loads back
+        raise ValueError(f"a window of halfwidth {c.halfwidth} has no file form: "
+                         f"a coefficient file holds |n| <= {largest}")
     return [
         {"n": int(n), "re": float(c.coeffs[i].real), "im": float(c.coeffs[i].imag)}
         for i, n in enumerate(c.indices())
@@ -196,10 +209,13 @@ def _field(obj, name: str, where: str, convert=float):
 def _entries_to_sequence(entries, rule=None) -> CoefficientSequence:
     if not isinstance(entries, list):
         raise ValueError("a coefficient window must be a JSON array of {n, re, im}")
-    table = {}
+    table, largest = {}, _largest_index()
     for i, e in enumerate(entries):
         where = f"coefficient entry {i}"
         n = _field(e, "n", where, operator.index)
+        if abs(n) > largest:  # the window is sized from |n|
+            raise ValueError(f"{where}: |n| = {abs(n)} is past {largest}, "
+                             "the largest index a pairing sums")
         value = complex(_field(e, "re", where), _field(e, "im", where))
         if not cmath.isfinite(value):
             raise ValueError(f"coefficient n = {n} is not finite: {value}")

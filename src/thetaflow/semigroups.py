@@ -23,6 +23,12 @@ fourier._Spectrum, which owns the transforms and their cost.
 Subordination sums S(|n|^2) = sum_k c_k exp(-tau_k |n|^2) over the
 quadrature nodes and applies it like any other symbol.
 
+Cost of a flow: one inverse FFT (see fourier._Spectrum), and in memory
+two arrays, the product of spectrum and symbol and the result, which
+the returned function takes over. maximal_function and heat_residual
+take the magnitude of each real time slice in its own array and keep
+one running maximum.
+
 Cost of subordination: the rule has about (ln 72 - ln t) / 0.15 nodes,
 whatever the grid, and the symbol costs one exp per (node, |n|^2) pair
 that does not underflow to 0.0; node k stops at the first |n|^2 with
@@ -139,9 +145,12 @@ def poisson_kernel(t: float, grid: PeriodicGrid) -> SampledFunction:
     # sit off their exact place, and their error would shift the mass.
     j = np.arange(grid.npoints)
     half_sine = np.sin(np.pi / grid.npoints * np.minimum(j, grid.npoints - j))
-    denominator = math.expm1(-t) ** 2 + 4.0 * r * half_sine * half_sine
-    vals = -math.expm1(-2.0 * t) / denominator / (2.0 * np.pi)
-    return SampledFunction(grid, vals, kind="real")
+    denominator = 4.0 * r * half_sine  # (1 - r)^2 + 4r sin^2, in one buffer
+    denominator *= half_sine
+    denominator += math.expm1(-t) ** 2
+    vals = np.divide(-math.expm1(-2.0 * t), denominator, out=denominator)
+    vals /= 2.0 * np.pi
+    return SampledFunction._adopt(grid, vals, "real")
 
 
 def poisson_evolve_kernel(f: SampledFunction, t: float) -> SampledFunction:
@@ -325,8 +334,8 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
     worst = 0.0
     for lo, mid, hi in zip(ts, ts[1:], ts[2:]):
         dudt = (_decay(hi, n2) - _decay(lo, n2)) / (hi - lo)
-        mismatch = spectrum.apply(dudt + n2 * _decay(mid, n2)).values
-        worst = max(worst, float(np.max(np.abs(mismatch))))
+        mismatch = spectrum.scaled(dudt + n2 * _decay(mid, n2))
+        worst = max(worst, float(np.max(_magnitude(mismatch))))
     return worst
 
 
@@ -353,5 +362,10 @@ def maximal_function(f: SampledFunction,
     n2 = spectrum.n2
     best = np.zeros(f.grid.sizes)
     for t in ts:
-        best = np.maximum(best, np.abs(spectrum.apply(_decay(t, n2)).values))
-    return SampledFunction(f.grid, best, kind="real")
+        np.maximum(best, _magnitude(spectrum.scaled(_decay(t, n2))), out=best)
+    return SampledFunction._adopt(f.grid, best, "real")
+
+
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    """|values|, written over values when they are real; the caller gives them up."""
+    return np.abs(values, out=values) if values.dtype.kind == "f" else np.abs(values)

@@ -262,4 +262,4 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
         theta = partial(theta3_series, params=params)
     factors = [np.divide(f, TWO_PI, out=f) for f in map(theta, grid.axes())]
     vals = reduce(np.multiply.outer, factors)
-    return SampledFunction(grid, vals, kind="real")
+    return SampledFunction._adopt(grid, vals, "real")

@@ -433,7 +433,12 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
         z = min(z, stop)
         s, e = ((a, _first(lambda ms: ~near(ms), a, z) - 1) if near(np.array([a]))[0]
                 else (_first(near, a, z), z))
-        worst_ratio, worst_n, _ = _scan(rule, g, tol, s, e, worst_ratio, worst_n)
+        worst_ratio, worst_n, last = _scan(rule, g, tol, s, e, worst_ratio, worst_n)
+        # Where the ratio hovers at the slack, its rounding is not monotone
+        # and the search can land past a stop that the span's scan meets.
+        if s <= last < stop and stops(np.array([last]))[0]:
+            stop = last
+            break
     return worst_ratio, worst_n, stop
 
 

@@ -625,6 +625,35 @@ class TestCommands:
         assert "is not finite" in capsys.readouterr().err
         assert not gpath.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "check-membership", "pair"])
+    def test_refuses_an_index_past_the_pairing_range(self, tmp_path, capsys, command):
+        # One entry at n = 10^6 built a 2 000 001-entry window (32 MB).
+        big = [{"n": 1_000_000, "re": 1.0, "im": 0.0}]
+        fpath, spath, gpath = tmp_path / "F.json", tmp_path / "f.json", tmp_path / "G.json"
+        fpath.write_text(json.dumps({"window": big, "rule": "none",
+                                     "class": {"kind": "dual", "base": 2.0, "k": 1}}))
+        spath.write_text(json.dumps(big))
+        argv = {"evolve": ["--dist", str(fpath), "--t", "1.0", "--out", str(gpath)],
+                "check-membership": ["--dist", str(fpath)],
+                "pair": ["--dist", str(tmp_path / "ok.json"), "--seq", str(spath)]}[command]
+        save_ultra(UltraDistribution(CoefficientSequence.from_dict({0: 1.0})), tmp_path / "ok.json")
+        assert main(["ultra", command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient entry 0: |n| = 1000000 is past 100000")
+        assert "Traceback" not in err
+        assert not gpath.exists()
+
+    def test_writers_refuse_a_window_past_the_pairing_range(self, tmp_path):
+        wide = CoefficientSequence(100_001, np.zeros(200_003))
+        for save in (save_coefficients, lambda c, p: save_ultra(UltraDistribution(c), p)):
+            path = tmp_path / "w.json"
+            with pytest.raises(ValueError, match="halfwidth 100001 has no file form"):
+                save(wide, path)
+            assert not path.exists()
+        edge = CoefficientSequence.from_dict({100_000: 1.0, -100_000: 2.0})
+        save_coefficients(edge, tmp_path / "edge.json")
+        assert load_coefficients(tmp_path / "edge.json").coeffs.tobytes() == edge.coeffs.tobytes()
+
     def test_overflow_error_exits_one(self, tmp_path, monkeypatch, capsys):
         def overflow(F, t):
             raise OverflowError("absolute value too large")

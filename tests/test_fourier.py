@@ -134,6 +134,30 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match="shape"):
             SampledFunction(g, np.zeros(9, dtype=complex))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_constructor_and_with_values_copy_the_callers_array(self, kind):
+        g = PeriodicGrid.line(8)
+        a = np.arange(8.0) if kind == "real" else np.arange(8.0) + 1j
+        f = SampledFunction(g, a, kind=kind)
+        h = f.with_values(a)
+        before = a.copy()
+        a[:] = -5.0
+        assert np.array_equal(f.values, before) and np.array_equal(h.values, before)
+
+    def test_adopt_checks_kind_dtype_and_shape(self):
+        g = PeriodicGrid.line(8)
+        a = np.zeros(8)
+        f = SampledFunction._adopt(g, a, "real")
+        assert f.values is a and not a.flags.writeable and f.kind == "real"
+        with pytest.raises(ValueError, match="kind"):
+            SampledFunction._adopt(g, np.zeros(8), "Real")
+        with pytest.raises(TypeError, match="adopt"):
+            SampledFunction._adopt(g, np.zeros(8), "complex")
+        with pytest.raises(TypeError, match="adopt"):
+            SampledFunction._adopt(g, np.zeros(16)[::2], "real")
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction._adopt(g, np.zeros(9), "real")
+
     @pytest.mark.parametrize("p", [np.nan, -np.inf, -1.0, 0.0, 0.5])
     def test_norm_refuses_p_outside_one_to_inf(self, p):
         # nan gave nan, -inf the sup norm, -1 about 5.8e-17 and 0 a ZeroDivisionError.
@@ -386,6 +410,17 @@ class TestKeptSpectrum:
             coeffs = analyze(f).coeffs
         assert coeffs.tobytes() == expected.tobytes()
         assert ("_spectrum" in vars(f)) == (kept or kind == "complex")
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("sizes", [(4,), (64,), (65536,), (4, 4), (64, 48), (8, 6, 4)])
+    @pytest.mark.parametrize("half", [True, False])
+    def test_index_is_the_identity_exactly_when_no_value_repeats(self, sizes, half):
+        n2, index = fourier._mode_table(sizes, half)
+        line_half = half and len(sizes) == 1
+        assert (n2.size == index.size) == line_half
+        if line_half:
+            assert np.array_equal(index, np.arange(index.size))
 
 
 class TestIdentityEquality:

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,9 +44,13 @@ def _cos(grid, k=1):
 
 
 def _count_fft_calls(monkeypatch):
-    """Record the name of every np.fft n-d transform called from here on."""
+    """Record the name of every np.fft transform called from here on, n-d or one axis.
+
+    A real inverse is a run of per-axis passes, ifft over all axes but the
+    last and then irfft, so its irfft counts one inverse.
+    """
     calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -367,7 +372,7 @@ class TestSubordination:
         f = random_bandlimited(PeriodicGrid((256, 256)), 64, np.random.default_rng(12))
         calls = _count_fft_calls(monkeypatch)
         subordinate(f, 0.8, SubordinationQuadrature(tol=1.0))
-        assert calls == ["rfftn", "irfftn"]
+        assert calls == ["rfftn", "ifft", "irfft"]
 
 
 def _full_spectrum_defect(f, n2, symbol, t):
@@ -866,14 +871,14 @@ class TestSpectrumIsKept:
         for flow in _KEPT_FLOWS.values():
             flow(f)
         assert calls.count("rfftn") == 1
-        assert calls.count("irfftn") == len(_KEPT_FLOWS)
-        assert "fftn" not in calls
+        assert calls.count("irfft") == len(_KEPT_FLOWS)
+        assert not {"fftn", "fft", "rfft"} & set(calls)
 
     def test_self_convolution_transforms_once(self, monkeypatch):
         f = random_bandlimited(PeriodicGrid.line(64), 10, np.random.default_rng(40))
         calls = _count_fft_calls(monkeypatch)
         circular_convolve(f, f)
-        assert calls == ["rfftn", "irfftn"]
+        assert calls == ["rfftn", "irfft"]
 
     def test_real_operand_of_a_complex_convolution_keeps_no_full_spectrum(self, monkeypatch):
         g = PeriodicGrid.line(64)
@@ -932,3 +937,56 @@ class TestSpectrumIsKept:
         assert not any(thread.is_alive() for thread in threads)
         assert results[0] == expected and results[1] == expected
         assert fourier._Spectrum(f, True).spec.tobytes() == np.fft.rfftn(f.values).tobytes()
+
+
+def _traced_peak_mib(fn):
+    """Peak traced allocation while fn runs, above what was allocated before, in MiB."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not running:
+            tracemalloc.stop()
+
+
+class TestFlowMemory:
+    """A flow allocates its product and its result, and a result owns its array."""
+
+    def test_kept_spectrum_heat_flow_allocates_two_arrays(self):
+        # A 256 x 129 product (0.50 MiB) and the 256 x 256 result (0.50 MiB).
+        f = random_bandlimited(PeriodicGrid((256, 256)), 64, np.random.default_rng(50))
+        theta_evolve(f, 0.1)  # keeps the spectrum and builds the mode tables
+        assert _traced_peak_mib(lambda: theta_evolve(f, 0.2)) <= 1.2
+
+    def test_kept_spectrum_line_flow_gathers_no_symbol_copy(self):
+        # The symbol on the 32 769 distinct |n|^2 (0.25 MiB), already in mode
+        # order on a line, the product and the result (0.50 MiB each).
+        f = random_bandlimited(PeriodicGrid.line(65536), 64, np.random.default_rng(53))
+        theta_evolve(f, 0.1)
+        assert _traced_peak_mib(lambda: theta_evolve(f, 0.2)) <= 1.4
+
+    def test_kernel_convolution_allocates_four_arrays(self):
+        # The kernel's samples and spectrum, the product and the result.
+        g = PeriodicGrid((256, 256))
+        f = random_bandlimited(g, 64, np.random.default_rng(51))
+        circular_convolve(f, f)  # keeps f's spectrum
+        assert _traced_peak_mib(lambda: circular_convolve(f, kernel(1e-3, g))) <= 2.3
+
+    @pytest.mark.parametrize("sizes", [(64,), (64, 48), (8, 6, 4)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_results_are_read_only_and_share_no_memory(self, sizes, kind):
+        rng = np.random.default_rng(52)
+        vals = rng.normal(size=sizes) + (1j * rng.normal(size=sizes) if kind == "complex" else 0)
+        f = SampledFunction(PeriodicGrid(sizes), vals, kind=kind)
+        flows = dict(_KEPT_FLOWS, maximal=lambda f: maximal_function(f, [0.1, 0.2]))
+        for name, flow in flows.items():
+            out = flow(f)
+            spec = fourier._Spectrum(f).spec
+            assert not out.values.flags.writeable, name
+            assert not np.shares_memory(out.values, f.values), name
+            assert not np.shares_memory(out.values, spec), name

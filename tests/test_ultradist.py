@@ -265,6 +265,28 @@ class TestOneEvaluator:
         seq = seq_from_rule(hw, PowerRule(b, k))
         assert check_membership(seq, g, tol, max_terms) == _library_scan(seq, g, tol, max_terms)
 
+    def test_stop_inside_a_tie_span_is_the_stop(self):
+        # The ratio 1 + 1e-12 (the slack) is first passed at n = 1030; the
+        # stop search, misled by its non-monotone rounding, reported 1054.
+        seq = seq_from_rule(5, PowerRule(2.3308526089474624, 1))
+        g = GrowthClass("dual", 2.33085260894746, 1, 1.0)
+        res = check_membership(seq, g, 2.0, 2513)
+        assert res == _library_scan(seq, g, 2.0, 2513)
+        assert res == MembershipResult(False, 1030, 1.0000000000010232, 1030)
+
+    def test_near_tie_tails_agree_with_the_chunked_scan(self):
+        # Class bases within a few ulps of the rule's: the ratio creeps past
+        # the slack after hundreds of terms. 13 of these 300 stopped late.
+        rng = np.random.default_rng(2020)
+        for _ in range(300):
+            k, b = int(rng.integers(1, 3)), float(rng.uniform(1.05, 3.0))
+            B = float(f"{b:.14g}") if rng.random() < 0.5 else b * (1 - rng.uniform(-4, 4) * 1e-16)
+            seq = seq_from_rule(int(rng.integers(0, 8)), PowerRule(b, k))
+            g = GrowthClass("dual", B, k, 1.0)
+            tol, max_terms = (1e-14, 2.0)[int(rng.integers(2))], int(rng.integers(100, 4000))
+            assert (check_membership(seq, g, tol, max_terms)
+                    == _library_scan(seq, g, tol, max_terms)), (b, B, k, tol, max_terms)
+
     def test_high_order_overflow_is_decided_in_log_magnitude(self):
         # (1e5)^60 is no float, so the scan decides; it took inf against inf
         # at n = 2 for a violation, which the closed form (up to 1e4) did not.
