@@ -182,7 +182,7 @@ def test_criterion_7_ultradistribution_suite():
     # Positivity: the two pairing routes agree.
     poisson_like = UltraDistribution(
         CoefficientSequence.from_rule(24, PowerRule(math.exp(-1.0), 1)))
-    res = positivity_check(poisson_like, t=0.3, trial_count=20)
+    res = positivity_check(poisson_like, t=0.3)
     if not res.positive:
         failures.append(f"positive distribution failed, min pairing {res.min_pairing:.3e}")
     if res.route_gap > 1e-10:

@@ -6,6 +6,7 @@ and checks every such name against the package.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import thetaflow
@@ -35,6 +36,25 @@ def test_every_name_the_workloads_use_exists():
     assert "theta_evolve_d" in used["tf"] and "save_function" in used["tfio"]
     assert sorted(n for n in used["tf"] if not hasattr(thetaflow, n)) == []
     assert sorted(n for n in used["tfio"] if not hasattr(thetaflow.io, n)) == []
+
+
+def test_every_keyword_the_workloads_pass_binds():
+    modules = {"tf": thetaflow, "tfio": thetaflow.io}
+    passed, unbound = set(), []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            continue
+        name = node.func.attr
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        passed.update((name, k) for k in keywords)
+        try:
+            inspect.signature(getattr(modules[node.func.value.id], name)).bind_partial(
+                **dict.fromkeys(keywords))
+        except TypeError:
+            unbound.append(f"{node.func.value.id}.{name}({', '.join(keywords)})")
+    assert ("pair", "f_class") in passed
+    assert unbound == []
 
 
 def test_d_dim_names_are_the_merged_flows():

@@ -69,23 +69,31 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(pathlib.Path(thetaflow.__file__).parent.glob("*.py"))}
 
 
-def _uses_numpy_fft(tree):
+def _uses_numpy(tree, sub):
+    """Whether the module reaches numpy.<sub>: as an attribute of np or numpy, or by import."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+        if (isinstance(node, ast.Attribute) and node.attr == sub
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             return True
-        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name.startswith(f"numpy.{sub}")
+                                                for a in node.names):
             return True
         if isinstance(node, ast.ImportFrom) and (
-                (node.module or "").startswith("numpy.fft")
-                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+                (node.module or "").startswith(f"numpy.{sub}")
+                or node.module == "numpy" and any(a.name == sub for a in node.names)):
             return True
     return False
 
 
 def test_only_fourier_references_numpy_fft():
     assert "fourier" in TREES and "semigroups" in TREES
-    assert [name for name, tree in TREES.items() if _uses_numpy_fft(tree)] == ["fourier"]
+    assert [name for name, tree in TREES.items() if _uses_numpy(tree, "fft")] == ["fourier"]
+
+
+def test_only_checks_references_numpy_random():
+    # The suites draw their seeded random data there; every other result is deterministic.
+    assert "ultradist" in TREES
+    assert [name for name, tree in TREES.items() if _uses_numpy(tree, "random")] == ["checks"]
 
 
 @pytest.mark.parametrize("module", ["semigroups", "checks"])

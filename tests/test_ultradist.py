@@ -717,6 +717,11 @@ class TestDerivative:
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("m", [-1, 1.5, math.nan, math.inf, "2"])
+    def test_order_must_be_a_nonnegative_integer(self, m):
+        with pytest.raises(ValueError, match="derivative order"):
+            derivative_sequence(seq_from_rule(3, PowerRule(0.5, 1)), m)
+
     def test_rule_is_differentiated(self):
         F = comb(4)
         d1 = derivative_ultra(F, 1)
@@ -753,16 +758,43 @@ class TestDerivativeBounds:
             assert observed <= slack * bound.magnitude(m)
 
 
+def _cosine(a, scale=1.0):
+    """scale * (1 + 2a cos x)."""
+    return UltraDistribution(CoefficientSequence.from_dict({0: scale, 1: scale * a, -1: scale * a}))
+
+
+def _nonneg_trial_coefficients(rng, degree):
+    """Coefficients of |p(x)|^2 for a random trig polynomial p of the degree, and sum |p_m|^2."""
+    phat = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
+    # c_n = sum_m p_m conj(p_(m - n)): the autocorrelation of the p_m
+    f = CoefficientSequence(2 * degree, np.convolve(phat, np.conj(phat[::-1])))
+    return f, float(np.sum(np.abs(phat) ** 2))
+
+
+def _abs_sum(F, t):
+    """sum |G_n| over |n| <= 12 for G_n = F_n exp(-n^2 t): the scale of the round-off."""
+    return float(np.abs(evolve_ultra(F, t).coeffs.values(np.arange(-12, 13))).sum())
+
+
+POSITIVITY_CASES = {
+    "cosine_0.55": (_cosine(0.55), 1e-3),
+    "poisson": (UltraDistribution(seq_from_rule(24, PowerRule(math.exp(-1.0), 1))), 0.3),
+    "comb": (comb(), 0.5),
+    "complex": (UltraDistribution(CoefficientSequence(
+        14, [1.0, 1j] @ np.random.default_rng(3).normal(size=(2, 29)))), 0.01),
+}
+
+
 class TestPositivity:
     def test_delta_mass(self):
         F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}))
-        res = positivity_check(F, t=0.5, trial_count=10)
+        res = positivity_check(F, t=0.5)
         assert res.positive
         assert res.route_gap < 1e-10
 
     def test_poisson_coefficients(self):
         F = UltraDistribution(seq_from_rule(24, PowerRule(math.exp(-1.0), 1)))
-        res = positivity_check(F, t=0.3, trial_count=20)
+        res = positivity_check(F, t=0.3)
         assert res.positive
         assert res.min_pairing >= -1e-10
         assert res.route_gap < 1e-10
@@ -772,8 +804,90 @@ class TestPositivity:
         # goes negative for small smoothing times.
         F = UltraDistribution(CoefficientSequence.from_dict(
             {0: 0.05, 1: -0.5, -1: -0.5}))
-        res = positivity_check(F, t=0.01, trial_count=40)
+        res = positivity_check(F, t=0.01)
         assert not res.positive
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2])
+    def test_cosine_closed_form(self, t):
+        # 1 + 1.1 cos x evolves to a function negative near pi. A is tridiagonal
+        # (1 on the diagonal, a e^-t beside it), least eigenvalue 1 - 2 a e^-t cos(pi/14).
+        a = 0.55
+        res = positivity_check(_cosine(a), t)
+        assert not res.positive
+        exact = TWO_PI * (1.0 - 2.0 * a * math.exp(-t) * math.cos(math.pi / 14))
+        assert res.min_pairing == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_huge_signed_cosine_fails(self):
+        assert not positivity_check(_cosine(1.0, 1e300), 1e-3).positive
+
+    def test_scope_is_degree_twelve(self):
+        # T_t F for 1 + 1.01 cos x dips to -0.009 at pi, yet every |p|^2 of degree
+        # <= 12 pairs with it positively: the verdict covers that class only.
+        a, t = 0.505, 1e-3
+        assert 1.0 - 2.0 * a * math.exp(-t) < -0.008
+        res = positivity_check(_cosine(a), t)
+        assert res.positive
+        exact = TWO_PI * (1.0 - 2.0 * a * math.exp(-t) * math.cos(math.pi / 14))
+        assert res.min_pairing == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_scaled_comb_within_round_off(self):
+        # The evolved comb's least pairing is round-off, far above 1e-10 at scale 1e20:
+        # the allowance 2pi * 13 eps * sum |G_n| covers it.
+        F, t = UltraDistribution(CoefficientSequence(16, np.full(33, 1e20))), 1e-3
+        res = positivity_check(F, t)
+        assert res.positive
+        assert abs(res.min_pairing) <= 1e-10 + 13 * np.finfo(float).eps * TWO_PI * _abs_sum(F, t)
+
+    @pytest.mark.parametrize("name", sorted(POSITIVITY_CASES))
+    def test_no_trial_pairs_below_the_least(self, name):
+        F, t = POSITIVITY_CASES[name]
+        least = positivity_check(F, t).min_pairing
+        evolved, slack = evolve_ultra(F, t), 1e-12 * TWO_PI * _abs_sum(F, t)
+        rng = np.random.default_rng(12345)
+        for _ in range(200):
+            f, norm = _nonneg_trial_coefficients(rng, 6)
+            assert pair(evolved, f).value.real / norm >= least - slack
+
+    @pytest.mark.parametrize("name", sorted(POSITIVITY_CASES))
+    def test_witness_pairs_twice_at_the_least(self, name, monkeypatch):
+        F, t = POSITIVITY_CASES[name]
+        values, core = [], ultradist._pair_core
+
+        def counted(*args, **kwargs):
+            res = core(*args, **kwargs)
+            values.append(res.value)
+            return res
+
+        monkeypatch.setattr(ultradist, "_pair_core", counted)
+        res = positivity_check(F, t)
+        assert len(values) == 2
+        slack = 1e-12 * TWO_PI * _abs_sum(F, t)
+        assert all(abs(v.real - res.min_pairing) <= slack for v in values)
+        assert res.route_gap == abs(values[0] - values[1])
+
+    def test_non_finite_coefficient_names_n(self):
+        F = UltraDistribution(seq_from_rule(2, PowerRule(1e30, 2)))
+        with pytest.raises(OverflowError, match="n = -12"):
+            positivity_check(F, 1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.just(0.0) | st.floats(5e-324, 1e300),
+           hw=st.integers(0, 16),
+           data=st.data(),
+           rule=st.none() | st.builds(PowerRule, st.floats(-1e300, 1e300), st.integers(1, 3)))
+    def test_sweep_is_finite_or_refused(self, t, hw, data, rule):
+        values = data.draw(st.lists(
+            st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+            min_size=2 * hw + 1, max_size=2 * hw + 1))
+        F = UltraDistribution(CoefficientSequence(hw, values, rule))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = positivity_check(F, t)
+            except (ValueError, OverflowError) as e:
+                assert not isinstance(e, np.linalg.LinAlgError)
+                return
+        assert math.isfinite(res.min_pairing) and math.isfinite(res.route_gap)
 
 
 class TestNonFiniteTime:
@@ -804,7 +918,7 @@ class TestNonFiniteTime:
     def test_positivity_check(self, t):
         F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}))
         with pytest.raises(ValueError, match="time must be finite"):
-            positivity_check(F, t, trial_count=1)
+            positivity_check(F, t)
 
 
 class TestHugeTime:
@@ -815,7 +929,7 @@ class TestHugeTime:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = evolve_ultra(F, 1.7e308)
-            res = positivity_check(F, 1.7e308, trial_count=3)
+            res = positivity_check(F, 1.7e308)
         assert np.array_equal(out.coeffs.coeffs, np.where(out.coeffs.indices() == 0, 1.0, 0.0))
         assert res.positive and res.route_gap == 0.0
 
