@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -17,6 +16,7 @@ from typing import Optional
 # Module level: only what the flow commands need. The theta, check and
 # ultra handlers import their modules in their own bodies, so a heat or
 # poisson process never loads theta, checks or ultradist.
+from .fourier import _tolerance
 from .io import (
     load_coefficients,
     load_function,
@@ -39,10 +39,7 @@ def _env_tolerance() -> float:
     raw = os.environ.get("THETA_TOL")
     if raw is None:
         return DEFAULT_TOL
-    tol = float(raw)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"THETA_TOL must be positive and finite, got {raw}")
-    return tol
+    return _tolerance(float(raw), "THETA_TOL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,14 +134,14 @@ def _run_heat(args: argparse.Namespace) -> int:
 
 
 def _run_poisson(args: argparse.Namespace) -> int:
+    # The quadrature flags are checked for every method, though only subordination uses them.
+    quad = SubordinationQuadrature(nodes=args.nodes, u_max=args.u_max, tol=args.quad_tol)
     f = load_function(args.init)
     if args.method == "multiplier":
         out = poisson_evolve_multiplier(f, args.t)
     elif args.method == "kernel":
         out = poisson_evolve_kernel(f, args.t)
     else:
-        quad = SubordinationQuadrature(nodes=args.nodes, u_max=args.u_max,
-                                       tol=args.quad_tol)
         out = subordinate(f, args.t, quad)
     save_function(out, args.out)
     return 0

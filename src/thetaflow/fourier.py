@@ -36,6 +36,8 @@ _EXP_ZERO = 750.0
 # relative to the largest retained coefficient.
 NYQUIST_WARN_RATIO = 1e-10
 
+_MAX_INDEX = 100_000  # the largest |n| a pairing sums and a coefficient file holds
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -223,6 +225,13 @@ def _integer(n, what: str) -> int:
         return operator.index(n)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {n!r}") from None
+
+
+def _tolerance(tol: float, what: str = "tol") -> float:
+    """tol, refused with a ValueError naming what unless it is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{what} must be positive and finite, got {tol}")
+    return tol
 
 
 def _stray_imag(values: np.ndarray) -> float:

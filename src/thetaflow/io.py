@@ -4,13 +4,16 @@ CSV function format: header ``x,re,im`` in one dimension or
 ``x1,...,xd,re,im`` in d dimensions, rows in lexicographic grid order,
 CRLF line ends. Floats are written with repr, so save/load round-trips
 are lossless; the writer takes the repr of each axis node once and writes
-one block per last-axis row. The reader parses the body with
-``np.loadtxt``. A body that loadtxt refuses, that has the wrong column
-count or no rows, or that holds a non-finite value goes through the
-row-by-row ``csv`` loop instead: that loop alone names a bad line, and it
-also accepts what ``float()`` takes and loadtxt does not (quoted fields,
-``4_0``, non-ASCII digits). Where both accept a body they give the same
-values. Blank lines are skipped but keep their line numbers.
+one block per last-axis row. The reader opens the file once, parses the
+header (line 1 alone) once and the body with ``np.loadtxt``. A body that
+loadtxt refuses, that has the wrong column count or no rows, or that holds
+a non-finite value is read again by the row-by-row ``csv`` loop: that loop
+alone names a bad line, and it also accepts what ``float()`` takes and
+loadtxt does not (quoted fields, ``4_0``, non-ASCII digits). Where both
+accept a body they give the same values. Blank lines are skipped but keep
+their line numbers. One comparison decides the grid: the distinct values
+of each axis give its size, and every row must lie within 1e-9 of its
+node 2 pi j / N, in lexicographic order.
 Coefficient sequences serialize as a JSON array of ``{n, re, im}``;
 distributions as ``{window, rule, class}`` where only power rules
 (``base^(|n|^k)``) have a serialized form. A missing or ill-typed JSON
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fourier import TWO_PI, CoefficientSequence, PeriodicGrid, SampledFunction, _stray_imag
+from .fourier import _MAX_INDEX, CoefficientSequence, PeriodicGrid, SampledFunction, _stray_imag
 
 if TYPE_CHECKING:  # imported where used, so function I/O never loads ultradist
     from .ultradist import UltraDistribution
@@ -54,8 +57,16 @@ def save_function(f: SampledFunction, path) -> None:
 
 
 def load_function(path) -> SampledFunction:
-    parsed = _loadtxt_table(path)
-    table, d = parsed if parsed is not None else _row_table(path)
+    with open(path, newline="") as fh:
+        header = fh.readline()  # not next(fh), which disables fh.tell()
+        if not header:
+            raise ValueError("line 1: empty CSV file")
+        d = _parse_header(next(_csv_rows([header])))
+        body = fh.tell()
+        table = _loadtxt_table(fh, d)
+        if table is None:
+            fh.seek(body)
+            table = _row_table(fh, d)
     grid = _reconstruct_grid(table[:, :d])
     vals = table[:, d:].view(complex)[:, 0]  # no copy: (re, im) pairs are adjacent
     if _stray_imag(vals):
@@ -63,49 +74,38 @@ def load_function(path) -> SampledFunction:
     return SampledFunction(grid, table[:, d].reshape(grid.sizes), kind="real")
 
 
-def _loadtxt_table(path) -> tuple[np.ndarray, int] | None:
-    """The parsed table and d by np.loadtxt, or None where the row loop must decide."""
-    with open(path, newline="") as fh:
-        header = next(_csv_rows(fh), None)
-        if header is None:
-            return None
-        d = _parse_header(header)
-        # loadtxt warns on a body without rows; the row loop names that error.
-        body = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
-        first = next(body, None)
-        if first is None:
-            return None
-        try:
-            table = np.loadtxt(itertools.chain([first], body), delimiter=",",
-                               ndmin=2, comments=None)
-        except ValueError:
-            return None
+def _loadtxt_table(fh, d: int) -> np.ndarray | None:
+    """The body of fh parsed by np.loadtxt, or None where the row loop must decide."""
+    # loadtxt warns on a body without rows; the row loop names that error.
+    body = itertools.dropwhile(lambda line: not line.strip("\r\n"), fh)
+    first = next(body, None)
+    if first is None:
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], body), delimiter=",",
+                           ndmin=2, comments=None)
+    except ValueError:
+        return None
     if table.shape[1] != d + 2 or not np.isfinite(table).all():
         return None
-    return table, d
+    return table
 
 
-def _row_table(path) -> tuple[np.ndarray, int]:
-    """The parsed table and d, row by row; raises naming the first bad line."""
-    with open(path, newline="") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("line 1: empty CSV file")
-        d = _parse_header(header)
-        rows, lines = [], []  # lines: file line of each data row
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(
-                    f"line {lineno}: expected {d + 2} columns, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            lines.append(lineno)
+def _row_table(fh, d: int) -> np.ndarray:
+    """The body of fh parsed row by row; raises naming the first bad line."""
+    rows, lines = [], []  # lines: file line of each data row
+    for lineno, row in enumerate(_csv_rows(fh, after=1), start=2):
+        if not row:
+            continue
+        if len(row) != d + 2:
+            raise ValueError(
+                f"line {lineno}: expected {d + 2} columns, got {len(row)}"
+            )
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        lines.append(lineno)
     if not rows:
         raise ValueError("line 2: no data rows")
     table = np.asarray(rows)
@@ -113,21 +113,22 @@ def _row_table(path) -> tuple[np.ndarray, int]:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"line {lines[i]}: non-finite value {float(table[i, j])!r}")
-    return table, d
+    return table
 
 
-def _csv_rows(fh):
-    """The csv rows of fh; a csv.Error (such as an over-long field) names its line."""
-    reader = csv.reader(fh)
+def _csv_rows(lines, after: int = 0):
+    """The csv rows of lines, which follow file line after; a csv.Error names its line."""
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+        raise ValueError(f"line {after + reader.line_num}: {exc}") from None
 
 
 def _parse_header(header: list[str]) -> int:
     cols = [h.strip() for h in header]
-    if len(cols) < 3 or cols[-2:] != ["re", "im"]:
+    # A last field that ends in a line break holds a quote left open on line 1.
+    if len(cols) < 3 or cols[-2:] != ["re", "im"] or header[-1].endswith(("\r", "\n")):
         raise ValueError(f"line 1: header must end in 're,im', got {header}")
     coord_cols = cols[:-2]
     if coord_cols == ["x"]:
@@ -141,19 +142,9 @@ def _parse_header(header: list[str]) -> int:
 
 
 def _reconstruct_grid(coords: np.ndarray) -> PeriodicGrid:
+    """The grid whose nodes coords lists in lexicographic order."""
     nrows, d = coords.shape
-    axes = []
-    for a in range(d):
-        vals = np.unique(coords[:, a])
-        n = vals.size
-        expected = TWO_PI * np.arange(n) / n
-        if not np.allclose(vals, expected, rtol=0.0, atol=_COORD_ATOL):
-            raise ValueError(
-                f"inconsistent grid spacing: axis {a + 1} samples are not the "
-                f"uniform nodes 2*pi*j/{n}"
-            )
-        axes.append(vals)
-    sizes = tuple(len(v) for v in axes)
+    sizes = tuple(np.unique(coords[:, a]).size for a in range(d))
     if math.prod(sizes) != nrows:
         raise ValueError(
             f"non-uniform grid: {nrows} rows cannot tile axis sizes {sizes}"
@@ -161,7 +152,8 @@ def _reconstruct_grid(coords: np.ndarray) -> PeriodicGrid:
     grid = PeriodicGrid(sizes)
     expected = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=1)
     if not np.allclose(coords, expected, rtol=0.0, atol=_COORD_ATOL):
-        raise ValueError("rows are not in lexicographic grid order")
+        raise ValueError(f"rows are not the uniform nodes 2*pi*j/N of grid {sizes} "
+                         "in lexicographic grid order")
     return grid
 
 
@@ -171,18 +163,10 @@ def save_coefficients(c: CoefficientSequence, path) -> None:
         json.dump(entries, fh, indent=2)
 
 
-def _largest_index() -> int:
-    """The largest |n| a coefficient file may hold: the largest index a pairing sums."""
-    from .ultradist import _PAIR_TERMS
-
-    return _PAIR_TERMS
-
-
 def _coeff_entries(c: CoefficientSequence) -> list[dict]:
-    largest = _largest_index()
-    if c.halfwidth > largest:  # so every file written here loads back
+    if c.halfwidth > _MAX_INDEX:  # so every file written here loads back
         raise ValueError(f"a window of halfwidth {c.halfwidth} has no file form: "
-                         f"a coefficient file holds |n| <= {largest}")
+                         f"a coefficient file holds |n| <= {_MAX_INDEX}")
     return [
         {"n": int(n), "re": float(c.coeffs[i].real), "im": float(c.coeffs[i].imag)}
         for i, n in enumerate(c.indices())
@@ -209,12 +193,12 @@ def _field(obj, name: str, where: str, convert=float):
 def _entries_to_sequence(entries, rule=None) -> CoefficientSequence:
     if not isinstance(entries, list):
         raise ValueError("a coefficient window must be a JSON array of {n, re, im}")
-    table, largest = {}, _largest_index()
+    table = {}
     for i, e in enumerate(entries):
         where = f"coefficient entry {i}"
         n = _field(e, "n", where, operator.index)
-        if abs(n) > largest:  # the window is sized from |n|
-            raise ValueError(f"{where}: |n| = {abs(n)} is past {largest}, "
+        if abs(n) > _MAX_INDEX:  # the window is sized from |n|
+            raise ValueError(f"{where}: |n| = {abs(n)} is past {_MAX_INDEX}, "
                              "the largest index a pairing sums")
         value = complex(_field(e, "re", where), _field(e, "im", where))
         if not cmath.isfinite(value):

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fourier import (_EXP_ZERO, PeriodicGrid, SampledFunction, _Spectrum, _integer,
-                      _require_resolved, circular_convolve)
+                      _require_resolved, _tolerance, circular_convolve)
 
 # Step of the subordination trapezoid rule in v = ln s. Its discretisation
 # error is at most 1.1e-13 for every t and |n| (SubordinationQuadrature).
@@ -208,8 +208,8 @@ class SubordinationQuadrature:
         if not 28.0 <= self.u_max <= _EXP_ZERO:  # erfc(sqrt(28)) = 7.2e-14: the bound above holds
             raise ValueError(f"u_max must be finite, at least 28 and at most {_EXP_ZERO:g}, "
                              f"got {self.u_max}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite when given, got {self.tol}")
+        if self.tol is not None:
+            _tolerance(self.tol)
 
 
 def _subordination_symbol(n2: np.ndarray, t: float,

@@ -38,7 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fourier import _EXP_ZERO, TWO_PI, PeriodicGrid, SampledFunction, _require_resolved
+from .fourier import (_EXP_ZERO, TWO_PI, PeriodicGrid, SampledFunction, _require_resolved,
+                      _tolerance)
 
 _MAX_TERMS = 1_000_000  # the most series terms or product factors an evaluation forms
 
@@ -54,8 +55,7 @@ class ThetaParams:
     def __post_init__(self):
         if not (0.0 <= self.q < 1.0):
             raise ValueError(f"nome out of range: q = {self.q} not in [0, 1)")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        _tolerance(self.tol)
 
     @classmethod
     def from_time(cls, t: float, tol: float = 1e-14) -> "ThetaParams":

@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fourier import TWO_PI, CoefficientSequence, rule_values
+from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _integer, _tolerance,
+                      rule_values)
 from .semigroups import _RATE_CAP, _decay, _require_time
 
 GROWTH_KINDS = ("test", "dual")
@@ -45,7 +46,7 @@ _QUIET_RUN = 8
 
 _EPS = float(np.finfo(float).eps)
 
-# Relative slack of every bound comparison: |c_n| <= bound(n) * _SLACK.
+# Relative slack of every bound comparison: |c_n| / bound(n) <= _SLACK.
 _SLACK = 1.0 + 1e-12
 
 # Longest index chunk of an array scan. Chunks start at 64 indices and
@@ -57,7 +58,6 @@ _PROBES = 128  # indices that one round of _first probes
 _FLOAT_CEIL = 2**1024 - 2**970  # the least integer that float() rounds past the float range
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest argument of a finite exp
 _SMOOTHING_MARGIN = 1e-9  # added to the smoothing threshold against boundary ties
-_PAIR_TERMS = 100_000  # the largest |n| a pairing sums
 _PAIR_TOL = 1e-14  # term tolerance of the pairings that take none
 _POSITIVITY_DEGREE = 6  # degree of the trig polynomials p whose |p|^2 positivity_check tests
 _POSITIVITY_TOL = 1e-10  # how far below 0, beyond eigh's round-off, a pairing may fall
@@ -240,13 +240,16 @@ class _DifferentiatedRule(_ArrayRule):
 def _verify(ns: np.ndarray, sides, finite: bool = False) -> None:
     """Raise ValueError at the first of ns where a side (name, values, class) breaks its class.
 
-    That is a value above the bound by more than the slack, a NaN or, with
-    finite, an infinity; the earlier side is named first.
+    That is a ratio |value| / bound above the slack, as check_membership
+    forms it, a NaN or, with finite, an infinity; the earlier side is named
+    first. An infinite value against an infinite bound is left to the
+    pairing, whose OverflowError names it.
     """
     with np.errstate(over="ignore"):
         mags = [np.abs(vals) for _, vals, _ in sides]
-        bad = [~(v <= g.bounds(ns) * _SLACK) | (finite & ~np.isfinite(v))
-               for v, (_, _, g) in zip(mags, sides)]
+        bounds = [g.bounds(ns) for _, _, g in sides]
+    bad = [((_ratios(v, b) > _SLACK) & ~(np.isinf(v) & np.isinf(b))) | (finite & ~np.isfinite(v))
+           for v, b in zip(mags, bounds)]
     i = int(np.argmax(np.logical_or.reduce(bad)))
     for (name, _, g), v, b in zip(sides, mags, bad):
         if b[i]:
@@ -454,8 +457,10 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
     any other inf against inf counts as a violation. All ratios come from
     one array evaluator. A PowerRule tail is steered in closed form to its
     stop index and to the indices that can hold the worst ratio, which are
-    scanned in chunks as every other tail is, so both give one result.
+    scanned in chunks as every other tail is, so both give one result. tol
+    must be positive and finite, and max_terms an integer.
     """
+    tol, max_terms = _tolerance(tol), _integer(max_terms, "max_terms")
     idx = c.indices()
     with np.errstate(over="ignore"):
         r = _ratios(np.abs(c.coeffs), g.bounds(idx))
@@ -543,7 +548,7 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
     """
     window = max(F.halfwidth, f.halfwidth)
     has_rule = F.rule is not None or f.rule is not None
-    classes, last = None, (_PAIR_TERMS if has_rule else min(window, _PAIR_TERMS))
+    classes, last = None, (_MAX_INDEX if has_rule else min(window, _MAX_INDEX))
     if F_class is not None and f_class is not None:
         pq = F_class.base * f_class.base
         if pq >= 1.0:
@@ -558,7 +563,7 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
         cc = F_class.constant * f_class.constant
         tail = lambda ns: 2.0 * cc * pq**ns / (1.0 - pq)
         # first unsummed |n|: past the windows, where the class tail is below tol
-        last = _first(lambda ns: (ns > window) & (tail(ns) < tol), 1, _PAIR_TERMS) - 1
+        last = _first(lambda ns: (ns > window) & (tail(ns) < tol), 1, _MAX_INDEX) - 1
     total = _pair_terms(F, f, np.zeros(1, dtype=np.int64), deficit_t, classes)[0]
     n, quiet, recent = 0, 0, [0.0, 0.0]
     for ch in _chunks(1, last):
@@ -584,9 +589,9 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
             break
     value = complex(TWO_PI * total)
     if classes is not None:
-        cut = np.array([max(1, min(n + 1, _PAIR_TERMS))])
+        cut = np.array([max(1, min(n + 1, _MAX_INDEX))])
         return PairingResult(value, TWO_PI * tail(cut)[0].item(), 2 * n + 1)
-    if not has_rule and window < _PAIR_TERMS:
+    if not has_rule and window < _MAX_INDEX:
         return PairingResult(value, 0.0, 2 * n + 1)  # the windows are summed exactly
     prev_mag, last_mag = recent
     if prev_mag > 0.0 and last_mag > 0.0:
@@ -612,8 +617,9 @@ def pair(F: UltraDistribution, f: CoefficientSequence,
     with a heuristic tail estimate. Sums run n = 0, then |n| = 1, 2, ...
     in index chunks of fixed sizes. A term that is not finite, such as an
     overflowed F_n against a subnormal f_n, raises OverflowError naming n.
+    The term tolerance tol must be positive and finite.
     """
-    return _pair_core(F.coeffs, f, F.declared_class, f_class, tol)
+    return _pair_core(F.coeffs, f, F.declared_class, f_class, _tolerance(tol))
 
 
 def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
@@ -670,8 +676,10 @@ def weak_limit_check(F: UltraDistribution, f: CoefficientSequence,
 
     The weight exp(-n^2 t) - 1 has modulus at most 1, so the class-driven
     truncation of the plain pairing remains valid. Reports whether the
-    magnitudes decrease monotonically and end below tol.
+    magnitudes decrease monotonically and end below tol, which must be
+    positive and finite.
     """
+    _tolerance(tol)
     ts = sorted((float(t) for t in t_list), reverse=True)
     if not ts or ts[-1] <= 0:
         raise ValueError("t_list must be nonempty and strictly positive")
@@ -745,7 +753,11 @@ def positivity_check(F: UltraDistribution, t: float,
             raise OverflowError(f"evolved coefficient G_n at n = {int(ns[np.argmax(np.abs(G))])}"
                                 " is not finite, or sum |G_n| overflows")
     T = G[ns[d:-d, None] - ns[d:-d] + 2 * d]  # T[k, j] = G_(k - j) for |k|, |j| <= d
-    lam, vecs = np.linalg.eigh(T / 2 + T.conj().T / 2)
+    # eigh may fail to converge on huge entries (G_9 = 7.5e227 alone did), so A
+    # is scaled by the power of 2 above max |G_n|, which is exact both ways
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
+    lam, vecs = np.linalg.eigh((T / 2 + T.conj().T / 2) / scale)
+    lam = lam * scale
     w = CoefficientSequence(2 * d, np.correlate(vecs[:, 0], vecs[:, 0], "full"))  # |p|^2
     w_smooth = CoefficientSequence(2 * d, w.coeffs * _decay(t, ns.astype(float) ** 2))
     gap = (_pair_core(evolved.coeffs, w, None, None, _PAIR_TOL).value

@@ -154,6 +154,17 @@ READER_EDITS = {
 }
 READER_ENDINGS = {"crlf": ("\r\n", True), "lone_cr": ("\r", True),
                   "no_final_newline": ("\n", False)}
+# Cell texts that float() and np.loadtxt may read differently, or not at all.
+CELL_TEXTS = st.lists(st.sampled_from(list("0123456789.e-_\" ") + ["nan", "inf"]),
+                      max_size=6).map("".join)
+
+
+def _write_edited(path, edit, ending="crlf"):
+    """The 4-point reference CSV at path, its lines changed by edit."""
+    _reference_save(SampledFunction(PeriodicGrid.line(4), np.array([1.0, -2.5, 3.25, 0.5])), path)
+    lines = edit(Path(path).read_text().splitlines())
+    sep, final = READER_ENDINGS[ending]
+    Path(path).write_bytes((sep.join(lines) + (sep if final else "")).encode())
 
 
 class TestFunctionCsv:
@@ -253,13 +264,69 @@ class TestFunctionCsv:
     @pytest.mark.parametrize("ending", READER_ENDINGS)
     def test_reader_matches_row_loop(self, tmp_path, edit, ending):
         p = tmp_path / "e.csv"
-        g = PeriodicGrid.line(4)
-        _reference_save(SampledFunction(g, np.array([1.0, -2.5, 3.25, 0.5])), p)
-        lines = READER_EDITS[edit](p.read_text().splitlines())
-        sep, final = READER_ENDINGS[ending]
-        p.write_bytes((sep.join(lines) + (sep if final else "")).encode())
+        _write_edited(p, READER_EDITS[edit], ending)
         ref = _outcome(_reference_load, p)
         assert _same_outcome(_outcome(load_function, p), ref), ref
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_cells_load_as_the_row_loop(self, data):
+        edits = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2), CELL_TEXTS),
+                                   min_size=1, max_size=3))
+        ending = data.draw(st.sampled_from(list(READER_ENDINGS)))
+
+        def edit(lines):
+            for row, col, text in edits:
+                lines = _cell(row, col, text)(lines)
+            return lines
+
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "e.csv"
+            _write_edited(p, edit, ending)
+            ref = _outcome(_reference_load, p)
+            assert _same_outcome(_outcome(load_function, p), ref), ref
+
+    @pytest.mark.parametrize("edit, row_loop, loads", [
+        (lambda lines: lines, 0, True),
+        (READER_EDITS["quoted_field"], 1, True),
+        (READER_EDITS["empty_field"], 1, False),
+    ])
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, edit, row_loop, loads):
+        p = tmp_path / "e.csv"
+        _write_edited(p, edit)
+        opened, row_tables, row_table = [], [], tio._row_table
+
+        def spy_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        def spy_row_table(fh, d):
+            row_tables.append(d)
+            return row_table(fh, d)
+
+        monkeypatch.setattr(tio, "open", spy_open, raising=False)
+        monkeypatch.setattr(tio, "_row_table", spy_row_table)
+        assert isinstance(_outcome(load_function, p), tuple) == loads
+        assert opened == [p]
+        assert len(row_tables) == row_loop
+
+    @pytest.mark.parametrize("header", ['x,re,"im', 'x,re,"im\r\n"', '"x\r\n",re,im'])
+    def test_header_is_line_one_alone(self, tmp_path, header):
+        # A quoted header field that ran onto later lines once took them into the header.
+        p = tmp_path / "h.csv"
+        _write_edited(p, lambda lines: [header] + lines[1:])
+        with pytest.raises(ValueError, match="^line 1: header must end in 're,im'"):
+            load_function(p)
+
+    def test_grid_is_refused_by_one_comparison(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        lines = _cos_csv_lines(tmp_path)
+        cols = lines[3].split(",")
+        cols[0] = repr(float(cols[0]) + 1e-3)
+        p.write_text("\n".join([*lines[:3], ",".join(cols), *lines[4:]]) + "\n")
+        with pytest.raises(ValueError, match=r"^rows are not the uniform nodes 2\*pi\*j/N "
+                                             r"of grid \(16,\) in lexicographic grid order$"):
+            load_function(p)
 
     @pytest.mark.parametrize("sizes", [(6,), (4, 6), (4, 4, 6), (4, 4, 4, 6)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -320,7 +387,7 @@ class TestFunctionCsv:
     def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
         p = tmp_path / "c.csv"
         f = _write_cos(p, n=16)
-        monkeypatch.setattr(tio, "_row_table", lambda path: pytest.fail("row loop used"))
+        monkeypatch.setattr(tio, "_row_table", lambda fh, d: pytest.fail("row loop used"))
         assert np.array_equal(load_function(p).values, f.values)
 
 
@@ -706,6 +773,20 @@ class TestCommands:
                      "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--u-max", "nan"], ["--nodes", "3"], ["--quad-tol", "-1"],
+                                      ["--u-max", "nan", "--nodes", "3", "--quad-tol", "-1"]])
+    @pytest.mark.parametrize("method", ["multiplier", "kernel"])
+    def test_quadrature_flags_are_checked_for_every_method(self, tmp_path, capsys, method, flag):
+        # Only subordination used these flags, so the other methods took bad ones and exited 0.
+        init, out = tmp_path / "f.csv", tmp_path / "u.csv"
+        _write_cos(init, n=64)
+        command = ["poisson", "--method", method, "--init", str(init), "--t", "0.8"]
+        assert main([*command, *flag, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert main([*command, "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("u_max", ["751", "1e308"])
     def test_u_max_past_the_exp_underflow_exits_one(self, tmp_path, u_max):

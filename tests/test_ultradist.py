@@ -79,6 +79,19 @@ class TestGrowthClass:
 
 
 class TestMembership:
+    def test_declared_class_is_judged_by_the_membership_ratio(self):
+        # |c_0| / c = 1.000000000001 is within the slack: check_membership
+        # passed this class while UltraDistribution refused it as declared.
+        c = CoefficientSequence.from_dict({0: 5.460466080471469})
+        g = GrowthClass("dual", 1.0, 1, 5.4604660804660075)
+        res = check_membership(c, g)
+        assert res.ok and res.worst_ratio == 1.000000000001
+        assert UltraDistribution(c, declared_class=g).declared_class == g
+        tight = GrowthClass("dual", 1.0, 1, 5.46046608046)
+        assert not check_membership(c, tight).ok
+        with pytest.raises(ValueError, match="exceeds bound"):
+            UltraDistribution(c, declared_class=tight)
+
     def test_equality_case_passes(self):
         c = seq_from_rule(8, PowerRule(0.5, 2))
         res = check_membership(c, GrowthClass("test", 0.5, 2, 1.0))
@@ -695,6 +708,78 @@ class TestWeakLimit:
             weak_limit_check(comb(), seq_from_rule(4, PowerRule(0.3, 2)), (0.1, 0.0))
 
 
+BAD_TOLS = [-1.0, 0.0, math.nan, math.inf, -math.inf]
+
+
+def _sweep_pairings():
+    """(F, f, f_class) for the class-driven sum, the heuristic tail and its fallback."""
+    F = comb(4)
+    f = seq_from_rule(4, PowerRule(0.5, 1))
+    plain = UltraDistribution(F.coeffs)
+    return [(F, f, GrowthClass("test", 0.5, 1)), (plain, f, None),
+            (plain, CoefficientSequence.from_dict({0: 1.0, 1: 0.5}), None)]
+
+
+class TestToleranceAndTerms:
+    """Every tol of the coefficient engine is positive and finite, and max_terms an integer."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_pair_refuses_a_bad_tol(self, tol):
+        # tol = -1 gave tail_bound -100.5; tol = nan a NaN bound after 200 001 terms.
+        for F, f, f_class in _sweep_pairings():
+            with pytest.raises(ValueError, match="^tol must be positive and finite"):
+                pair(F, f, f_class, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_check_membership_refuses_a_bad_tol(self, tol):
+        # tol = nan scanned the tail to max_terms = 1 000 000.
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            check_membership(comb(4).coeffs, GrowthClass("dual", 1.0, 1), tol=tol)
+
+    @pytest.mark.parametrize("max_terms", [0.5, 2.5, math.nan, "3", None])
+    def test_check_membership_refuses_a_max_terms_that_is_not_an_integer(self, max_terms):
+        # max_terms = 0.5 left the tail 2^|n| unchecked and still returned ok=True.
+        c = CoefficientSequence.from_dict({0: 1.0}, rule=lambda n: 2.0 ** abs(n))
+        g = GrowthClass("dual", 1.5, 1)
+        with pytest.raises(ValueError, match="^max_terms must be an integer"):
+            check_membership(c, g, max_terms=max_terms)
+        assert not check_membership(c, g, max_terms=1).ok
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_weak_limit_check_refuses_a_bad_tol(self, tol):
+        # With tol = nan the report could never pass.
+        f = seq_from_rule(10, PowerRule(0.3, 2))
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            weak_limit_check(comb(), f, (1.0, 0.1), GrowthClass("test", 0.3, 2), tol=tol)
+
+    @given(tol=st.floats() | st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308]),
+           max_terms=st.integers(-10, 10**6) | st.sampled_from([2.5, math.nan, "3", None]))
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_refuses_or_reports_a_bound(self, tol, max_terms):
+        good_tol = math.isfinite(tol) and tol > 0
+        calls = [(lambda F=F, f=f, g=g: pair(F, f, g, tol=tol).tail_bound, good_tol)
+                 for F, f, g in _sweep_pairings()]
+        calls.append((lambda: check_membership(comb(4).coeffs, GrowthClass("dual", 1.0, 1),
+                                               tol=tol, max_terms=max_terms).worst_ratio,
+                      good_tol and isinstance(max_terms, int)))
+        calls.append((lambda: weak_limit_check(comb(), seq_from_rule(10, PowerRule(0.3, 2)),
+                                               (1.0, 0.1), GrowthClass("test", 0.3, 2),
+                                               tol=tol).final, good_tol))
+        for i, (call, valid) in enumerate(calls):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = call()
+                except ValueError:
+                    assert not valid
+                    continue
+            assert valid
+            # >= 0 refuses NaN. The fallback heuristic tail, 2pi * 16 tol, is
+            # inf once tol passes about 1.8e306: a vacuous bound, not a wrong one.
+            assert value >= 0.0
+            assert math.isfinite(value) or (i == 2 and tol > 1e306)
+
+
 class TestDerivative:
     def test_second_derivative_of_cosine(self):
         F = UltraDistribution(CoefficientSequence.from_dict({1: 0.5, -1: 0.5}))
@@ -869,6 +954,14 @@ class TestPositivity:
         F = UltraDistribution(seq_from_rule(2, PowerRule(1e30, 2)))
         with pytest.raises(OverflowError, match="n = -12"):
             positivity_check(F, 1e-3)
+
+    def test_huge_coefficient_is_decided(self):
+        # Unscaled, eigh raised LinAlgError("Eigenvalues did not converge") here.
+        F = UltraDistribution(CoefficientSequence.from_dict({7: 1.0, 8: 1.0, 9: 7.5263851567623624e227}))
+        res = positivity_check(F, 0.0)
+        assert not res.positive
+        # A is G_9 / 2 on four disjoint index pairs (k, k - 9): lambda_min = -G_9 / 2
+        assert math.isclose(res.min_pairing, -math.pi * 7.5263851567623624e227, rel_tol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.just(0.0) | st.floats(5e-324, 1e300),
