@@ -144,7 +144,8 @@ def _parse_header(header: list[str]) -> int:
 def _reconstruct_grid(coords: np.ndarray) -> PeriodicGrid:
     """The grid whose nodes coords lists in lexicographic order."""
     nrows, d = coords.shape
-    sizes = tuple(np.unique(coords[:, a]).size for a in range(d))
+    # return_counts keeps np.unique off its masked-array check, which imports numpy.ma
+    sizes = tuple(np.unique(coords[:, a], return_counts=True)[1].size for a in range(d))
     if math.prod(sizes) != nrows:
         raise ValueError(
             f"non-uniform grid: {nrows} rows cannot tile axis sizes {sizes}"

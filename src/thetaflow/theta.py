@@ -19,14 +19,23 @@ exp(-pi^2 k^2 / t), so a couple of them suffice there. The image sum is
 positive term by term.
 
 Cost of a sample: angles already in [0, 2pi) skip the reduction mod 2pi
-after one min/max test. Image k costs one exp per sample it reaches:
-exp(-(x - 2pi k)^2 / 4t) is 0.0 once |x - 2pi k| passes sqrt(4t
-_EXP_ZERO), so on ascending angles, such as a grid axis, each image is
-summed over the window one searchsorted finds (at t = 1e-3 about 55 % of
-the line for both images together). The series, the product and the image
-sum each run in place in one work buffer. None of this changes a bit of
-the result: the terms left out are exact zeros, and each pass keeps its
-operation order.
+after one min/max test. The series takes cos(n x) as Re z^n: z = e^(ix)
+costs one cos and one sin pass, and each term then one complex multiply
+(z^n = z^(n-1) z), whose rounding grows like n eps, as the rounding of
+the angle n x would. The product folds each factor into cx (2b e) +
+(1 + b^2) e, e = 1 - q^(2n): three passes a factor after one cos pass.
+Image k costs one exp per sample it reaches: exp(-(x - 2pi k)^2 / 4t)
+is 0.0 once |x - 2pi k| passes sqrt(4t _EXP_ZERO), so on ascending
+angles, such as a grid axis, each image is summed over the window one
+searchsorted finds. The kernel
+is even, so each axis factor is sampled on x_0 .. x_(N/2) and mirrored:
+x_(N-j) takes the value at x_j, which makes the sampled kernel exactly
+even (at t = 1e-3 the one image that reaches [0, pi] covers about 55 %
+of it). The series, the product and the image sum each run in place in
+one work buffer, with the bits of the plain allocating loop: the terms
+the windows leave out are exact zeros, and each pass keeps its
+operation order. The last bits of a result are those of this version's
+algorithm; they are not pinned across versions.
 """
 
 from __future__ import annotations
@@ -103,13 +112,16 @@ def _series_terms(q: float, tol: float) -> int:
 def theta3_series(x, params: ThetaParams):
     """theta3 by its cosine series, truncated when 2 q^(n^2) < tol.
 
-    The term count (_series_terms) is known up front; a q that needs more
-    than max_terms terms is refused before any is summed. The discarded
-    tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q), so that is
-    the floor of the result: a value below tol / (1 - q) is not resolved,
-    and where the raw sum falls below 0 there it is clamped to 0 (theta3
-    is nonnegative). Accepts a scalar or array angle; returns the
-    matching shape.
+    The term count T (_series_terms) is known up front; a q that needs more
+    than max_terms terms is refused before any is summed. cos(n x) is taken
+    as Re z^n, with z = e^(ix) from one cos and one sin pass and each power
+    from the last by one complex multiply, which keeps |z^n| = 1 to n eps.
+    The discarded tail is bounded by 2 q^(n^2) / (1 - q) <= tol / (1 - q),
+    and rounding adds about T eps theta3(0, q), so the result is within
+    tol / (1 - q) + c T eps theta3(0, q) of theta3 for a small constant c.
+    A value below that floor is not resolved, and where the raw sum falls
+    below 0 there it is clamped to 0 (theta3 is nonnegative). Accepts a
+    scalar or array angle; returns the matching shape.
     """
     q = params.q
     terms = _series_terms(q, params.tol)
@@ -119,12 +131,16 @@ def theta3_series(x, params: ThetaParams):
         )
     xr = _reduce_angle(np.asarray(x, dtype=float))
     total = np.ones_like(xr)
-    term = np.empty_like(xr)
-    for n in range(1, terms + 1):  # total += 2 q^(n^2) cos(n xr), in one buffer
-        np.multiply(xr, n, out=term)
-        np.cos(term, out=term)
-        np.multiply(term, 2.0 * q ** (n * n), out=term)
-        np.add(total, term, out=total)
+    if terms:
+        z = np.empty(xr.shape, dtype=complex)  # e^(i xr)
+        np.cos(xr, out=z.real)
+        np.sin(xr, out=z.imag)
+        power, term = z.copy(), np.empty_like(xr)
+        for n in range(1, terms + 1):  # total += 2 q^(n^2) Re z^n, in one buffer
+            if n > 1:
+                np.multiply(power, z, out=power)
+            np.multiply(power.real, 2.0 * q ** (n * n), out=term)
+            np.add(total, term, out=total)
     np.maximum(total, 0.0, out=total)
     return total if total.ndim else float(total)
 
@@ -151,11 +167,16 @@ def _product_factors(q: float, tol: float) -> int:
 def theta3_product(x, params: ThetaParams):
     """theta3 by its infinite product, truncated after a factor count known up front.
 
-    The count (_product_factors) keeps the relative error within tol at
-    every angle; a q that needs more than max_terms factors is refused
-    before any is formed. Each factor [1 + 2 q^(2n-1) cos x + q^(2(2n-1))]
-    (1 - q^(2n)) is checked to be nonnegative; this is the structural
-    reason theta3 >= 0.
+    The count F (_product_factors) keeps the truncation's relative error
+    within tol at every angle; a q that needs more than max_terms factors
+    is refused before any is formed. Each factor [1 + 2 q^(2n-1) cos x +
+    q^(2(2n-1))] (1 - q^(2n)) is formed as cx (2b e) + (1 + b^2) e, with b
+    = q^(2n-1) and e = 1 - q^(2n), and checked to be nonnegative; this is
+    the structural reason theta3 >= 0. Each factor rounds a few times, so
+    where cos x >= 0 the result is within a relative tol + c F eps of
+    theta3. Where cos x < 0 factor n cancels, by up to ((1 + b) / (1 - b))^2,
+    which scales its rounding; that is large only where theta3 is far
+    below its peak (q near 1, x near pi).
     """
     q = params.q
     xr = _reduce_angle(np.asarray(x, dtype=float))
@@ -168,21 +189,19 @@ def theta3_product(x, params: ThetaParams):
                 f"more than max_terms = {_MAX_TERMS}"
             )
         cx = np.cos(xr)
-        # The bracket is nondecreasing in cx (2b >= 0, and rounding is
-        # monotone), so its least sample is, bit for bit, its value at the
+        # A factor is nondecreasing in cx (its slope 2b e >= 0, and rounding
+        # is monotone), so its least sample is, bit for bit, its value at the
         # least cx: one scalar test per factor checks every sample.
         low = float(cx.min()) if cx.size else 1.0
-        bracket = np.empty_like(xr)
-        for n in range(1, factors + 1):  # total *= (1 + 2b cx + b^2)(1 - q^(2n)), in one buffer
-            b = q ** (2 * n - 1)
-            np.multiply(cx, 2.0 * b, out=bracket)
-            np.add(bracket, 1.0, out=bracket)
-            np.add(bracket, b * b, out=bracket)
-            euler = 1.0 - q ** (2 * n)
-            if 1.0 + 2.0 * b * low + b * b < 0.0 or euler < 0.0:
+        factor = np.empty_like(xr)
+        for n in range(1, factors + 1):  # total *= cx (2b e) + (1 + b^2) e, in one buffer
+            b, e = q ** (2 * n - 1), 1.0 - q ** (2 * n)
+            slope, level = 2.0 * b * e, (1.0 + b * b) * e
+            if low * slope + level < 0.0:
                 raise RuntimeError(f"nonnegative factor violated at n = {n}")
-            np.multiply(bracket, euler, out=bracket)
-            np.multiply(total, bracket, out=total)
+            np.multiply(cx, slope, out=factor)
+            np.add(factor, level, out=factor)
+            np.multiply(total, factor, out=total)
     return total if total.ndim else float(total)
 
 
@@ -245,10 +264,13 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
     1-d kernels: K_t(x) = (2pi)^-d * prod_i theta3(x_i, exp(-t)).
     Each axis factor comes from the image sum when its 2K images are fewer
     array passes than the series terms (small t), and from the cosine
-    series otherwise; both truncate at the absolute tolerance tol.
-    Pointwise nonnegativity holds at the discrete level, and aliasing adds
-    at most tol to the unit mass: a grid whose alias excess, the leading
-    term sum_axes 2 exp(-N^2 t) of mass - 1, passes tol is refused.
+    series otherwise; both truncate at the absolute tolerance tol. theta3
+    is even about pi, so each factor is sampled on x_0 .. x_(N/2) only
+    and mirrored: x_(N-j) takes the value at x_j, and the sampled kernel
+    is exactly even. Pointwise nonnegativity holds at the discrete level,
+    and aliasing adds at most tol to the unit mass: a grid whose alias
+    excess, the leading term sum_axes 2 exp(-N^2 t) of mass - 1, passes
+    tol is refused.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
@@ -260,6 +282,14 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
         theta = partial(_theta3_images, t=t, tol=tol)
     else:
         theta = partial(theta3_series, params=params)
-    factors = [np.divide(f, TWO_PI, out=f) for f in map(theta, grid.axes())]
-    vals = reduce(np.multiply.outer, factors)
+
+    def axis_factor(n):  # theta3(x_j) / 2pi for j <= N/2, then mirrored onto x_(N-j)
+        x = np.arange(n // 2 + 1, dtype=float)  # x_j with the bits of grid.axis_points
+        x *= TWO_PI
+        x /= n
+        half = theta(x)
+        np.divide(half, TWO_PI, out=half)
+        return np.concatenate((half, half[-2:0:-1]))
+
+    vals = reduce(np.multiply.outer, map(axis_factor, grid.sizes))
     return SampledFunction._adopt(grid, vals, "real")

@@ -1097,6 +1097,28 @@ print("numpy.polynomial" in sys.modules)
                               "thetaflow.io", "thetaflow.semigroups"])
         assert polynomial == "False"  # the subordination rule needs no Gauss-Legendre nodes
 
+    def test_loading_a_csv_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique without a return_* flag checks for a masked array, which
+        # imports numpy.ma (numpy 2.4): 10-14 ms of every CLI process.
+        g = PeriodicGrid((8, 6))
+        x1, x2 = g.meshgrid()
+        save_function(SampledFunction(g, np.cos(x1) + np.sin(2 * x2)), tmp_path / "f.csv")
+        script = f"""
+import sys
+from thetaflow.cli import main
+from thetaflow.io import load_function
+d = {str(tmp_path)!r}
+load_function(d + "/f.csv")
+print("numpy.ma" in sys.modules)
+assert main(["heat", "--init", d + "/f.csv", "--t", "0.1", "--out", d + "/u.csv"]) == 0
+assert main(["poisson", "--method", "subordination", "--init", d + "/u.csv",
+             "--t", "0.8", "--out", d + "/v.csv"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     def test_flow_commands_run_with_theta_checks_ultradist_blocked(self, tmp_path):
         # A None entry in sys.modules makes every import of that module fail.
         _write_cos(tmp_path / "f.csv", n=64)  # resolves the Poisson kernel at t >= 0.515

@@ -1,7 +1,10 @@
+import functools
 import math
 import re
 import time
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,17 +298,21 @@ def _image_sum(x, t, images=range(-3, 5)):
                                         for k in images)
 
 
-# The loops of theta3_series, theta3_product and _theta3_images as they were
-# before they ran in place: each pass allocates fresh arrays, every angle is
-# reduced by np.mod and every image is summed over every sample. The
-# library's loops must give the same bits.
+# The loops of theta3_series, theta3_product and _theta3_images as plain
+# allocating code: each pass allocates fresh arrays, every angle is reduced
+# by np.mod and every image is summed over every sample. The library's
+# in-place loops must give the same bits.
 
 def series_loop(x, params):
     q = params.q
     xr = np.mod(np.asarray(x, dtype=float), 2 * np.pi)
     total = np.ones_like(xr)
+    z = np.cos(xr) + 1j * np.sin(xr)
+    power = z
     for n in range(1, _series_terms(q, params.tol) + 1):
-        total = total + 2.0 * q ** (n * n) * np.cos(n * xr)
+        if n > 1:
+            power = power * z
+        total = total + 2.0 * q ** (n * n) * power.real
     total = np.maximum(total, 0.0)
     return total if total.ndim else float(total)
 
@@ -317,11 +324,10 @@ def product_loop(x, params):
     if q > 0.0:
         cx = np.cos(xr)
         for n in range(1, _product_factors(q, params.tol) + 1):
-            b = q ** (2 * n - 1)
-            bracket = 1.0 + 2.0 * b * cx + b * b
-            euler = 1.0 - q ** (2 * n)
-            assert not np.any(bracket < 0.0) and euler >= 0.0
-            total = total * (bracket * euler)
+            b, e = q ** (2 * n - 1), 1.0 - q ** (2 * n)
+            factor = cx * (2.0 * b * e) + (1.0 + b * b) * e
+            assert not np.any(factor < 0.0)
+            total = total * factor
     return total if total.ndim else float(total)
 
 
@@ -340,7 +346,10 @@ def kernel_loop(t, grid, tol=1e-14):
         theta = lambda x: images_loop(x, t, tol)
     else:
         theta = lambda x: series_loop(x, params)
-    factors = [theta(grid.axis_points(a)) / (2 * np.pi) for a in range(grid.dims)]
+    factors = []
+    for a, n in enumerate(grid.sizes):
+        half = theta(grid.axis_points(a)[:n // 2 + 1]) / (2 * np.pi)
+        factors.append(np.concatenate([half, half[1:n // 2][::-1]]))
     vals = factors[0]
     for f in factors[1:]:
         vals = np.multiply.outer(vals, f)
@@ -566,3 +575,166 @@ class TestNonFiniteAngle:
             form(np.array([0.0, x, 1.0]))
         with pytest.raises(ValueError, match="angle must be finite"):
             form(x)
+
+
+# ------------------------------------------------------------ ground truth
+
+GROUND_NOMES = [0.1, 0.5, 0.9, 0.99, 0.999]
+EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _jtheta(q, name):
+    """mpmath.jtheta(3, x/2, q), 30 digits, on ANGLES[name] reduced as the forms reduce it."""
+    xr = _reduce_angle(np.asarray(ANGLES[name], dtype=float))
+    with mpmath.workdps(30):
+        vals = [float(mpmath.jtheta(3, mpmath.mpf(a) / 2, q)) for a in xr.ravel().tolist()]
+    return np.array(vals).reshape(xr.shape)
+
+
+def _jtheta_peak(q):
+    with mpmath.workdps(30):
+        return float(mpmath.jtheta(3, 0, q))
+
+
+def _cancellation(q, factors):
+    """sum_n ((1 + b) / (1 - b))^2 over the factors, b = q^(2n-1): the most a
+    factor at cos x < 0 can amplify its own rounding, summed."""
+    b = q ** (2.0 * np.arange(1, factors + 1) - 1.0)
+    return float(np.sum(((1.0 + b) / (1.0 - b)) ** 2))
+
+
+class TestGroundTruth:
+    """The forms and the kernel against mpmath.jtheta(3, x/2, q) at 30 digits.
+
+    The forms evaluate theta3 at the angle reduced mod the float 2pi, so
+    that is where the reference is taken. Bounds, derived a priori, with
+    eps = 2^-52 and theta3(0, q) the sup of theta3 over the circle:
+
+    - reference: jtheta sums the same cosine series, whose terms reach
+      theta3(0, q) in size, so its 30 digits are absolute, within
+      1e-30 theta3(0, q), and relative only where theta3 is not far
+      below its peak.
+    - series, T terms: the tail left out is at most tol / (1 - q). cos x
+      and sin x are within an ulp, each complex multiply adds at most
+      sqrt(5) eps / 2 relative (Brent, Percival and Zimmermann, Math.
+      Comp. 76, 2007), so z^n is within about 3 n eps of e^(inx); scaling
+      each term and summing T + 1 of them add a few eps times
+      sum |terms| <= theta3(0, q). Together: tol / (1 - q) + 8 T eps
+      theta3(0, q).
+    - product, F factors: the tail left out is a relative tol. A factor
+      at cos x >= 0 adds no two terms of opposite sign, so it rounds to a
+      few eps relative (its Euler part 1 - q^(2n) cancels too, by
+      q^(2n) / (1 - q^(2n)), which summed over n stays below F); at
+      cos x < 0 factor n cancels by up to ((1 + b) / (1 - b))^2, b =
+      q^(2n-1), the most it can amplify its own rounding. Together:
+      tol + 8 K eps relative, with K = F at cos x >= 0 and K the sum of
+      those ratios at cos x < 0.
+    - kernel, P passes (series terms, or 2K images with K from
+      _image_terms): the series bound above, or for the image route its
+      truncation tol and a few eps of sqrt(pi/t) <= theta3(0, q) per
+      image, since an exp's relative error grows with its argument a as
+      a eps while its value falls as exp(-a). Both fit (tol / (1 - q) +
+      8 P eps theta3(0, q)) / 2pi, at the node x_min(j, N-j) the kernel
+      samples at index j.
+    """
+
+    @pytest.mark.parametrize("q", GROUND_NOMES)
+    def test_series(self, q):
+        p = ThetaParams(q)
+        peak = _jtheta_peak(q)
+        bound = p.tol / (1.0 - q) + 8 * _series_terms(q, p.tol) * EPS * peak + 1e-30 * peak
+        for name, x in ANGLES.items():
+            assert np.all(np.abs(theta3_series(x, p) - _jtheta(q, name)) <= bound), name
+
+    @pytest.mark.parametrize("q", GROUND_NOMES)
+    def test_product(self, q):
+        p = ThetaParams(q)
+        factors = _product_factors(q, p.tol)
+        floor = 1e-30 * _jtheta_peak(q)
+        for name, x in ANGLES.items():
+            ref = _jtheta(q, name)
+            cancel = np.where(np.cos(_reduce_angle(np.asarray(x, dtype=float))) >= 0.0,
+                              factors, _cancellation(q, factors))
+            bound = (p.tol + 8 * cancel * EPS) * ref + floor
+            assert np.all(np.abs(theta3_product(x, p) - ref) <= bound), name
+
+    @pytest.mark.parametrize("q", GROUND_NOMES)
+    def test_kernel(self, q):
+        t = -math.log(q)
+        p = ThetaParams.from_time(t)  # its nome is q to an ulp; the reference takes it as it is
+        g = PeriodicGrid.line(ANGLES["grid"].size)
+        assert np.array_equal(g.points, ANGLES["grid"])
+        images = 2 * _image_terms(t, p.tol)
+        passes = min(images, _series_terms(p.q, p.tol))
+        peak = _jtheta_peak(p.q)
+        bound = (p.tol / (1.0 - p.q) + 8 * passes * EPS * peak + 1e-30 * peak) / (2 * np.pi)
+        j = np.arange(g.sizes[0])
+        ref = _jtheta(p.q, "grid")[np.minimum(j, g.sizes[0] - j)] / (2 * np.pi)
+        assert np.all(np.abs(kernel(t, g).values.real - ref) <= bound)
+
+    def test_nomes_span_both_kernel_routes(self):
+        routes = {2 * _image_terms(-math.log(q), 1e-14) < _series_terms(q, 1e-14)
+                  for q in GROUND_NOMES}
+        assert routes == {True, False}
+
+
+class TestKernelEvenness:
+    """x_(N-j) takes the value sampled at x_j: the sampled kernel is even, bit for bit."""
+
+    TIMES = [float(t) for t in np.geomspace(1e-4, 3.0, 9)] + [1.0]
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 96, 256, 4096, 65536])
+    def test_lines(self, n):
+        g = PeriodicGrid.line(n)
+        times = [t for t in self.TIMES if 2 * math.exp(-n * n * t) <= 1e-14]
+        assert times
+        for t in times:
+            v = kernel(t, g).values
+            assert np.all(v[1:] == v[:0:-1]), t
+
+    def test_lines_take_both_routes(self):
+        routes = {2 * _image_terms(t, 1e-14) < _series_terms(math.exp(-t), 1e-14)
+                  for t in self.TIMES}
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("sizes", [(96, 64), (256, 256)])
+    def test_planes(self, sizes):
+        g = PeriodicGrid(sizes)
+        for t in (8.2e-3, 0.05, 0.3, 1.0, 2.6):  # both routes
+            v = kernel(t, g).values
+            assert np.all(v[1:, :] == v[:0:-1, :]), t
+            assert np.all(v[:, 1:] == v[:, :0:-1]), t
+
+
+_ANGLE = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([-0.0, np.nextafter(2 * np.pi, 0.0)]))
+
+
+def _finite_nonnegative_or_refused(evaluate):
+    """evaluate() under warnings-as-errors: a finite result >= 0 with no nan, or a named refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = np.asarray(evaluate())
+        except (ValueError, RuntimeError) as refusal:
+            assert str(refusal)
+            return
+    assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+
+
+class TestExtremeInputs:
+    """No input gives a warning, a nan or a negative value: only a result or a named refusal."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.floats(0.0, 0.99), st.one_of(_ANGLE, st.lists(_ANGLE, max_size=16)))
+    def test_forms(self, q, x):
+        # At q <= 0.99 both forms stay within 2 000 terms or factors (1 853 at 0.99).
+        p = ThetaParams(q)
+        assert _series_terms(q, p.tol) <= 2000 and (q == 0.0 or _product_factors(q, p.tol) <= 2000)
+        _finite_nonnegative_or_refused(lambda: theta3_series(x, p))
+        _finite_nonnegative_or_refused(lambda: theta3_product(x, p))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.floats(1e-6, 1e300), st.integers(2, 2048).map(lambda half: 2 * half))
+    def test_kernel(self, t, n):
+        _finite_nonnegative_or_refused(lambda: kernel(t, PeriodicGrid.line(n)).values)
