@@ -12,7 +12,17 @@ _Spectrum (a real transform for the samples of a real-kind function,
 which are stored as float64, complex128 otherwise), and synthesize and
 the suites' random data through _synthesize_cube. Each SampledFunction is
 transformed forward at most once: the first flow or convolution (or
-analyze, of complex-kind data) keeps the spectrum on it for the rest.
+analyze, of complex-kind data) keeps the spectrum on it for the rest. A
+multi-axis kernel arrives with its spectrum, the outer product of its
+axis spectra (_separable); a copy of it transforms its samples instead,
+and the two may differ in the last bits.
+
+Cost of a flow: one inverse FFT, or for real data on two or more axes
+the passes that do not act on zeros. There a symbol value sigma with
+|sigma| P < 2^53 2^-1022, P the largest |re| or |im| of the spectrum,
+counts as 0, and the complex passes run only over the last-axis columns
+that hold a mode with a live value; every output sample moves by less
+than 2^54 2^-1022 (about 4.0e-292) absolute, rounding aside.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +45,11 @@ _EXP_ZERO = 750.0
 # Magnitude above which a discarded Nyquist coefficient triggers a warning,
 # relative to the largest retained coefficient.
 NYQUIST_WARN_RATIO = 1e-10
+
+# A symbol value sigma with |sigma| P < 2^53 2^-1022, P the peak of a
+# spectrum, counts as 0 in a multi-axis real flow (_Spectrum._cut): each
+# mode it scales stays below the normal range by a margin of 2^53.
+_CUT = 2.0 ** -969
 
 _MAX_INDEX = 100_000  # the largest |n| a pairing sums and a coefficient file holds
 
@@ -129,10 +144,15 @@ class SampledFunction:
     The first flow or convolution of a function keeps its forward
     spectrum (rfftn if real-kind, else fftn) on the object, read-only and
     for the object's lifetime, so later ones skip that transform. This
-    costs one extra array about the size of the samples. The spectrum is
-    not a field: repr and dataclasses.replace ignore it, and
-    with_values, replace, copy and pickle results start without one. Two threads may
-    both compute it and both store it; the bits are the same and the
+    costs one extra array about the size of the samples. A multi-axis
+    kernel arrives with the outer product of its axis spectra instead,
+    within a few eps of rfftn of its samples. A real-kind function's
+    flows on two or more axes also keep the spectrum's peak beside it.
+    Neither is a field: repr and dataclasses.replace ignore them, and
+    with_values, replace, copy and pickle results start without them, so
+    a copy of a kernel transforms its samples and its convolutions may
+    differ from the original's in the last bits. Two threads may
+    both compute them and both store them; the bits are the same and each
     store is one attribute write. Making values writable again is
     unsupported: the kept spectrum would no longer match them.
     """
@@ -452,12 +472,16 @@ class _Spectrum:
 
     Cost of a flow: one inverse FFT, plus a forward one the first time a
     function object is transformed, whichever flows, and however many,
-    are applied to it. Memory: two arrays, the result, taken first, and
-    the product of spectrum and symbol. inverse consumes the product it
+    are applied to it. For real data on two or more axes, scaled sets to
+    0 the symbol values that scale every mode below _CUT (see _cut), and
+    the inverse's complex passes skip the columns past the last live
+    one. Memory: two arrays, the result, taken first, and
+    the product of spectrum and symbol; the cut works in the imaginary
+    parts of the symbol's complex copy. inverse consumes the product it
     is handed, running its complex passes in place, and a forward
     transform writes all its passes into the spectrum's own buffer. An
-    overflow shows up as inf or nan in the spectrum; inverse reports it
-    on every use.
+    overflow shows up as inf or nan in the spectrum, and so in its peak,
+    which turns the cut off; inverse reports it on every use.
     """
 
     def __init__(self, f: SampledFunction, real: Optional[bool] = None):
@@ -496,21 +520,25 @@ class _Spectrum:
         return np.empty(self.f.grid.sizes) if self.real else None
 
     def inverse(self, spec: np.ndarray, out: Optional[np.ndarray], operation: str,
-                operands: tuple[np.ndarray, ...]) -> np.ndarray:
+                operands: tuple[np.ndarray, ...],
+                columns: Optional[int] = None) -> np.ndarray:
         """Inverse DFT of spec, a product of the operands' spectra or of one and a symbol.
 
         spec must be a fresh array that the caller gives up: the complex
         passes overwrite it, and complex data end there. For real data
-        they are those of irfftn over axes 0 .. d-2, in its order, and the
-        last-axis irfft writes the result into out, from output(). A
-        non-finite result from finite operands means an overflow on the
-        way, which raises an OverflowError naming the operation.
+        they are those of irfftn over axes 0 .. d-2, in its order, run on
+        the first columns of the last axis if columns is set (the rest must
+        be 0, which the passes would leave as it is), and the last-axis
+        irfft writes the result into out, from output(). A non-finite
+        result from finite operands means an overflow on the way, which
+        raises an OverflowError naming the operation.
         """
         sizes = self.f.grid.sizes
         with np.errstate(over="ignore", invalid="ignore"):
             if self.real:
+                live = spec if columns is None else spec[..., :columns]
                 for axis in range(len(sizes) - 1):
-                    np.fft.ifft(spec, axis=axis, out=spec)
+                    np.fft.ifft(live, axis=axis, out=live)
                 out = np.fft.irfft(spec, n=sizes[-1], axis=-1, out=out)
             else:
                 out = np.fft.ifftn(spec, out=spec)
@@ -518,20 +546,69 @@ class _Spectrum:
             raise OverflowError(f"{operation} of finite data overflowed double precision")
         return out
 
+    def peak(self) -> float:
+        """P, the largest |re| or |im| of any component of the spectrum; nan if one is nan.
+
+        Kept on f beside its spectrum, with the same lifetime: not a field,
+        and copies and pickles start without it.
+        """
+        peak = self.f.__dict__.get("_peak")
+        if peak is None:
+            parts = self.spec.view(float)
+            peak = max(float(parts.max()), -float(parts.min()))  # a nan reaches both
+            if self.spec is self.f.__dict__.get("_spectrum"):
+                object.__setattr__(self.f, "_peak", peak)
+        return peak
+
+    def _cut(self, product: np.ndarray) -> Optional[int]:
+        """Set to 0 the symbol values that scale every mode below _CUT; the columns left live.
+
+        product holds the symbol on n2, as complex with zero imaginary
+        parts, which serve as scratch and are zero again on return. A value
+        sigma counts as 0 where |sigma| P < _CUT, P the peak. The count is
+        that of the last-axis columns 0 .. floor(sqrt(m)), m the largest
+        |n|^2 with a live value: column c holds only modes with |n|^2 >= c^2,
+        so its product is 0 past the count. None, with nothing set, if P is
+        not finite.
+        """
+        peak = self.peak()
+        if not math.isfinite(peak):
+            return None
+        live = product.imag  # |sigma| P, then 1.0 where sigma is live and 0.0 where dead
+        np.abs(product.real, out=live)
+        live *= peak
+        np.less(live, _CUT, out=live)  # a nan compares false: it stays live
+        np.subtract(1.0, live, out=live)
+        last = live.size - 1 - int(np.argmax(live[::-1]))
+        columns = math.isqrt(int(self.n2[last])) + 1 if live[last] else 0
+        product.real *= live
+        live[...] = 0.0
+        return min(columns, self.spec.shape[-1])
+
     def scaled(self, symbol: np.ndarray) -> np.ndarray:
         """Samples of f with every mode scaled by its symbol value, in a fresh array.
 
-        The caller owns the array. An overflow raises OverflowError.
+        The caller owns the array. An overflow raises OverflowError. Real
+        data on two or more axes skip what is known to be 0: the symbol
+        values that _cut sets to 0, and the complex passes of the inverse
+        over the columns past its count. Each output sample then
+        moves by less than 2^54 2^-1022 (about 4.0e-292) absolute, rounding
+        aside: the dropped modes, at most N with their conjugates, each add
+        under sqrt(2) _CUT / N to a sample. Lines have no complex pass and
+        keep every value.
         """
         out = self.output()
         product = symbol.astype(complex)
+        columns = self._cut(product) if self.real and self.f.grid.dims > 1 else None
         if product.size != self.index.size:  # else the index is the identity
             product = product[self.index]
         with np.errstate(over="ignore", invalid="ignore"):
             # spec times symbol, in that order: complex products can round
-            # differently with the operands swapped.
+            # differently with the operands swapped. Over every column: a
+            # strided multiply would take numpy's 8192-element buffers.
             np.multiply(self.spec, product, out=product)
-        return self.inverse(product, out, "Fourier multiplier", (self.f.values, symbol))
+        return self.inverse(product, out, "Fourier multiplier", (self.f.values, symbol),
+                            columns)
 
     def apply(self, symbol: np.ndarray) -> SampledFunction:
         """f with every mode scaled by its symbol value; an overflow raises OverflowError."""
@@ -549,6 +626,24 @@ class _Spectrum:
             amplitude[..., 1:self.f.grid.sizes[-1] // 2] *= 2.0
         return np.bincount(self.index.ravel(), weights=amplitude.ravel(),
                            minlength=self.n2.size)
+
+
+def _separable(grid: PeriodicGrid, factors: list[np.ndarray]) -> SampledFunction:
+    """The real-kind function prod_a factors[a][j_a], one factor per axis, taken over.
+
+    On two or more axes it arrives with its spectrum, the outer product of
+    the fft of each factor but the last and the rfft of the last: rfftn of
+    the samples in exact arithmetic, and within a few eps of it in floating
+    point. A copy transforms its samples instead and may differ in the
+    last bits.
+    """
+    f = SampledFunction._adopt(grid, reduce(np.multiply.outer, factors), "real")
+    if grid.dims > 1:
+        spectra = [np.fft.fft(v) for v in factors[:-1]] + [np.fft.rfft(factors[-1])]
+        spec = reduce(np.multiply.outer, spectra)
+        spec.flags.writeable = False
+        object.__setattr__(f, "_spectrum", spec)  # outside the fields, as _Spectrum keeps one
+    return f
 
 
 def circular_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:

@@ -23,17 +23,21 @@ fourier._Spectrum, which owns the transforms and their cost.
 Subordination sums S(|n|^2) = sum_k c_k exp(-tau_k |n|^2) over the
 quadrature nodes and applies it like any other symbol.
 
-Cost of a flow: one inverse FFT (see fourier._Spectrum), and in memory
-two arrays, the product of spectrum and symbol and the result, which
-the returned function takes over. maximal_function and heat_residual
-take the magnitude of each real time slice in its own array and keep
-one running maximum.
+Cost of a flow: one inverse FFT (see fourier._Spectrum), whose complex
+passes on real data of two or more axes skip the columns on which every
+symbol value sigma has |sigma| P < 2^53 2^-1022, P the spectrum's peak,
+and in memory two arrays, the product of spectrum and symbol and the
+result, which the returned function takes over. maximal_function and
+heat_residual take the magnitude of each real time slice in its own
+array and keep one running maximum.
 
 Cost of subordination: the rule has about (ln 72 - ln t) / 0.15 nodes,
 whatever the grid, and the symbol costs one exp per (node, |n|^2) pair
-that does not underflow to 0.0; node k stops at the first |n|^2 with
-tau_k |n|^2 past the underflow point. Its optional error check reads the
-spectrum the flow has already taken, so no transform is added.
+whose term c_k exp(-tau_k |n|^2) is a normal double; node k stops at the
+first |n|^2 where ln c_k - tau_k |n|^2 falls below ln 2^-1022, as the
+terms past it add less than 2^-1012 to the symbol. Its optional error
+check reads the spectrum the flow has already taken, so no transform is
+added.
 
 All operations are pure: inputs are immutable and outputs are fresh
 objects, so concurrent use is safe. Quadrature sums run in a fixed node
@@ -58,6 +62,8 @@ _STEP = 0.15
 # The lowest node sits at s = t / _LOW_NODE, where the smallest nonzero
 # lam = t|n| = t has lam^2 / 4 s^2 = 36: the nodes below add under e^-36.
 _LOW_NODE = 12.0
+
+_LOG_TINY = math.log(2.0 ** -1022)  # ln of the least normal double
 
 # exp(-r x) is 0.0 in double precision for every x >= 1 once r > 745.2, so
 # _decay caps a rate here: below the cap nothing changes, above it x = 0
@@ -222,9 +228,11 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     than quad.nodes is refused with a ValueError.
 
     n2 must be sorted ascending, as the distinct |n|^2 of a grid are. Node
-    k then only adds over the prefix of n2 where exp(-tau_k |n|^2) is not
-    0.0, so a node costs one exp per mode it reaches: the sum equals the
-    full one bit for bit, since the terms left out are exact zeros.
+    k then only adds over the prefix of n2 where its term stays in the
+    normal range, |n|^2 <= (ln c_k - ln 2^-1022) / tau_k, so a node costs
+    one exp per mode it reaches; a c_k that underflows to 0 reaches none.
+    The terms left out, each below 2^-1022 and fewer than 1024, add
+    less than 2^-1012 to S.
     """
     top = 0.5 * math.log(quad.u_max)
     count = max(math.floor((top + math.log(_LOW_NODE) - math.log(t)) / _STEP) + 1, 0)
@@ -234,7 +242,8 @@ def _subordination_symbol(n2: np.ndarray, t: float,
     s = np.exp(top - _STEP * np.arange(count))
     coef = 2.0 / math.sqrt(math.pi) * _STEP * s * np.exp(-s * s)
     rates = (0.5 * t / s) ** 2  # at most 36: the lowest node has s >= t / 12
-    reach = np.searchsorted(n2, _EXP_ZERO / rates, side="right")
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: no reach
+        reach = np.searchsorted(n2, (np.log(coef) - _LOG_TINY) / rates, side="right")
     acc = np.zeros_like(n2)
     for r, c, k in zip(rates, coef, reach):
         acc[:k] += c * np.exp(-r * n2[:k])

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
 
 from .fourier import (_EXP_ZERO, TWO_PI, PeriodicGrid, SampledFunction, _require_resolved,
-                      _tolerance)
+                      _separable, _tolerance)
 
 _MAX_TERMS = 1_000_000  # the most series terms or product factors an evaluation forms
 
@@ -270,7 +270,11 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
     is exactly even. Pointwise nonnegativity holds at the discrete level,
     and aliasing adds at most tol to the unit mass: a grid whose alias
     excess, the leading term sum_axes 2 exp(-N^2 t) of mass - 1, passes
-    tol is refused.
+    tol is refused. On two or more axes the kernel arrives with its
+    spectrum, the outer product of the fft of each axis factor but the
+    last and the rfft of the last: a convolution with it transforms only
+    the other operand, and a copy of it, which transforms its samples,
+    may convolve differently in the last bits.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
@@ -291,5 +295,4 @@ def kernel(t: float, grid: PeriodicGrid, tol: float = 1e-14) -> SampledFunction:
         np.divide(half, TWO_PI, out=half)
         return np.concatenate((half, half[-2:0:-1]))
 
-    vals = reduce(np.multiply.outer, map(axis_factor, grid.sizes))
-    return SampledFunction._adopt(grid, vals, "real")
+    return _separable(grid, [axis_factor(n) for n in grid.sizes])

@@ -754,10 +754,15 @@ def positivity_check(F: UltraDistribution, t: float,
                                 " is not finite, or sum |G_n| overflows")
     T = G[ns[d:-d, None] - ns[d:-d] + 2 * d]  # T[k, j] = G_(k - j) for |k|, |j| <= d
     # eigh may fail to converge on huge entries (G_9 = 7.5e227 alone did), so A
-    # is scaled by the power of 2 above max |G_n|, which is exact both ways
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
-    lam, vecs = np.linalg.eigh((T / 2 + T.conj().T / 2) / scale)
-    lam = lam * scale
+    # is scaled by the power of 2 above max |G_n|, which is exact both ways.
+    # ldexp scales each part: for a subnormal max |G_n|, 2^-exponent overflows,
+    # and numpy's complex division by 2^exponent overflows on the way.
+    exponent = math.frexp(float(np.abs(G).max()))[1]
+    A = T / 2 + T.conj().T / 2
+    np.ldexp(A.real, -exponent, out=A.real)
+    np.ldexp(A.imag, -exponent, out=A.imag)
+    lam, vecs = np.linalg.eigh(A)
+    lam = np.ldexp(lam, exponent)
     w = CoefficientSequence(2 * d, np.correlate(vecs[:, 0], vecs[:, 0], "full"))  # |p|^2
     w_smooth = CoefficientSequence(2 * d, w.coeffs * _decay(t, ns.astype(float) ** 2))
     gap = (_pair_core(evolved.coeffs, w, None, None, _PAIR_TOL).value

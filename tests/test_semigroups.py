@@ -405,7 +405,12 @@ class TestBochnerDefect:
 
 
 def _reference_symbol(n2, t, quad):
-    """The trapezoid rule in ln s node by node over every mode, or None past the node cap."""
+    """The trapezoid rule in ln s node by node, or None past the node cap.
+
+    Node k adds its term c_k exp(-r_k |n|^2) on every mode where
+    |n|^2 <= (ln c_k - ln 2^-1022) / r_k, i.e. where the term is a normal
+    double, and nowhere if c_k underflows to 0.
+    """
     top = 0.5 * math.log(quad.u_max)
     count = max(math.floor((top + math.log(12.0) - math.log(t)) / 0.15) + 1, 0)
     if count > quad.nodes:
@@ -415,7 +420,10 @@ def _reference_symbol(n2, t, quad):
     acc = np.zeros_like(n2)
     for sk, ck in zip(s, c):
         half_lam = 0.5 * t / sk  # squared by multiplication, as an array ** 2 is
-        acc += ck * np.exp(-(half_lam * half_lam) * n2)
+        rate = half_lam * half_lam
+        if ck > 0.0:
+            normal = n2 <= (math.log(ck) - math.log(2.0 ** -1022)) / rate
+            acc += np.where(normal, ck * np.exp(-rate * n2), 0.0)
     return np.where(n2 == 0, 1.0, acc)
 
 
@@ -874,6 +882,18 @@ class TestSpectrumIsKept:
         assert calls.count("irfft") == len(_KEPT_FLOWS)
         assert not {"fftn", "fft", "rfft"} & set(calls)
 
+    @pytest.mark.parametrize("sizes, forward", [((64, 48), ["fft", "rfft"]),
+                                                ((8, 6, 4), ["fft", "fft", "rfft"])])
+    def test_a_kernel_brings_its_spectrum(self, sizes, forward, monkeypatch):
+        f = random_bandlimited(PeriodicGrid(sizes), 1, np.random.default_rng(34))
+        circular_convolve(f, f)
+        calls = _count_fft_calls(monkeypatch)
+        k = kernel(2.5, f.grid)
+        assert calls == forward  # one per axis factor, no rfftn of the samples
+        calls.clear()
+        circular_convolve(f, k)
+        assert calls == ["ifft"] * (len(sizes) - 1) + ["irfft"]
+
     def test_self_convolution_transforms_once(self, monkeypatch):
         f = random_bandlimited(PeriodicGrid.line(64), 10, np.random.default_rng(40))
         calls = _count_fft_calls(monkeypatch)
@@ -990,3 +1010,167 @@ class TestFlowMemory:
             assert not out.values.flags.writeable, name
             assert not np.shares_memory(out.values, f.values), name
             assert not np.shares_memory(out.values, spec), name
+
+
+def _normalized(sizes, halfwidth, seed):
+    """Band-limited real data scaled to max |f| = 1, as the grid_2d benchmark draws it."""
+    f = random_bandlimited(PeriodicGrid(sizes), halfwidth, np.random.default_rng(seed))
+    return SampledFunction(f.grid, f.values / np.max(np.abs(f.values)), kind="real")
+
+
+def _inverse_columns(monkeypatch):
+    """Record the columns argument of every _Spectrum.inverse from here on."""
+    seen = []
+    inverse = fourier._Spectrum.inverse
+
+    def spy(self, spec, out, operation, operands, columns=None):
+        seen.append(columns)
+        return inverse(self, spec, out, operation, operands, columns)
+
+    monkeypatch.setattr(fourier._Spectrum, "inverse", spy)
+    return seen
+
+
+# The stated bound of the cut: every output sample moves by less than 2^54 2^-1022.
+_CUT_BOUND = 2.0 ** 54 * 2.0 ** -1022
+
+
+class TestCutAndSkip:
+    """Multi-axis real flows set to 0 the symbol values below _CUT / P and skip their columns.
+
+    Setting fourier._CUT to 0 switches the cut off: no value is then below
+    it, and the complex passes run over every column.
+    """
+
+    @pytest.mark.parametrize("sizes, halfwidth", [((256, 256), 16), ((8, 6, 4), 1)])
+    @pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+    def test_same_bits_as_the_uncut_flow(self, sizes, halfwidth, t, monkeypatch):
+        f = _normalized(sizes, halfwidth, 60)
+        cut = theta_evolve(f, t).values
+        monkeypatch.setattr(fourier, "_CUT", 0.0)
+        assert theta_evolve(f, t).values.tobytes() == cut.tobytes()
+
+    @pytest.mark.parametrize("t, columns", [(0.05, 117), (0.2, 59), (1.0, 27)])
+    def test_transformed_columns_on_256_squared(self, t, columns, monkeypatch):
+        # sigma = e^(-t |n|^2) and P = 1013 here: |n|^2 <= (969 ln 2 + ln P) / t stays live,
+        # and the count is the same for any P from e^1.2 to e^12.
+        f = _normalized((256, 256), 16, 60)
+        theta_evolve(f, 0.1)
+        assert 1e3 < fourier._Spectrum(f).peak() < 1.1e3
+        seen = _inverse_columns(monkeypatch)
+        theta_evolve(f, t)
+        monkeypatch.setattr(fourier, "_CUT", 0.0)
+        theta_evolve(f, t)
+        assert seen == [columns, 129]
+
+    def test_the_cut_sits_at_sigma_p_equal_2_to_the_minus_969(self, monkeypatch):
+        # f = 2^-900 cos x has P = 128 2^-900, on the two modes n = (+-1, 0), so
+        # sigma P = e^-t 2^-893 passes 2^-969 at t = 76 ln 2; mode 0 holds round-off.
+        g = PeriodicGrid((16, 16))
+        f = SampledFunction.from_callable(g, lambda x, y: 2.0 ** -900 * np.cos(x))
+        assert fourier._Spectrum(f).peak() == pytest.approx(2.0 ** -893, rel=1e-15)
+        edge = 76 * math.log(2.0)
+        dropped, kept = theta_evolve(f, edge * 1.001).values, theta_evolve(f, edge * 0.999).values
+        monkeypatch.setattr(fourier, "_CUT", 0.0)
+        assert 0 < np.max(np.abs(theta_evolve(f, edge * 1.001).values - dropped)) < _CUT_BOUND
+        assert kept.tobytes() == theta_evolve(f, edge * 0.999).values.tobytes()
+
+    def test_lines_and_convolutions_are_not_cut(self, monkeypatch):
+        seen = _inverse_columns(monkeypatch)
+        line = _normalized((256,), 16, 61)
+        theta_evolve(line, 1.0)
+        plane = _normalized((64, 48), 8, 62)
+        circular_convolve(plane, kernel(0.1, plane.grid))
+        complex_plane = SampledFunction(plane.grid, plane.values + 1j, kind="complex")
+        theta_evolve(complex_plane, 1.0)
+        assert seen == [None, None, None]
+
+    def test_zero_function_transforms_no_column(self, monkeypatch):
+        seen = _inverse_columns(monkeypatch)
+        zero = SampledFunction(PeriodicGrid((16, 16)), np.zeros((16, 16)), kind="real")
+        for flow in (lambda f: theta_evolve(f, 0.1), generator_apply):
+            assert np.all(flow(zero).values == 0.0)
+        assert seen == [0, 0]
+
+    def test_cut_leaves_the_symbol_scratch_clean(self):
+        f = _normalized((64, 48), 8, 63)
+        spectrum = fourier._Spectrum(f)
+        symbol = np.exp(-5.0 * spectrum.n2) * np.where(spectrum.n2 % 2 == 0, 1.0, -1.0)
+        product = symbol.astype(complex)
+        columns = spectrum._cut(product)
+        peak = spectrum.peak()
+        dead = np.abs(symbol) * peak < fourier._CUT
+        assert dead.any() and not dead.all()
+        assert np.all(product.imag == 0.0)
+        assert np.all(product.real[dead] == 0.0)
+        assert product.real[~dead].tobytes() == symbol[~dead].tobytes()
+        assert columns == math.isqrt(int(spectrum.n2[~dead].max())) + 1
+
+    def test_overflowed_spectrum_is_not_cut_and_raises(self, monkeypatch):
+        g = PeriodicGrid((64, 48))
+        f = SampledFunction.from_callable(
+            g, lambda x, y: 1e308 * (0.5 + 0.25 * np.cos(x) + 0.25 * np.cos(y)))
+        seen = _inverse_columns(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for flow in (lambda f: theta_evolve(f, 1.0), lambda f: subordinate(f, 0.8),
+                         generator_apply):
+                with pytest.raises(OverflowError, match="overflowed"):
+                    flow(f)
+        assert seen == [None, None, None]
+        assert not math.isfinite(fourier._Spectrum(f).peak())
+
+    def test_peak_is_kept_beside_the_spectrum_and_copies_start_without_it(self):
+        f = _normalized((16, 12), 4, 64)
+        theta_evolve(f, 0.5)
+        assert vars(f)["_peak"] == float(np.max(np.abs(np.fft.rfftn(f.values).view(float))))
+        g = _fresh(f)
+        assert "_peak" not in vars(g) and "_spectrum" not in vars(g)
+
+
+_SWEEP_FLOWS = {
+    "heat": theta_evolve,
+    "poisson": poisson_evolve_multiplier,
+    "subordinate": subordinate,
+    "generator": lambda f, t: generator_apply(f),
+    "kernel": lambda f, t: circular_convolve(f, kernel(t, f.grid)),
+}
+
+
+def _flow_or_refusal(flow, f, t):
+    """flow(f, t) under warnings-as-errors: its values if finite, else the named refusal's type."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = _SWEEP_FLOWS[flow](f, t).values
+        except (ValueError, OverflowError) as refusal:
+            assert str(refusal)
+            return type(refusal)
+    assert np.all(np.isfinite(values))
+    return values
+
+
+class TestExtremeMultiAxisInputs:
+    """Multi-axis flows give a finite result or a named refusal, within the cut's bound of the uncut flow."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.sampled_from([(8, 6, 4), (16, 16), (64, 48)]),
+           scale=st.none() | st.integers(-320, 308),
+           t=st.floats(5e-324, 1e300),
+           seed=st.integers(0, 2**32 - 1),
+           flow=st.sampled_from(sorted(_SWEEP_FLOWS)))
+    def test_finite_or_refused_and_within_the_bound_of_the_uncut_flow(self, sizes, scale, t,
+                                                                     seed, flow):
+        grid = PeriodicGrid(sizes)
+        if scale is None:
+            values = np.zeros(sizes)
+        else:  # the widest band the grid takes, so that many |n|^2 carry data
+            values = _normalized(sizes, min(sizes) // 2 - 1, seed).values * 10.0 ** scale
+        cut = _flow_or_refusal(flow, SampledFunction(grid, values, kind="real"), t)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fourier, "_CUT", 0.0)
+            uncut = _flow_or_refusal(flow, SampledFunction(grid, values, kind="real"), t)
+        if isinstance(cut, type) or isinstance(uncut, type):
+            assert cut is uncut
+        else:
+            assert np.max(np.abs(cut - uncut)) < _CUT_BOUND

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import re
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaflow.fourier import _EXP_ZERO, PeriodicGrid
+from thetaflow.checks import random_bandlimited
+from thetaflow.fourier import _EXP_ZERO, PeriodicGrid, circular_convolve
 from thetaflow.theta import (
     ThetaParams,
     _image_terms,
@@ -290,6 +292,37 @@ class TestKernel:
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match="finite"):
             kernel(t, PeriodicGrid.line(64))
+
+
+class TestKernelSpectrum:
+    """A multi-axis kernel arrives with its spectrum, the outer product of its axis spectra."""
+
+    @pytest.mark.parametrize("sizes, times", [
+        ((64, 48), (0.02, 0.3, 2.0)), ((256, 256), (1e-3, 0.05, 1.0)),
+        ((8, 6, 4), (2.5, 5.0)), ((32, 16, 24), (0.2, 0.7)),
+    ])
+    def test_kept_spectrum_is_within_a_few_eps_of_rfftn(self, sizes, times):
+        for t in times:
+            k = kernel(t, PeriodicGrid(sizes))
+            kept = vars(k)["_spectrum"]
+            assert not kept.flags.writeable
+            exact = np.fft.rfftn(k.values)
+            peak = np.max(np.abs(exact))
+            assert np.max(np.abs(kept - exact)) <= 8 * EPS * peak, t
+
+    def test_lines_keep_no_spectrum(self):
+        assert "_spectrum" not in vars(kernel(0.1, PeriodicGrid.line(64)))
+
+    @pytest.mark.parametrize("sizes", [(64, 48), (8, 6, 4)])
+    def test_a_copy_convolves_within_a_few_eps_of_the_original(self, sizes):
+        g = PeriodicGrid(sizes)
+        f = random_bandlimited(g, 1, np.random.default_rng(70))
+        k = kernel(4.0, g)
+        clone = copy.copy(k)
+        assert "_spectrum" not in vars(clone)
+        assert clone.values.tobytes() == k.values.tobytes()
+        kept, fresh = circular_convolve(f, k).values, circular_convolve(f, clone).values
+        assert np.max(np.abs(kept - fresh)) <= 8 * EPS * np.max(np.abs(fresh))
 
 
 def _image_sum(x, t, images=range(-3, 5)):

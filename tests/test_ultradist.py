@@ -965,13 +965,14 @@ class TestPositivity:
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.just(0.0) | st.floats(5e-324, 1e300),
-           hw=st.integers(0, 16),
-           data=st.data(),
+           window=st.integers(0, 16).flatmap(lambda hw: st.tuples(st.just(hw), st.lists(
+               st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+               min_size=2 * hw + 1, max_size=2 * hw + 1))),
            rule=st.none() | st.builds(PowerRule, st.floats(-1e300, 1e300), st.integers(1, 3)))
-    def test_sweep_is_finite_or_refused(self, t, hw, data, rule):
-        values = data.draw(st.lists(
-            st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
-            min_size=2 * hw + 1, max_size=2 * hw + 1))
+    # A subnormal max |G_n|: dividing A by its power of 2 overflowed and warned.
+    @example(t=0.0, window=(0, [5e-324]), rule=None)
+    def test_sweep_is_finite_or_refused(self, t, window, rule):
+        hw, values = window
         F = UltraDistribution(CoefficientSequence(hw, values, rule))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
