@@ -299,6 +299,49 @@ def rule_values(rule: Callable[[int], complex], ns: np.ndarray) -> np.ndarray:
     return np.fromiter(map(rule, ns.tolist()), dtype=complex, count=ns.size)
 
 
+class _KeptTail:
+    """The values an opaque rule has returned at |n| <= _MAX_INDEX.
+
+    Two flat arrays over n = -_MAX_INDEX .. _MAX_INDEX, the values and a
+    flag each, are allocated when the first value is kept, and only the
+    memory pages holding kept indices are ever written: 16 B a value and
+    1 B a flag. A rule that raises leaves nothing of that call kept.
+    Threads may share one: they agree on one pair of arrays
+    (dict.setdefault), two may both call the rule at an index, and a flag
+    is set only after its value.
+    """
+
+    def __init__(self, rule: Callable[[int], complex]):
+        self.rule = rule
+        self.store: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # "kept": (values, flags)
+
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """rule(n) for every n of an int64 array, calling the rule only where none is kept.
+
+        The rule is called in the order of ns.
+        """
+        inside = (ns >= -_MAX_INDEX) & (ns <= _MAX_INDEX)
+        slot = np.where(inside, ns, 0) + _MAX_INDEX
+        kept = self.store.get("kept")
+        if kept is None:
+            out = np.empty(ns.shape, dtype=complex)
+            missing = np.ones(ns.shape, dtype=bool)
+        else:
+            out = kept[0][slot]  # replaced below where missing
+            missing = ~(kept[1][slot] & inside)
+        if not missing.any():
+            return out
+        out[missing] = rule_values(self.rule, ns[missing])
+        fresh = missing & inside
+        if fresh.any():
+            vals, flags = kept or self.store.setdefault("kept", (
+                np.empty(2 * _MAX_INDEX + 1, dtype=complex),
+                np.zeros(2 * _MAX_INDEX + 1, dtype=bool)))
+            vals[slot[fresh]] = out[fresh]  # values first, then their flags
+            flags[slot[fresh]] = True
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Two-sided coefficient sequence c_n for n in [-halfwidth, halfwidth].
@@ -309,6 +352,18 @@ class CoefficientSequence:
     same for an index array: a rule with a ``values`` method of its own is
     evaluated on the array, any other callable once per index. == and
     hash() are by identity, as for SampledFunction.
+
+    A rule is a function of n: the sequence may call it at an index once
+    and reuse the value. One without a ``values`` method is kept that way
+    for |n| <= 100 000, the indices a pairing sums: ``value`` and
+    ``values`` call it only at indices not asked of it before, in the
+    order asked, and keep what it returns; ``value`` hands any other n,
+    such as 2**64 or 7.5, to the rule unkept. Only the indices kept take
+    memory: 16 B a value and 1 B of bookkeeping, up to 3.4 MB for the
+    whole range, allocated when the first value is kept. Array rules are
+    evaluated on each call. Membership scans, which may run to 1 000 000
+    terms, call the rule directly and keep nothing. Copies, pickles and
+    dataclasses.replace start with nothing kept.
     """
 
     halfwidth: int
@@ -325,6 +380,8 @@ class CoefficientSequence:
         c.flags.writeable = False
         object.__setattr__(self, "halfwidth", hw)
         object.__setattr__(self, "coeffs", c)
+        opaque = self.rule is not None and getattr(self.rule, "values", None) is None
+        object.__setattr__(self, "_kept", _KeptTail(self.rule) if opaque else None)
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex],
@@ -347,22 +404,30 @@ class CoefficientSequence:
     def value(self, n: int) -> complex:
         if abs(n) <= self.halfwidth:
             return complex(self.coeffs[n + self.halfwidth])
-        if self.rule is not None:
-            return complex(self.rule(n))
-        return 0.0
+        if self.rule is None:
+            return 0.0
+        if self._kept is not None and isinstance(n, (int, np.integer)) and abs(n) <= _MAX_INDEX:
+            return complex(self._kept.values(np.array([n], dtype=np.int64))[0])
+        return complex(self.rule(n))
 
     def values(self, ns) -> np.ndarray:
         """value(n) for every n of an integer index array, as a complex array."""
         ns = np.asarray(ns, dtype=np.int64)
         out = np.zeros(ns.shape, dtype=complex)
-        inside = np.abs(ns) <= self.halfwidth
+        inside = (ns >= -self.halfwidth) & (ns <= self.halfwidth)  # abs(-2^63) < 0
         out[inside] = self.coeffs[ns[inside] + self.halfwidth]
         if self.rule is not None and not inside.all():
-            out[~inside] = rule_values(self.rule, ns[~inside])
+            tail = ns[~inside]
+            out[~inside] = (rule_values(self.rule, tail) if self._kept is None
+                            else self._kept.values(tail))
         return out
 
     def __getitem__(self, n: int) -> complex:
         return self.value(n)
+
+    def __reduce__(self):
+        # As for SampledFunction: copies and unpickled objects start with nothing kept.
+        return CoefficientSequence, (self.halfwidth, self.coeffs, self.rule)
 
     def conjugate_symmetry_defect(self) -> float:
         """max |c(-n) - conj(c(n))|; zero for coefficients of a real function."""
@@ -576,7 +641,8 @@ class _Spectrum:
             return None
         live = product.imag  # |sigma| P, then 1.0 where sigma is live and 0.0 where dead
         np.abs(product.real, out=live)
-        live *= peak
+        with np.errstate(over="ignore"):  # an infinite |sigma| P is live
+            live *= peak
         np.less(live, _CUT, out=live)  # a nan compares false: it stays live
         np.subtract(1.0, live, out=live)
         last = live.size - 1 - int(np.argmax(live[::-1]))

@@ -269,10 +269,10 @@ def bochner_scalar(lam: float) -> float:
     evaluates the symbol that subordinate applies: at t = lam on a mode
     with |n| = 1, or, for lam = 0, on the mode n = 0 (at t = 1). A lam
     below about 1.4e-65 needs more than the 1024 nodes the rule allows
-    and is refused with a ValueError.
+    and is refused with a ValueError, as is a lam that is not finite.
     """
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     quad = SubordinationQuadrature()
     if lam == 0.0:
         return float(_subordination_symbol(np.zeros(1), 1.0, quad)[0])

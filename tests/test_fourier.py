@@ -336,6 +336,126 @@ class TestCoefficientSequence:
         assert type(c.halfwidth) is int and list(c.indices()) == [-2, -1, 0, 1, 2]
 
 
+class CountingRule:
+    """Opaque rule n -> 0.9^|n| e^(0.7 i n) that records each index it is asked; raises at fail_at."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.asked = []
+
+    def __call__(self, n):
+        self.asked.append(n)
+        if n == self.fail_at:
+            raise ArithmeticError(f"no value at n = {n}")
+        return 0.9 ** abs(n) * np.exp(0.7j * n)
+
+
+def _kept_count(c):
+    """How many indices of c's tail hold a kept value."""
+    kept = vars(c)["_kept"].store.get("kept")
+    return 0 if kept is None else int(kept[1].sum())
+
+
+class TestKeptTail:
+    """An opaque rule is asked once per index |n| <= 100 000; array rules are not kept."""
+
+    def test_values_ask_only_new_indices_in_the_order_asked(self):
+        rule = CountingRule()
+        c = CoefficientSequence(2, np.zeros(5), rule)
+        first = c.values([7, -3, 5, 1])
+        assert rule.asked == [7, -3, 5]  # window indices never
+        again = c.values([9, 5, -3, 8])
+        assert rule.asked == [7, -3, 5, 9, 8]
+        expected = np.array([0.9 ** abs(n) * np.exp(0.7j * n) for n in (7, -3, 5, 1)])
+        expected[3] = 0.0
+        assert first.tobytes() == expected.tobytes()
+        assert again.tobytes() == c.values([9, 5, -3, 8]).tobytes()
+        assert rule.asked == [7, -3, 5, 9, 8]
+
+    @pytest.mark.parametrize("n", [0, 3, -3, 4, -99_999, 100_000, -100_001, 2**62])
+    def test_value_reads_the_kept_values(self, n):
+        rule = CountingRule()
+        c = CoefficientSequence(3, np.arange(7.0), rule)
+        assert c.value(n) == c.values([n])[0] == c[n]
+        assert rule.asked.count(n) == (0 if abs(n) <= 3 else 1 if abs(n) <= 100_000 else 3)
+
+    @pytest.mark.parametrize("n", [2**64, -(2**64), 7.5, -100_000.5])
+    def test_value_past_int64_or_not_integral_calls_the_rule(self, n):
+        # values() takes int64 indices; value(n) hands any other n to the rule, unkept.
+        rule = CountingRule()
+        c = CoefficientSequence(3, np.arange(7.0), rule)
+        assert c.value(n) == c[n] == complex(0.9 ** abs(n) * np.exp(0.7j * n))
+        assert rule.asked == [n, n] and _kept_count(c) == 0
+
+    def test_a_rule_that_raises_leaves_nothing_kept(self):
+        rule = CountingRule(fail_at=7)
+        c = CoefficientSequence(2, np.zeros(5), rule)
+        with pytest.raises(ArithmeticError, match="n = 7"):
+            c.values(np.arange(3, 12))
+        assert rule.asked == [3, 4, 5, 6, 7] and _kept_count(c) == 0
+        with pytest.raises(ArithmeticError, match="n = 7"):
+            c.values(np.arange(3, 12))
+        assert rule.asked[5:] == [3, 4, 5, 6, 7] and _kept_count(c) == 0
+        c.values(np.arange(3, 7))
+        assert _kept_count(c) == 4
+
+    def test_indices_past_100_000_are_not_kept(self):
+        rule = CountingRule()
+        c = CoefficientSequence(0, np.ones(1), rule)
+        ns = [100_000, 100_001, -100_000, -100_001, -(2**63), 2**63 - 1]
+        for _ in range(2):
+            c.values(ns)
+        assert rule.asked == ns + ns[1:2] + ns[3:]
+        assert _kept_count(c) == 2
+        # The tail alone: an index past the range is not read from the slot n = 0 would use.
+        tail = vars(c)["_kept"]
+        tail.values(np.array([0]))
+        tail.values(np.array([0, 2**62]))
+        tail.values(np.array([2**62]))
+        assert rule.asked[-3:] == [0, 2**62, 2**62]
+
+    def test_nothing_is_allocated_before_a_value_is_kept(self):
+        c = CoefficientSequence(0, np.ones(1), CountingRule(fail_at=5))
+        c.values([100_001, -(2**63)])
+        with pytest.raises(ArithmeticError):
+            c.values([4, 5])
+        assert vars(c)["_kept"].store == {}
+        c.values([4])
+        values, flags = vars(c)["_kept"].store["kept"]
+        assert values.shape == flags.shape == (200_001,) and flags.sum() == 1
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+        dataclasses.replace, lambda c: dataclasses.replace(c, halfwidth=1, coeffs=np.ones(3))])
+    def test_copies_start_with_nothing_kept(self, duplicate):
+        c = CoefficientSequence(1, np.ones(3), CountingRule())
+        c.values(np.arange(-40, 41))
+        d = duplicate(c)
+        assert _kept_count(c) == 78 and _kept_count(d) == 0
+        assert vars(d)["_kept"] is not vars(c)["_kept"]
+        assert d.values([5]).tobytes() == c.values([5]).tobytes()
+        assert _kept_count(d) == 1
+
+    def test_array_rules_and_windows_keep_nothing(self):
+        class ArrayRule:
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, n):
+                return self.values(np.array([n]))[0]
+
+            def values(self, ns):
+                self.calls += 1
+                return 0.5 ** np.abs(ns)
+
+        rule = ArrayRule()
+        c = CoefficientSequence(1, np.ones(3), rule)
+        for _ in range(2):
+            c.values(np.arange(2, 9))
+        assert rule.calls == 2 and vars(c)["_kept"] is None
+        assert vars(CoefficientSequence(1, np.ones(3)))["_kept"] is None
+
+
 class TestKeptSpectrum:
     """_Spectrum keeps the kind-matching spectrum on the function, outside its fields."""
 

@@ -245,6 +245,12 @@ class TestSubordination:
     def test_scalar_at_zero(self):
         assert bochner_scalar(0.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, -1.0])
+    def test_scalar_refuses_a_lam_not_finite_and_nonnegative(self, lam):
+        # inf once reached math.floor(-inf) in the node count: an OverflowError.
+        with pytest.raises(ValueError, match=f"lambda must be finite and nonnegative, got {lam}"):
+            bochner_scalar(lam)
+
     def test_cosine(self):
         g = _grid()
         out = subordinate(_cos(g), 0.8)
@@ -1105,6 +1111,18 @@ class TestCutAndSkip:
         assert np.all(product.real[dead] == 0.0)
         assert product.real[~dead].tobytes() == symbol[~dead].tobytes()
         assert columns == math.isqrt(int(spectrum.n2[~dead].max())) + 1
+
+    def test_an_infinite_sigma_p_is_live_without_a_warning(self):
+        # |sigma| P passes the largest double at |n|^2 = 29, where the data have no mode;
+        # forming it once raised a RuntimeWarning. Found by the sweep below.
+        f = SampledFunction(PeriodicGrid((8, 6, 4)),
+                            _normalized((8, 6, 4), 1, 0).values * 1e306, kind="real")
+        spectrum = fourier._Spectrum(f)
+        assert math.isfinite(spectrum.peak()) and spectrum.peak() * 29 == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = generator_apply(f).values
+        assert np.all(np.isfinite(out))
 
     def test_overflowed_spectrum_is_not_cut_and_raises(self, monkeypatch):
         g = PeriodicGrid((64, 48))

@@ -1,4 +1,8 @@
+import cmath
+import collections
 import math
+import sys
+import threading
 import time
 import warnings
 
@@ -669,6 +673,101 @@ class TestSmoothing:
         target = GrowthClass("test", math.exp(-t_f / 2.0), 2, 1.0)
         assert check_membership(evolve_ultra(F, t_f + 0.1).coeffs, target).ok
         assert not check_membership(evolve_ultra(F, t_f / 2.0).coeffs, target).ok
+
+
+class CountingPhasedRule:
+    """Opaque rule n -> r^|n| e^(i theta n) that counts its calls per index."""
+
+    def __init__(self, r, theta=0.7):
+        self.r, self.theta = r, theta
+        self.calls = collections.Counter()
+
+    def __call__(self, n):
+        self.calls[n] += 1
+        return self.r ** abs(n) * cmath.exp(1j * self.theta * n)
+
+
+class TestKeptTailPairings:
+    """Pairings read an opaque rule's kept values: each index is asked once, results unchanged."""
+
+    def test_two_pairings_and_a_weak_limit_check_ask_each_index_once(self):
+        rule = CountingPhasedRule(0.9)
+        f = seq_from_rule(8, rule)
+        q = GrowthClass("test", 0.9, 1, 1.0)
+        first = pair(comb(), f, f_class=q)
+        assert pair(comb(), f, f_class=q) == first
+        pair(UltraDistribution(comb().coeffs, None), f)
+        report = weak_limit_check(comb(), f, [2.0 ** -k for k in range(7)], f_class=q)
+        assert len(report.magnitudes) == 7
+        last = first.terms // 2
+        assert set(range(-last, last + 1)) <= set(rule.calls)
+        assert max(rule.calls.values()) == 1
+
+    def test_F_is_asked_only_where_f_is_not_zero(self):
+        rule = CountingPhasedRule(1.0)
+        F = UltraDistribution(seq_from_rule(4, rule), None)
+        f = CoefficientSequence(4, np.ones(9), lambda n: 0.8 ** abs(n) if n % 3 == 0 else 0.0)
+        assert pair(F, f) == pair(F, f)
+        tail = [n for n in rule.calls if abs(n) > 4]
+        assert len(tail) > 50 and all(n % 3 == 0 for n in tail)
+        assert max(rule.calls.values()) == 1
+
+    def test_threads_pairing_one_sequence_get_the_serial_results(self):
+        q = GrowthClass("test", 0.97, 1, 1.0)
+
+        def work(f):
+            return [pair(comb(), f, f_class=q), pair(UltraDistribution(comb().coeffs, None), f),
+                    evolution_deficit_pair(comb(), f, 0.01, f_class=q)]
+
+        serial = work(seq_from_rule(8, CountingPhasedRule(0.97)))
+        rules = [CountingPhasedRule(0.97) for _ in range(20)]
+        shared = [seq_from_rule(8, rule) for rule in rules]  # a fresh one a round
+        barrier = threading.Barrier(4)
+        results = [[] for _ in range(4)]
+
+        def run(k):
+            for f in shared:
+                barrier.wait(timeout=60)
+                results[k].append(work(f))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the kept tail's updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(rs) == 20 and all(r == serial for r in rs) for rs in results)
+        for rule, f in zip(rules, shared):
+            asked = sum(rule.calls.values())
+            assert work(f) == serial
+            assert sum(rule.calls.values()) == asked  # no kept value was lost to a race
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.05, 0.95), theta=st.floats(-4.0, 4.0), phi=st.floats(-4.0, 4.0),
+           hw=st.integers(0, 12), t=st.floats(1e-6, 10.0), declared=st.booleans(),
+           opaque_F=st.booleans())
+    def test_fresh_and_kept_sequences_pair_alike(self, r, theta, phi, hw, t, declared,
+                                                 opaque_F):
+        F_class = GrowthClass("dual", 1.0, 1, 1.0) if declared else None
+        f_class = GrowthClass("test", r, 1, 1.0) if declared else None
+
+        def fresh():
+            F_rule = CountingPhasedRule(1.0, phi) if opaque_F else PowerRule(1.0, 1)
+            return (UltraDistribution(seq_from_rule(hw, F_rule), F_class),
+                    seq_from_rule(hw, CountingPhasedRule(r, theta)))
+
+        def results(F, f):
+            return pair(F, f, f_class=f_class), evolution_deficit_pair(F, f, t, f_class)
+
+        F, f = fresh()
+        first = results(F, f)
+        assert results(*fresh()) == results(F, f) == first
+        assert max(f.rule.calls.values()) == 1
 
 
 class TestWeakLimit:
