@@ -247,6 +247,20 @@ def _integer(n, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {n!r}") from None
 
 
+def _index_array(ns) -> np.ndarray:
+    """ns as an int64 array; an entry that is not an integer, a bool among them, is refused.
+
+    The ValueError names the first such entry; an integer past int64 raises OverflowError.
+    """
+    if isinstance(ns, np.ndarray) and ns.dtype.kind == "i":
+        return ns.astype(np.int64, copy=False)
+    entries = np.asarray(ns, dtype=object)
+    for n in entries.flat:
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise ValueError(f"an index must be an integer, got {n!r}")
+    return entries.astype(np.int64)
+
+
 def _tolerance(tol: float, what: str = "tol") -> float:
     """tol, refused with a ValueError naming what unless it is positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
@@ -411,8 +425,8 @@ class CoefficientSequence:
         return complex(self.rule(n))
 
     def values(self, ns) -> np.ndarray:
-        """value(n) for every n of an integer index array, as a complex array."""
-        ns = np.asarray(ns, dtype=np.int64)
+        """value(n) for every n of an index array, as a complex array; see _index_array."""
+        ns = _index_array(ns)
         out = np.zeros(ns.shape, dtype=complex)
         inside = (ns >= -self.halfwidth) & (ns <= self.halfwidth)  # abs(-2^63) < 0
         out[inside] = self.coeffs[ns[inside] + self.halfwidth]
@@ -541,8 +555,7 @@ class _Spectrum:
     0 the symbol values that scale every mode below _CUT (see _cut), and
     the inverse's complex passes skip the columns past the last live
     one. Memory: two arrays, the result, taken first, and
-    the product of spectrum and symbol; the cut works in the imaginary
-    parts of the symbol's complex copy. inverse consumes the product it
+    the product of spectrum and symbol. inverse consumes the product it
     is handed, running its complex passes in place, and a forward
     transform writes all its passes into the spectrum's own buffer. An
     overflow shows up as inf or nan in the spectrum, and so in its peak,
@@ -625,31 +638,23 @@ class _Spectrum:
                 object.__setattr__(self.f, "_peak", peak)
         return peak
 
-    def _cut(self, product: np.ndarray) -> Optional[int]:
-        """Set to 0 the symbol values that scale every mode below _CUT; the columns left live.
+    def _cut(self, symbol: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+        """The symbol with 0 where it scales every mode below _CUT, and the columns left live.
 
-        product holds the symbol on n2, as complex with zero imaginary
-        parts, which serve as scratch and are zero again on return. A value
-        sigma counts as 0 where |sigma| P < _CUT, P the peak. The count is
-        that of the last-axis columns 0 .. floor(sqrt(m)), m the largest
-        |n|^2 with a live value: column c holds only modes with |n|^2 >= c^2,
-        so its product is 0 past the count. None, with nothing set, if P is
-        not finite.
+        A value sigma counts as 0 where |sigma| P < _CUT, P the peak; a nan
+        or infinite |sigma| P is live. The count is that of the last-axis
+        columns 0 .. floor(sqrt(m)), m the largest |n|^2 with a live value:
+        column c holds only modes with |n|^2 >= c^2, so its product is 0
+        past the count. The symbol as it is, and None, if P is not finite.
         """
         peak = self.peak()
         if not math.isfinite(peak):
-            return None
-        live = product.imag  # |sigma| P, then 1.0 where sigma is live and 0.0 where dead
-        np.abs(product.real, out=live)
-        with np.errstate(over="ignore"):  # an infinite |sigma| P is live
-            live *= peak
-        np.less(live, _CUT, out=live)  # a nan compares false: it stays live
-        np.subtract(1.0, live, out=live)
+            return symbol, None
+        with np.errstate(over="ignore"):
+            live = ~(np.abs(symbol) * peak < _CUT)
         last = live.size - 1 - int(np.argmax(live[::-1]))
         columns = math.isqrt(int(self.n2[last])) + 1 if live[last] else 0
-        product.real *= live
-        live[...] = 0.0
-        return min(columns, self.spec.shape[-1])
+        return symbol * live, min(columns, self.spec.shape[-1])
 
     def scaled(self, symbol: np.ndarray) -> np.ndarray:
         """Samples of f with every mode scaled by its symbol value, in a fresh array.
@@ -663,9 +668,10 @@ class _Spectrum:
         under sqrt(2) _CUT / N to a sample. Lines have no complex pass and
         keep every value.
         """
-        out = self.output()
+        out, columns = self.output(), None
+        if self.real and self.f.grid.dims > 1:
+            symbol, columns = self._cut(symbol)
         product = symbol.astype(complex)
-        columns = self._cut(product) if self.real and self.f.grid.dims > 1 else None
         if product.size != self.index.size:  # else the index is the identity
             product = product[self.index]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -34,8 +34,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _integer, _tolerance,
-                      rule_values)
+from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _index_array, _integer,
+                      _tolerance, rule_values)
 from .semigroups import _RATE_CAP, _decay, _require_time
 
 GROWTH_KINDS = ("test", "dual")
@@ -119,28 +119,6 @@ def _power_law(ns: np.ndarray, base: float, order: int, scale: float = 1.0) -> n
     return p
 
 
-def _times_in(ns: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """v * (i n)^m, formed part by part so that an infinite v meets no zero."""
-    s = _index_powers(ns, m) * (np.sign(ns) if m % 2 else 1.0)
-    v = np.asarray(v)
-    re, im = v.real * s, v.imag * s
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = ((re, im), (-im, re), (-re, -im), (im, -re))[m % 4]
-    return out
-
-
-def _heat_damped(ns: np.ndarray, t: float,
-                 values_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """values_at(n) * exp(-n^2 t), exactly 0 (values_at not called) where that factor underflows."""
-    damp = _decay(t, ns.astype(float) ** 2)
-    live = damp != 0.0
-    v = np.asarray(values_at(ns[live]))
-    out = np.zeros(ns.shape, dtype=complex)
-    out.real[live] = v.real * damp[live]
-    out.imag[live] = v.imag * damp[live]
-    return out
-
-
 def _order(k, least: int = 1, name: str = "order") -> int:
     """k as an int; ValueError naming it unless it is an integer >= least."""
     try:
@@ -185,7 +163,7 @@ class GrowthClass:
         return self.constant == 0.0
 
     def bound(self, n: int) -> float:
-        return self.bounds(np.array([n], dtype=np.int64))[0].item()
+        return self.bounds(_index_array([n]))[0].item()
 
     def bounds(self, ns: np.ndarray) -> np.ndarray:
         """bound(n) over an index array."""
@@ -196,7 +174,7 @@ class _ArrayRule:
     """A rule defined by its array form; the scalar form evaluates one int64 index."""
 
     def __call__(self, n: int):
-        return self.values(np.array([n], dtype=np.int64))[0].item()
+        return self.values(_index_array([n]))[0].item()
 
 
 @dataclass(frozen=True)
@@ -217,24 +195,37 @@ class PowerRule(_ArrayRule):
 
 @dataclass(frozen=True)
 class _EvolvedRule(_ArrayRule):
-    """Inner rule damped by the heat multiplier exp(-n^2 t)."""
+    """The source sequence damped by the heat multiplier exp(-n^2 t), window and tail alike."""
 
-    inner: Callable[[int], complex]
+    source: CoefficientSequence
     t: float
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        return _heat_damped(ns, self.t, lambda live: rule_values(self.inner, live))
+        """source(n) exp(-n^2 t), exactly 0 (source not asked) where that factor underflows."""
+        damp = _decay(self.t, ns.astype(float) ** 2)
+        live = damp != 0.0
+        v = self.source.values(ns[live])
+        out = np.zeros(ns.shape, dtype=complex)
+        out.real[live] = v.real * damp[live]
+        out.imag[live] = v.imag * damp[live]
+        return out
 
 
 @dataclass(frozen=True)
 class _DifferentiatedRule(_ArrayRule):
-    """Inner rule scaled by the derivative factor (i n)^m."""
+    """The source sequence scaled by the derivative factor (i n)^m, window and tail alike."""
 
-    inner: Callable[[int], complex]
+    source: CoefficientSequence
     m: int
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        return _times_in(ns, rule_values(self.inner, ns), self.m)
+        """source(n) (i n)^m, formed part by part so that an infinite source(n) meets no zero."""
+        s = _index_powers(ns, self.m) * (np.sign(ns) if self.m % 2 else 1.0)
+        v = self.source.values(ns)
+        re, im = v.real * s, v.imag * s
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = ((re, im), (-im, re), (-re, -im), (im, -re))[self.m % 4]
+        return out
 
 
 def _verify(ns: np.ndarray, sides, finite: bool = False) -> None:
@@ -638,18 +629,15 @@ def evolve_ultra(F: UltraDistribution, t: float) -> UltraDistribution:
             "unsmoothable class: quadratic heat decay cannot tame growth of "
             f"order k = {g.order} beyond the stored window"
         )
-    window = _heat_damped(F.coeffs.indices(), t, F.coeffs.values)
-    rule = F.coeffs.rule
-    if rule is None:
-        new_rule = None
-    elif isinstance(rule, PowerRule) and rule.order == 2:
-        new_rule = PowerRule(rule.base * math.exp(-t), 2)
-    elif isinstance(rule, PowerRule) and rule.base == 1.0:
+    c, evolved = F.coeffs, _EvolvedRule(F.coeffs, t)
+    rule = None if c.rule is None else evolved
+    if isinstance(c.rule, PowerRule) and c.rule.order == 2:
+        rule = PowerRule(c.rule.base * math.exp(-t), 2)
+    elif isinstance(c.rule, PowerRule) and c.rule.base == 1.0:
         # A constant-1 tail (the comb) evolves to exactly exp(-t)^(n^2).
-        new_rule = PowerRule(math.exp(-t), 2)
-    else:
-        new_rule = _EvolvedRule(rule, t)
-    return UltraDistribution(CoefficientSequence(F.coeffs.halfwidth, window, new_rule), g)
+        rule = PowerRule(math.exp(-t), 2)
+    window = evolved.values(c.indices())
+    return UltraDistribution(CoefficientSequence(c.halfwidth, window, rule), g)
 
 
 def smoothing_threshold(g: GrowthClass) -> float:
@@ -701,9 +689,9 @@ def derivative_sequence(c: CoefficientSequence, m: int) -> CoefficientSequence:
     m = _order(m, 0, "derivative order")
     if m == 0:
         return c
-    window = _times_in(c.indices(), c.coeffs, m)
-    rule = None if c.rule is None else _DifferentiatedRule(c.rule, m)
-    return CoefficientSequence(c.halfwidth, window, rule)
+    rule = _DifferentiatedRule(c, m)
+    return CoefficientSequence(c.halfwidth, rule.values(c.indices()),
+                               None if c.rule is None else rule)
 
 
 def derivative_ultra(F: UltraDistribution, m: int) -> UltraDistribution:
@@ -740,7 +728,8 @@ def positivity_check(F: UltraDistribution, t: float,
     Fejer-Riesz the verdict covers all nonnegative trig polynomials of degree <= 12 and
     no others: 1 + 1.01 cos x passes at t = 1e-3, though its evolution dips to -0.009.
     positive: min_pairing >= -(1e-10 + 2pi * 13 eps * sum |G_n|), covering eigh's round-off.
-    route_gap = |<evolved F, w> - <F, smoothed w>|. A non-finite G_n or sum raises OverflowError.
+    route_gap = |<evolved F, w> - <F, smoothed w>|, each pairing summed over the 25 indices
+    |n| <= 12 that hold w. A non-finite G_n, sum or pairing term raises OverflowError.
     """
     _require_time(t)
     evolved = evolve_ultra(F, t)
@@ -765,8 +754,8 @@ def positivity_check(F: UltraDistribution, t: float,
     lam = np.ldexp(lam, exponent)
     w = CoefficientSequence(2 * d, np.correlate(vecs[:, 0], vecs[:, 0], "full"))  # |p|^2
     w_smooth = CoefficientSequence(2 * d, w.coeffs * _decay(t, ns.astype(float) ** 2))
-    gap = (_pair_core(evolved.coeffs, w, None, None, _PAIR_TOL).value
-           - _pair_core(F.coeffs, w_smooth, None, None, _PAIR_TOL).value)
+    gap = complex(TWO_PI * _pair_terms(evolved.coeffs, w, ns, None, None).sum()
+                  - TWO_PI * _pair_terms(F.coeffs, w_smooth, ns, None, None).sum())
     least = TWO_PI * float(lam[0])
     return PositivityResult(least >= -(_POSITIVITY_TOL + (2 * d + 1) * _EPS * size), least,
                             abs(gap))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,30 @@ class TestCoefficientSequence:
     def test_numpy_integer_halfwidth_accepted(self):
         c = CoefficientSequence(np.int64(2), np.ones(5))
         assert type(c.halfwidth) is int and list(c.indices()) == [-2, -1, 0, 1, 2]
+
+    @pytest.mark.parametrize("ns, first", [
+        ([9.9, -3.2], "9.9"), ([3, 9.9], "9.9"), ([2.0], "2.0"), ([3, True], "True"),
+        (np.array([False, True]), "False"), (np.array([[1, 2], [3, 4]]) / 2, "0.5"),
+        (["3"], "'3'")])
+    def test_non_integer_indices_are_refused_not_truncated(self, ns, first):
+        for rule in (None, lambda n: 1.0):
+            c = CoefficientSequence(3, np.arange(7.0), rule)
+            with pytest.raises(ValueError, match=f"got {re.escape(first)}$"):
+                c.values(ns)
+
+    @pytest.mark.parametrize("ns", [[2**63], [-(2**63) - 1], [3, 2**64],
+                                    np.array([2**63], dtype=np.uint64)])
+    def test_indices_past_int64_overflow(self, ns):
+        with pytest.raises(OverflowError):
+            CoefficientSequence(3, np.arange(7.0), lambda n: 1.0).values(ns)
+
+    def test_integer_indices_of_any_type_pass(self):
+        c = CoefficientSequence(3, np.arange(7.0), lambda n: 0.5 ** abs(n))
+        expected = c.values(np.array([-5, 0, 2]))
+        for ns in ([-5, 0, 2], (-5, np.uint64(0), np.int8(2)), np.array([-5, 0, 2], np.int16),
+                   np.array([[-5, 0, 2]], dtype=object)):
+            assert c.values(ns).ravel().tobytes() == expected.tobytes()
+        assert c.values([]).shape == (0,)
 
 
 class CountingRule:

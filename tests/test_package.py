@@ -90,6 +90,31 @@ def test_only_fourier_references_numpy_fft():
     assert [name for name, tree in TREES.items() if _uses_numpy(tree, "fft")] == ["fourier"]
 
 
+# What fourier keeps on an object: a sequence's kept tail, a function's spectrum and peak.
+KEPT_STATE = {"_kept", "_spectrum", "_peak"}
+
+
+def _identifiers(tree):
+    """Every name, attribute, argument, keyword, import and exact string constant of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_fourier_touches_the_kept_state():
+    # Derived rules reach a sequence through its values method alone.
+    assert [name for name, tree in TREES.items()
+            if KEPT_STATE & set(_identifiers(tree))] == ["fourier"]
+
+
 def test_only_checks_references_numpy_random():
     # The suites draw their seeded random data there; every other result is deterministic.
     assert "ultradist" in TREES

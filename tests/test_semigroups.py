@@ -1098,18 +1098,18 @@ class TestCutAndSkip:
             assert np.all(flow(zero).values == 0.0)
         assert seen == [0, 0]
 
-    def test_cut_leaves_the_symbol_scratch_clean(self):
+    def test_cut_zeroes_the_dead_values_and_counts_the_live_columns(self):
         f = _normalized((64, 48), 8, 63)
         spectrum = fourier._Spectrum(f)
         symbol = np.exp(-5.0 * spectrum.n2) * np.where(spectrum.n2 % 2 == 0, 1.0, -1.0)
-        product = symbol.astype(complex)
-        columns = spectrum._cut(product)
-        peak = spectrum.peak()
-        dead = np.abs(symbol) * peak < fourier._CUT
+        given = symbol.tobytes()
+        cut, columns = spectrum._cut(symbol)
+        dead = np.abs(symbol) * spectrum.peak() < fourier._CUT
         assert dead.any() and not dead.all()
-        assert np.all(product.imag == 0.0)
-        assert np.all(product.real[dead] == 0.0)
-        assert product.real[~dead].tobytes() == symbol[~dead].tobytes()
+        assert symbol.tobytes() == given  # the caller's symbol is left as it is
+        assert np.all(cut[dead] == 0.0)
+        assert np.array_equal(np.signbit(cut[dead]), np.signbit(symbol[dead]))
+        assert cut[~dead].tobytes() == symbol[~dead].tobytes()
         assert columns == math.isqrt(int(spectrum.n2[~dead].max())) + 1
 
     def test_an_infinite_sigma_p_is_live_without_a_warning(self):

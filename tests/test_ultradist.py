@@ -324,6 +324,18 @@ class TestOneEvaluator:
         with pytest.raises(OverflowError):
             GrowthClass("test", 0.5, 1).bound(2**63)
 
+    def test_scalar_forms_refuse_a_non_integer_index(self):
+        # They once truncated it: PowerRule(0.5, 1)(9.5) gave 0.5^9.
+        with pytest.raises(ValueError, match="got 9.5$"):
+            PowerRule(0.5, 1)(9.5)
+        with pytest.raises(ValueError, match="got 9.9$"):
+            GrowthClass("test", 0.5, 1).bound(9.9)
+        with pytest.raises(ValueError, match="got True$"):
+            PowerRule(0.5, 1)(True)
+        with pytest.raises(ValueError, match="got 7.5$"):
+            derivative_sequence(seq_from_rule(3, PowerRule(0.5, 1)), 1).value(7.5)
+        assert PowerRule(0.5, 1)(np.int32(9)) == GrowthClass("test", 0.5, 1).bound(9) == 0.5**9
+
     def test_reported_numbers_are_python_numbers(self):
         res = pair(comb(), seq_from_rule(12, PowerRule(0.5, 2)),
                    f_class=GrowthClass("test", 0.5, 2, 1.0))
@@ -747,12 +759,23 @@ class TestKeptTailPairings:
             assert work(f) == serial
             assert sum(rule.calls.values()) == asked  # no kept value was lost to a race
 
+    def test_derived_sequences_ask_their_source_once_per_index(self):
+        # An evolution or a derivative reads its source's kept values, not the bare rule.
+        rule = CountingPhasedRule(1.0)
+        F = UltraDistribution(seq_from_rule(8, rule), None)
+        f = seq_from_rule(8, PowerRule(0.95, 1))
+        evolved = evolve_ultra(F, 0.01)
+        for G in (evolved, derivative_ultra(F, 1), derivative_ultra(evolved, 2)):
+            first = pair(G, f)
+            assert pair(G, f) == pair(G, f) == first
+        assert len(rule.calls) > 1000 and max(rule.calls.values()) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(0.05, 0.95), theta=st.floats(-4.0, 4.0), phi=st.floats(-4.0, 4.0),
            hw=st.integers(0, 12), t=st.floats(1e-6, 10.0), declared=st.booleans(),
-           opaque_F=st.booleans())
+           opaque_F=st.booleans(), step=st.sampled_from([None, "evolve", "derive"]))
     def test_fresh_and_kept_sequences_pair_alike(self, r, theta, phi, hw, t, declared,
-                                                 opaque_F):
+                                                 opaque_F, step):
         F_class = GrowthClass("dual", 1.0, 1, 1.0) if declared else None
         f_class = GrowthClass("test", r, 1, 1.0) if declared else None
 
@@ -761,13 +784,23 @@ class TestKeptTailPairings:
             return (UltraDistribution(seq_from_rule(hw, F_rule), F_class),
                     seq_from_rule(hw, CountingPhasedRule(r, theta)))
 
+        def derived(F):  # the step, if any, whose rule reads F's sequence
+            if step == "evolve":
+                return evolve_ultra(F, t)
+            if step == "derive":
+                return UltraDistribution(derivative_sequence(F.coeffs, 1), None)
+            return F
+
         def results(F, f):
-            return pair(F, f, f_class=f_class), evolution_deficit_pair(F, f, t, f_class)
+            G = derived(F)
+            return pair(G, f, f_class=f_class), evolution_deficit_pair(G, f, t, f_class)
 
         F, f = fresh()
         first = results(F, f)
         assert results(*fresh()) == results(F, f) == first
         assert max(f.rule.calls.values()) == 1
+        if opaque_F:
+            assert max(F.coeffs.rule.calls.values()) == 1
 
 
 class TestWeakLimit:
@@ -1035,14 +1068,14 @@ class TestPositivity:
     @pytest.mark.parametrize("name", sorted(POSITIVITY_CASES))
     def test_witness_pairs_twice_at_the_least(self, name, monkeypatch):
         F, t = POSITIVITY_CASES[name]
-        values, core = [], ultradist._pair_core
+        values, terms = [], ultradist._pair_terms
 
         def counted(*args, **kwargs):
-            res = core(*args, **kwargs)
-            values.append(res.value)
+            res = terms(*args, **kwargs)
+            values.append(TWO_PI * res.sum())
             return res
 
-        monkeypatch.setattr(ultradist, "_pair_core", counted)
+        monkeypatch.setattr(ultradist, "_pair_terms", counted)
         res = positivity_check(F, t)
         assert len(values) == 2
         slack = 1e-12 * TWO_PI * _abs_sum(F, t)
