@@ -301,18 +301,6 @@ def inner(f: SampledFunction, g: SampledFunction) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
 
 
-def rule_values(rule: Callable[[int], complex], ns: np.ndarray) -> np.ndarray:
-    """A coefficient rule over an index array.
-
-    A rule with a ``values`` method is evaluated on the whole array; any
-    other callable is called once per index.
-    """
-    array_form = getattr(rule, "values", None)
-    if array_form is not None:
-        return np.asarray(array_form(ns))
-    return np.fromiter(map(rule, ns.tolist()), dtype=complex, count=ns.size)
-
-
 class _KeptTail:
     """The values an opaque rule has returned at |n| <= _MAX_INDEX.
 
@@ -321,8 +309,9 @@ class _KeptTail:
     memory pages holding kept indices are ever written: 16 B a value and
     1 B a flag. A rule that raises leaves nothing of that call kept.
     Threads may share one: they agree on one pair of arrays
-    (dict.setdefault), two may both call the rule at an index, and a flag
-    is set only after its value.
+    (dict.setdefault), two may both call the rule at an index, a writer
+    sets a flag only after its value, and a reader takes the flags before
+    the values, so a flag it sees set covers a value already written.
     """
 
     def __init__(self, rule: Callable[[int], complex]):
@@ -341,11 +330,11 @@ class _KeptTail:
             out = np.empty(ns.shape, dtype=complex)
             missing = np.ones(ns.shape, dtype=bool)
         else:
+            missing = ~(kept[1][slot] & inside)  # flags first, then their values
             out = kept[0][slot]  # replaced below where missing
-            missing = ~(kept[1][slot] & inside)
         if not missing.any():
             return out
-        out[missing] = rule_values(self.rule, ns[missing])
+        out[missing] = np.fromiter(map(self.rule, ns[missing].tolist()), dtype=complex)
         fresh = missing & inside
         if fresh.any():
             vals, flags = kept or self.store.setdefault("kept", (
@@ -356,28 +345,36 @@ class _KeptTail:
         return out
 
 
+def _tail_reader(rule) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[_KeptTail]]:
+    """How a sequence with this rule reads its tail, as a complex array, and its kept tail."""
+    if rule is None:
+        return (lambda ns: np.zeros(ns.shape, dtype=complex)), None
+    if (array_form := getattr(rule, "values", None)) is not None:
+        return (lambda ns: np.asarray(array_form(ns), dtype=complex)), None
+    kept = _KeptTail(rule)
+    return kept.values, kept
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Two-sided coefficient sequence c_n for n in [-halfwidth, halfwidth].
 
     An optional ``rule`` extends the sequence lazily beyond the stored
-    window; ``value(n)`` consults the window first, then the rule, and
-    returns 0 for indices that neither covers. ``values(ns)`` does the
-    same for an index array: a rule with a ``values`` method of its own is
-    evaluated on the array, any other callable once per index. == and
-    hash() are by identity, as for SampledFunction.
+    window; indices that neither covers read 0. ``values(ns)`` reads an
+    index array, the window first, then the tail, and is the one way the
+    sequence is read: ``value(n)`` and ``c[n]`` are values([n]). A rule
+    with a ``values`` method of its own is evaluated on the array, any
+    other callable once per index. == and hash() are by identity, as for
+    SampledFunction.
 
     A rule is a function of n: the sequence may call it at an index once
     and reuse the value. One without a ``values`` method is kept that way
-    for |n| <= 100 000, the indices a pairing sums: ``value`` and
-    ``values`` call it only at indices not asked of it before, in the
-    order asked, and keep what it returns; ``value`` hands any other n,
-    such as 2**64 or 7.5, to the rule unkept. Only the indices kept take
-    memory: 16 B a value and 1 B of bookkeeping, up to 3.4 MB for the
-    whole range, allocated when the first value is kept. Array rules are
-    evaluated on each call. Membership scans, which may run to 1 000 000
-    terms, call the rule directly and keep nothing. Copies, pickles and
-    dataclasses.replace start with nothing kept.
+    for |n| <= 100 000, the indices a pairing sums: it is called only at
+    indices not asked of it before, in the order asked, and what it
+    returns is kept. Only the indices kept take memory: 16 B a value and
+    1 B of bookkeeping, up to 3.4 MB for the whole range, allocated when
+    the first value is kept. Array rules are evaluated on each call.
+    Copies, pickles and dataclasses.replace start with nothing kept.
     """
 
     halfwidth: int
@@ -394,8 +391,9 @@ class CoefficientSequence:
         c.flags.writeable = False
         object.__setattr__(self, "halfwidth", hw)
         object.__setattr__(self, "coeffs", c)
-        opaque = self.rule is not None and getattr(self.rule, "values", None) is None
-        object.__setattr__(self, "_kept", _KeptTail(self.rule) if opaque else None)
+        tail, kept = _tail_reader(self.rule)
+        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_kept", kept)
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex],
@@ -409,31 +407,25 @@ class CoefficientSequence:
     @classmethod
     def from_rule(cls, halfwidth: int, rule: Callable[[int], complex]) -> "CoefficientSequence":
         """Materialize a window from a rule, keeping the rule for the tail."""
-        return cls(halfwidth, rule_values(rule, np.arange(-halfwidth, halfwidth + 1)),
-                   rule=rule)
+        hw = _integer(halfwidth, "halfwidth")
+        return cls(hw, _tail_reader(rule)[0](np.arange(-hw, hw + 1)), rule=rule)
 
     def indices(self) -> np.ndarray:
         return np.arange(-self.halfwidth, self.halfwidth + 1)
 
     def value(self, n: int) -> complex:
-        if abs(n) <= self.halfwidth:
-            return complex(self.coeffs[n + self.halfwidth])
-        if self.rule is None:
-            return 0.0
-        if self._kept is not None and isinstance(n, (int, np.integer)) and abs(n) <= _MAX_INDEX:
-            return complex(self._kept.values(np.array([n], dtype=np.int64))[0])
-        return complex(self.rule(n))
+        return complex(self.values([n])[0])
 
     def values(self, ns) -> np.ndarray:
-        """value(n) for every n of an index array, as a complex array; see _index_array."""
+        """c_n for every n of an index array, as a complex array; see _index_array."""
         ns = _index_array(ns)
-        out = np.zeros(ns.shape, dtype=complex)
         inside = (ns >= -self.halfwidth) & (ns <= self.halfwidth)  # abs(-2^63) < 0
+        if not inside.any():
+            return self._tail(ns)
+        out = np.empty(ns.shape, dtype=complex)
         out[inside] = self.coeffs[ns[inside] + self.halfwidth]
-        if self.rule is not None and not inside.all():
-            tail = ns[~inside]
-            out[~inside] = (rule_values(self.rule, tail) if self._kept is None
-                            else self._kept.values(tail))
+        if not inside.all():
+            out[~inside] = self._tail(ns[~inside])
         return out
 
     def __getitem__(self, n: int) -> complex:

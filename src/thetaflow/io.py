@@ -178,13 +178,15 @@ def _field(obj, name: str, where: str, convert=float):
     """convert(obj[name]); a missing field, or one convert refuses, is a ValueError naming it.
 
     float takes what float() takes, so "nan" and "inf" strings reach the
-    finiteness checks; operator.index takes integers only.
+    finiteness checks; operator.index takes integers only. Neither takes a bool.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {obj!r}")
     if name not in obj:
         raise ValueError(f"{where} has no field {name!r}")
     try:
+        if isinstance(obj[name], bool) and convert is not str:
+            raise TypeError
         return convert(obj[name])
     except (TypeError, ValueError):
         what = "an integer" if convert is operator.index else "a number"

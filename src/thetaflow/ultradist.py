@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _index_array, _integer,
-                      _tolerance, rule_values)
+                      _tolerance)
 from .semigroups import _RATE_CAP, _decay, _require_time
 
 GROWTH_KINDS = ("test", "dual")
@@ -351,35 +351,35 @@ def _log_ratio(rule: PowerRule, g: GrowthClass, ns: np.ndarray) -> np.ndarray:
         return _index_powers(ns, rule.order) * A - (D + _index_powers(ns, g.order) * C)
 
 
-def _tail_ratios(rule: Callable[[int], complex], g: GrowthClass, tol: float, ns: np.ndarray):
-    """|rule(n)| / bound(n) and |rule(-n)| / bound(n) at ns > 0, and the mask where a scan stops.
+def _tail_ratios(c: CoefficientSequence, g: GrowthClass, tol: float, ns: np.ndarray):
+    """|c_n| / bound(n) and |c_-n| / bound(n) at tail indices ns > 0, and the mask of stops.
 
     A scan stops at a ratio above the slack, or where the bound and both
     magnitudes are below tol. Where both sides overflow, a PowerRule ratio
     comes from log magnitudes; for any other rule it is inf, a violation.
     """
-    b = g.bounds(ns)
+    b, rule = g.bounds(ns), c.rule
     with np.errstate(over="ignore"):
-        vp = np.abs(rule_values(rule, ns))
-        if isinstance(rule, PowerRule):  # |rule(-n)| = |rule(n)|
+        vp = np.abs(c.values(ns))
+        if isinstance(rule, PowerRule):  # |c_-n| = |c_n|
             vm = vp
             rp = rm = _ratios(vp, b, lambda at: _log_ratio(rule, g, ns[at]))
         else:
-            vm = np.abs(rule_values(rule, -ns))
+            vm = np.abs(c.values(-ns))
             rp, rm = _ratios(vp, b), _ratios(vm, b)
     return rp, rm, (np.maximum(rp, rm) > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
 
 
-def _scan(rule: Callable[[int], complex], g: GrowthClass, tol: float, lo: int, hi: int,
+def _scan(c: CoefficientSequence, g: GrowthClass, tol: float, lo: int, hi: int,
           worst_ratio: float, worst_n: Optional[int]):
-    """Check the tail indices lo..hi and their negatives in chunks, up to the first stop.
+    """Check the tail indices lo..hi of c and their negatives in chunks, up to the first stop.
 
     Returns the worst ratio and its index (the first on ties, n before -n),
     and the last index checked.
     """
     checked = lo - 1
     for ns in _chunks(lo, hi):
-        rp, rm, stops = _tail_ratios(rule, g, tol, ns)
+        rp, rm, stops = _tail_ratios(c, g, tol, ns)
         r = np.maximum(rp, rm)
         end = int(np.argmax(stops)) if stops.any() else ns.size - 1
         i = int(np.argmax(r[:end + 1]))
@@ -391,9 +391,9 @@ def _scan(rule: Callable[[int], complex], g: GrowthClass, tol: float, lo: int, h
     return worst_ratio, worst_n, checked
 
 
-def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
+def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, m0: int, M: int,
                 worst_ratio: float, worst_n: Optional[int]):
-    """_scan of a PowerRule tail m0..M, steered by its closed form.
+    """_scan of the tail m0..M of c, whose rule is a PowerRule, steered by its closed form.
 
     The log ratio A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c) has
     at most one interior extremum. On either side of it the ratio, the
@@ -405,6 +405,7 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
     scanned: a few indices, m0 alone when the ratio is exactly 1 (equal
     bases and orders, constant 1), all when it is flat otherwise.
     """
+    rule = c.rule
     k, K, cuts, mc = rule.order, g.order, [m0, M + 1], None
     A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
     if k != K and A * C != 0.0 and K * C / (k * A) > 0.0:
@@ -413,7 +414,7 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
             cuts.insert(1, int(mc) + 1)
     pieces = [(a, z - 1) for a, z in zip(cuts, cuts[1:])]
 
-    stops = lambda ms: _tail_ratios(rule, g, tol, ms)[2]
+    stops = lambda ms: _tail_ratios(c, g, tol, ms)[2]
     stop = next((s for a, z in pieces if (s := _first(stops, a, z)) <= z), M)
 
     if k == K and abs(rule.base) == g.base and g.constant == 1.0:
@@ -428,7 +429,7 @@ def _power_tail(rule: PowerRule, g: GrowthClass, tol: float, m0: int, M: int,
         z = min(z, stop)
         s, e = ((a, _first(lambda ms: ~near(ms), a, z) - 1) if near(np.array([a]))[0]
                 else (_first(near, a, z), z))
-        worst_ratio, worst_n, last = _scan(rule, g, tol, s, e, worst_ratio, worst_n)
+        worst_ratio, worst_n, last = _scan(c, g, tol, s, e, worst_ratio, worst_n)
         # Where the ratio hovers at the slack, its rounding is not monotone
         # and the search can land past a stop that the span's scan meets.
         if s <= last < stop and stops(np.array([last]))[0]:
@@ -464,7 +465,7 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
                   and 0.0 < abs(rule.base) < math.inf
                   and max(rule.order, g.order) * math.log10(max_terms) < 300)
         worst_ratio, worst_n, checked = (_power_tail if closed else _scan)(
-            rule, g, tol, c.halfwidth + 1, max_terms, worst_ratio, worst_n)
+            c, g, tol, c.halfwidth + 1, max_terms, worst_ratio, worst_n)
     return MembershipResult(worst_ratio <= _SLACK, worst_n, worst_ratio, checked)
 
 

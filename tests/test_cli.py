@@ -1002,6 +1002,38 @@ class TestCommands:
         assert captured.err.startswith("error: coefficient n = 0 is not finite")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seq, edit, message", [
+        ([{"n": True, "re": 2, "im": 0}], None,
+         "coefficient entry 0: field 'n' must be an integer, got True"),
+        ([{"n": 0, "re": False, "im": 0}], None,
+         "coefficient entry 0: field 're' must be a number, got False"),
+        ([{"n": 0, "re": 1, "im": True}], None,
+         "coefficient entry 0: field 'im' must be a number, got True"),
+        (None, lambda d: {**d, "window": [{"n": True, "re": 1.0, "im": 0.0}]},
+         "coefficient entry 0: field 'n' must be an integer, got True"),
+        (None, lambda d: {**d, "rule": {"type": "power", "base": 0.5, "k": True}},
+         "rule: field 'k' must be an integer, got True"),
+        (None, lambda d: {**d, "rule": {"type": "power", "base": True, "k": 2}},
+         "rule: field 'base' must be a number, got True"),
+        (None, lambda d: {**d, "class": {"kind": "test", "base": 0.5, "k": True}},
+         "class: field 'k' must be an integer, got True"),
+        (None, lambda d: {**d, "class": {"kind": "test", "base": 0.5, "k": 2, "c": True}},
+         "class: field 'c' must be a number, got True"),
+    ])
+    def test_ultra_pair_refuses_json_booleans(self, tmp_path, capsys, seq, edit, message):
+        # A JSON true was read as 1: {"n": true, "re": 2} loaded as c_1 = 2, "k": true as order 1.
+        data = ultra_to_dict(UltraDistribution(
+            CoefficientSequence.from_rule(2, PowerRule(0.5, 2)), GrowthClass("test", 0.5, 2)))
+        fpath, spath = tmp_path / "F.json", tmp_path / "s.json"
+        fpath.write_text(json.dumps(edit(data) if edit else data))
+        spath.write_text(json.dumps(seq or [{"n": 1, "re": 0.5, "im": 0.0}]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ultra", "pair", "--dist", str(fpath), "--seq", str(spath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("form", ["series", "product"])
     def test_theta_eval_refuses_non_finite_angle(self, capsys, form, x):

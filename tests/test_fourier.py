@@ -404,13 +404,39 @@ class TestKeptTail:
         assert c.value(n) == c.values([n])[0] == c[n]
         assert rule.asked.count(n) == (0 if abs(n) <= 3 else 1 if abs(n) <= 100_000 else 3)
 
-    @pytest.mark.parametrize("n", [2**64, -(2**64), 7.5, -100_000.5])
-    def test_value_past_int64_or_not_integral_calls_the_rule(self, n):
-        # values() takes int64 indices; value(n) hands any other n to the rule, unkept.
+    @pytest.mark.parametrize("n, error", [
+        (7.5, ValueError), (-100_000.5, ValueError), (True, ValueError), (1.5, ValueError),
+        (2**64, OverflowError), (-(2**64), OverflowError)])
+    def test_value_item_and_values_refuse_alike(self, n, error):
+        # value(n) once handed 7.5 to the rule, read c_1 for True and raised
+        # numpy's IndexError for 1.5, which values([n]) refuses.
         rule = CountingRule()
         c = CoefficientSequence(3, np.arange(7.0), rule)
-        assert c.value(n) == c[n] == complex(0.9 ** abs(n) * np.exp(0.7j * n))
-        assert rule.asked == [n, n] and _kept_count(c) == 0
+        for read in (c.value, c.__getitem__, lambda n: c.values([n])):
+            with pytest.raises(error, match=None if error is OverflowError
+                               else f"an index must be an integer, got {n!r}$"):
+                read(n)
+        assert rule.asked == [] and _kept_count(c) == 0
+
+    def test_a_flag_set_while_the_values_are_read_is_not_taken(self):
+        # A second thread keeps n = 5, its value then its flag, while this
+        # read takes the values. The read took the flags after the values,
+        # saw the flag and returned the placeholder it had read before.
+        rule = CountingRule()
+        c = CoefficientSequence(2, np.zeros(5), rule)
+        slot, kept = 100_005, CountingRule()(5)
+        flags = np.zeros(200_001, dtype=bool)
+
+        class WrittenWhileRead(np.ndarray):
+            def __getitem__(self, key):
+                read = np.asarray(self)[key]
+                np.asarray(self)[slot], flags[slot] = kept, True
+                return read
+
+        values = np.full(200_001, 123.0 + 0j).view(WrittenWhileRead)  # 123: never written
+        vars(c)["_kept"].store["kept"] = (values, flags)
+        assert c.values([5])[0] == kept
+        assert rule.asked == [5]
 
     def test_a_rule_that_raises_leaves_nothing_kept(self):
         rule = CountingRule(fail_at=7)

@@ -260,7 +260,7 @@ def _library_scan(c, g, tol, max_terms):
     w = check_membership(CoefficientSequence(c.halfwidth, c.coeffs), g, tol, max_terms)
     if not w.ok:
         return w
-    ratio, n, checked = ultradist._scan(c.rule, g, tol, c.halfwidth + 1, max_terms,
+    ratio, n, checked = ultradist._scan(c, g, tol, c.halfwidth + 1, max_terms,
                                         w.worst_ratio, w.worst_n)
     return MembershipResult(ratio <= 1.0 + 1e-12, n, ratio, checked)
 
@@ -713,6 +713,17 @@ class TestKeptTailPairings:
         assert len(report.magnitudes) == 7
         last = first.terms // 2
         assert set(range(-last, last + 1)) <= set(rule.calls)
+        assert max(rule.calls.values()) == 1
+
+    def test_a_membership_scan_and_a_pairing_ask_each_index_once(self):
+        # The scan reads the sequence, and keeps, as the pairing does.
+        rule = CountingPhasedRule(0.9)
+        f = seq_from_rule(8, rule)
+        q = GrowthClass("test", 0.95, 1, 1.0)
+        res = check_membership(f, q)
+        assert res.ok and res.checked_up_to > 500
+        pair(comb(), f, f_class=q)
+        assert set(range(-res.checked_up_to, res.checked_up_to + 1)) <= set(rule.calls)
         assert max(rule.calls.values()) == 1
 
     def test_F_is_asked_only_where_f_is_not_zero(self):
