@@ -240,24 +240,22 @@ def _dtype_of(kind: str) -> np.dtype:
 
 
 def _integer(n, what: str) -> int:
-    """n as an int by operator.index: Python and numpy integers pass, others are refused."""
+    """n as an int by operator.index: Python and numpy integers pass, bools and others not."""
     try:
+        if isinstance(n, (bool, np.bool_)):
+            raise TypeError
         return operator.index(n)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {n!r}") from None
 
 
 def _index_array(ns) -> np.ndarray:
-    """ns as an int64 array; an entry that is not an integer, a bool among them, is refused.
-
-    The ValueError names the first such entry; an integer past int64 raises OverflowError.
-    """
+    """ns as an int64 array: the first entry _integer refuses raises, one past int64 overflows."""
     if isinstance(ns, np.ndarray) and ns.dtype.kind == "i":
         return ns.astype(np.int64, copy=False)
     entries = np.asarray(ns, dtype=object)
     for n in entries.flat:
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
-            raise ValueError(f"an index must be an integer, got {n!r}")
+        _integer(n, "an index")
     return entries.astype(np.int64)
 
 

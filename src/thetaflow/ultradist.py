@@ -120,9 +120,9 @@ def _power_law(ns: np.ndarray, base: float, order: int, scale: float = 1.0) -> n
 
 
 def _order(k, least: int = 1, name: str = "order") -> int:
-    """k as an int; ValueError naming it unless it is an integer >= least."""
+    """k as an int; ValueError naming it unless it is an integer >= least, and not a bool."""
     try:
-        whole = int(k) == k
+        whole = not isinstance(k, (bool, np.bool_)) and int(k) == k
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not (whole and k >= least):
@@ -537,10 +537,12 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
     sizes, each added as one numpy sum, so its value is reproducible.
     With classes on both sides the truncation point and tail bound come
     from them, and both are verified, not trusted, on every summed term.
+    A side without a rule is 0 past its window: without classes the sum
+    ends there, and the tail bound is 0.
     """
     window = max(F.halfwidth, f.halfwidth)
-    has_rule = F.rule is not None or f.rule is not None
-    classes, last = None, (_MAX_INDEX if has_rule else min(window, _MAX_INDEX))
+    ends = [c.halfwidth for c in (F, f) if c.rule is None]
+    classes, last = None, min(ends + [_MAX_INDEX])
     if F_class is not None and f_class is not None:
         pq = F_class.base * f_class.base
         if pq >= 1.0:
@@ -561,7 +563,7 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
     for ch in _chunks(1, last):
         t = _pair_terms(F, f, np.stack([ch, -ch], axis=1).ravel(), deficit_t, classes)
         end = ch.size - 1
-        if classes is None:
+        if classes is None and not ends:
             # The heuristic tail ends after _QUIET_RUN consecutive |n| > window
             # whose terms are all below tol.
             mag = np.abs(t).reshape(-1, 2).max(axis=1)
@@ -579,19 +581,17 @@ def _pair_core(F: CoefficientSequence, f: CoefficientSequence,
         n = int(ch[end])
         if quiet >= _QUIET_RUN:
             break
-    value = complex(TWO_PI * total)
-    if classes is not None:
-        cut = np.array([max(1, min(n + 1, _MAX_INDEX))])
-        return PairingResult(value, TWO_PI * tail(cut)[0].item(), 2 * n + 1)
-    if not has_rule and window < _MAX_INDEX:
-        return PairingResult(value, 0.0, 2 * n + 1)  # the windows are summed exactly
     prev_mag, last_mag = recent
-    if prev_mag > 0.0 and last_mag > 0.0:
+    if min(ends, default=math.inf) <= _MAX_INDEX:
+        bound = 0.0  # the sum has passed a bare window: every term left is 0
+    elif classes is not None:
+        bound = tail(np.array([max(1, min(n + 1, _MAX_INDEX))]))[0].item()
+    elif prev_mag > 0.0 and last_mag > 0.0:
         r = min(last_mag / prev_mag, 0.95)
-        tail_est = 2.0 * last_mag * r / (1.0 - r)
+        bound = 2.0 * last_mag * r / (1.0 - r)
     else:
-        tail_est = 2.0 * _QUIET_RUN * tol
-    return PairingResult(value, TWO_PI * tail_est, 2 * n + 1)
+        bound = 2.0 * _QUIET_RUN * tol
+    return PairingResult(complex(TWO_PI * total), TWO_PI * bound, 2 * n + 1)
 
 
 def pair(F: UltraDistribution, f: CoefficientSequence,
@@ -605,11 +605,13 @@ def pair(F: UltraDistribution, f: CoefficientSequence,
     against its bound (relative slack 1e-12), and a violation raises
     ValueError naming the first bad n. A class pair whose bound cannot
     converge (pq >= 1, or a growing base of higher order than the decay)
-    is refused. Otherwise the sum runs over the stored windows and rules
-    with a heuristic tail estimate. Sums run n = 0, then |n| = 1, 2, ...
-    in index chunks of fixed sizes. A term that is not finite, such as an
-    overflowed F_n against a subnormal f_n, raises OverflowError naming n.
-    The term tolerance tol must be positive and finite.
+    is refused. A side without a rule is 0 past its window, which ends the
+    sum without classes; tail_bound is then 0. Two ruled sides without
+    classes stop on a quiet run of terms, and tail_bound is an estimate,
+    not a bound. Sums run n = 0, then |n| = 1, 2, ... in index chunks of
+    fixed sizes. A non-finite term, such as an overflowed F_n against a
+    subnormal f_n, raises OverflowError naming n. The term tolerance tol
+    must be positive and finite.
     """
     return _pair_core(F.coeffs, f, F.declared_class, f_class, _tolerance(tol))
 
@@ -729,8 +731,8 @@ def positivity_check(F: UltraDistribution, t: float,
     Fejer-Riesz the verdict covers all nonnegative trig polynomials of degree <= 12 and
     no others: 1 + 1.01 cos x passes at t = 1e-3, though its evolution dips to -0.009.
     positive: min_pairing >= -(1e-10 + 2pi * 13 eps * sum |G_n|), covering eigh's round-off.
-    route_gap = |<evolved F, w> - <F, smoothed w>|, each pairing summed over the 25 indices
-    |n| <= 12 that hold w. A non-finite G_n, sum or pairing term raises OverflowError.
+    route_gap = |<evolved F, w> - <F, evolved w>|, two calls of pair that end at w's window
+    |n| <= 12. A non-finite G_n, sum or pairing term raises OverflowError.
     """
     _require_time(t)
     evolved = evolve_ultra(F, t)
@@ -753,10 +755,9 @@ def positivity_check(F: UltraDistribution, t: float,
     np.ldexp(A.imag, -exponent, out=A.imag)
     lam, vecs = np.linalg.eigh(A)
     lam = np.ldexp(lam, exponent)
-    w = CoefficientSequence(2 * d, np.correlate(vecs[:, 0], vecs[:, 0], "full"))  # |p|^2
-    w_smooth = CoefficientSequence(2 * d, w.coeffs * _decay(t, ns.astype(float) ** 2))
-    gap = complex(TWO_PI * _pair_terms(evolved.coeffs, w, ns, None, None).sum()
-                  - TWO_PI * _pair_terms(F.coeffs, w_smooth, ns, None, None).sum())
+    p = vecs[:, 0]
+    w = UltraDistribution(CoefficientSequence(2 * d, np.correlate(p, p, "full")))  # |p|^2
+    gap = pair(evolved, w.coeffs).value - pair(F, evolve_ultra(w, t).coeffs).value
     least = TWO_PI * float(lam[0])
     return PositivityResult(least >= -(_POSITIVITY_TOL + (2 * d + 1) * _EPS * size), least,
                             abs(gap))

@@ -666,6 +666,19 @@ class TestCommands:
         oracle = 2 * math.pi * (1 + 2 * sum(0.5 ** (n * n) for n in range(1, 20)))
         assert value == pytest.approx(oracle, rel=1e-10)
 
+    def test_ultra_pair_ends_at_a_bare_seq_window(self, tmp_path, capsys):
+        # A --seq file has no rule: its terms past |n| = 10 are 0. The sum
+        # walked to 37 terms and reported a tail bound of 1.005e-12.
+        F = UltraDistribution(
+            CoefficientSequence.from_rule(8, PowerRule(1.0, 1)),
+            declared_class=GrowthClass("dual", 1.0, 1, 1.0),
+        )
+        fpath, spath = tmp_path / "F.json", tmp_path / "f.json"
+        save_ultra(F, fpath)
+        save_coefficients(CoefficientSequence.from_rule(10, PowerRule(0.5, 2)), spath)
+        assert main(["ultra", "pair", "--dist", str(fpath), "--seq", str(spath)]) == 0
+        assert capsys.readouterr().out.endswith("(tail bound 0.000e+00, 21 terms)\n")
+
     def test_ultra_pair_verifies_declared_test_class(self, tmp_path, capsys):
         F = UltraDistribution(
             CoefficientSequence.from_rule(8, PowerRule(1.0, 1)),

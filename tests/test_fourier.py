@@ -332,6 +332,11 @@ class TestCoefficientSequence:
         with pytest.raises(ValueError, match="integer"):
             CoefficientSequence(2.5, np.ones(6))
 
+    def test_bool_halfwidth_refused(self):
+        # True passed as halfwidth 1.
+        with pytest.raises(ValueError, match="integer"):
+            CoefficientSequence(True, np.ones(3))
+
     def test_numpy_integer_halfwidth_accepted(self):
         c = CoefficientSequence(np.int64(2), np.ones(5))
         assert type(c.halfwidth) is int and list(c.indices()) == [-2, -1, 0, 1, 2]

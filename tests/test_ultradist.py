@@ -69,7 +69,7 @@ class TestGrowthClass:
 
     @pytest.mark.parametrize("base, order, message", [
         (0.5, 0, "order"), (0.5, -1, "order"), (0.5, 1.9, "order"), (0.5, "2", "order"),
-        (math.nan, 1, "base"), (math.inf, 2, "base"),
+        (0.5, True, "order"), (math.nan, 1, "base"), (math.inf, 2, "base"),
     ])
     def test_power_rule_checks_order_and_base(self, base, order, message):
         # Order 0 once failed later with a ZeroDivisionError, 1.9 ran as order 1.
@@ -537,12 +537,32 @@ class TestPairing:
             pair(F, f, f_class=GrowthClass("test", 0.5, 1, 1.0), tol=1e-4)
 
     def test_terms_counts_the_summed_indices(self):
-        # f vanishes beyond |n| = 2, so the quiet run ends at n = 3 + 7 = 10.
+        # f has no rule past |n| = 2, so the sum ends there, exactly.
         F = UltraDistribution(CoefficientSequence.from_dict({0: 1.0}, rule=lambda n: 1.0))
         f = CoefficientSequence.from_dict({n: 1.0 for n in range(-2, 3)})
         res = pair(F, f)
-        assert res.terms == 21
+        assert res.terms == 5 and res.tail_bound == 0.0
         assert res.value == pytest.approx(5 * TWO_PI, rel=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1.0, 1.7e308])
+    def test_bare_window_ends_the_sum_exactly(self, tol):
+        # The sum walked 25 terms past f's window and reported a tail bound of
+        # 2pi * 16 tol: 1.0e-12, 100.5 and inf, though every term left is 0.
+        F = UltraDistribution(seq_from_rule(4, PowerRule(1.0, 1)))
+        f = CoefficientSequence.from_dict({0: 1.0, 1: 0.5})
+        res = pair(F, f, tol=tol)
+        assert (res.value, res.tail_bound, res.terms) == (3 * math.pi, 0.0, 3)
+
+    def test_declared_class_is_verified_past_a_bare_window(self):
+        # f is 0 past |n| = 2, yet F's class is checked where the class tail still sums.
+        F = UltraDistribution(
+            CoefficientSequence.from_dict({n: 1.0 for n in range(-4, 5)},
+                                          rule=PowerRule(1.1, 1)),
+            declared_class=GrowthClass("dual", 1.0, 1, 1.0),
+        )
+        f = CoefficientSequence.from_dict({n: 0.5 ** abs(n) for n in range(-2, 3)})
+        with pytest.raises(ValueError, match=r"class of F violated at n = 5\b"):
+            pair(F, f, f_class=GrowthClass("test", 0.5, 1, 1.0))
 
     def test_class_driven_sum_is_chunked_in_a_fixed_order(self):
         f = seq_from_rule(8, PowerRule(0.999, 1))
@@ -855,7 +875,7 @@ BAD_TOLS = [-1.0, 0.0, math.nan, math.inf, -math.inf]
 
 
 def _sweep_pairings():
-    """(F, f, f_class) for the class-driven sum, the heuristic tail and its fallback."""
+    """(F, f, f_class) for the class-driven sum, the heuristic tail and a bare window."""
     F = comb(4)
     f = seq_from_rule(4, PowerRule(0.5, 1))
     plain = UltraDistribution(F.coeffs)
@@ -879,7 +899,7 @@ class TestToleranceAndTerms:
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
             check_membership(comb(4).coeffs, GrowthClass("dual", 1.0, 1), tol=tol)
 
-    @pytest.mark.parametrize("max_terms", [0.5, 2.5, math.nan, "3", None])
+    @pytest.mark.parametrize("max_terms", [0.5, 2.5, math.nan, "3", None, True])
     def test_check_membership_refuses_a_max_terms_that_is_not_an_integer(self, max_terms):
         # max_terms = 0.5 left the tail 2^|n| unchecked and still returned ok=True.
         c = CoefficientSequence.from_dict({0: 1.0}, rule=lambda n: 2.0 ** abs(n))
@@ -908,7 +928,7 @@ class TestToleranceAndTerms:
         calls.append((lambda: weak_limit_check(comb(), seq_from_rule(10, PowerRule(0.3, 2)),
                                                (1.0, 0.1), GrowthClass("test", 0.3, 2),
                                                tol=tol).final, good_tol))
-        for i, (call, valid) in enumerate(calls):
+        for call, valid in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -917,10 +937,7 @@ class TestToleranceAndTerms:
                     assert not valid
                     continue
             assert valid
-            # >= 0 refuses NaN. The fallback heuristic tail, 2pi * 16 tol, is
-            # inf once tol passes about 1.8e306: a vacuous bound, not a wrong one.
-            assert value >= 0.0
-            assert math.isfinite(value) or (i == 2 and tol > 1e306)
+            assert value >= 0.0 and math.isfinite(value)  # >= 0 refuses NaN
 
 
 class TestDerivative:
@@ -945,7 +962,7 @@ class TestDerivative:
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("m", [-1, 1.5, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("m", [-1, 1.5, math.nan, math.inf, "2", True])
     def test_order_must_be_a_nonnegative_integer(self, m):
         with pytest.raises(ValueError, match="derivative order"):
             derivative_sequence(seq_from_rule(3, PowerRule(0.5, 1)), m)
@@ -1079,14 +1096,14 @@ class TestPositivity:
     @pytest.mark.parametrize("name", sorted(POSITIVITY_CASES))
     def test_witness_pairs_twice_at_the_least(self, name, monkeypatch):
         F, t = POSITIVITY_CASES[name]
-        values, terms = [], ultradist._pair_terms
+        values, core = [], ultradist._pair_core
 
         def counted(*args, **kwargs):
-            res = terms(*args, **kwargs)
-            values.append(TWO_PI * res.sum())
+            res = core(*args, **kwargs)
+            values.append(res.value)
             return res
 
-        monkeypatch.setattr(ultradist, "_pair_terms", counted)
+        monkeypatch.setattr(ultradist, "_pair_core", counted)
         res = positivity_check(F, t)
         assert len(values) == 2
         slack = 1e-12 * TWO_PI * _abs_sum(F, t)
