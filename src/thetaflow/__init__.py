@@ -16,10 +16,9 @@ _EXPORTS = {
     "theta": ("ThetaParams", "kernel", "theta3_bound", "theta3_product",
               "theta3_series"),
     "semigroups": ("SubordinationError", "SubordinationQuadrature", "bochner_scalar",
-                   "generator_apply", "heat_residual", "maximal_function",
-                   "poisson_evolve_d", "poisson_evolve_kernel",
-                   "poisson_evolve_multiplier", "poisson_kernel", "subordinate",
-                   "theta_evolve", "theta_evolve_d"),
+                   "generator_apply", "heat_residual", "poisson_evolve_d",
+                   "poisson_evolve_kernel", "poisson_evolve_multiplier", "poisson_kernel",
+                   "subordinate", "theta_evolve", "theta_evolve_d"),
     "ultradist": ("DerivativeBound", "GrowthClass", "PowerRule", "UltraDistribution",
                   "check_membership", "derivative_bound_constants", "derivative_sequence",
                   "derivative_ultra", "evolve_ultra", "fit_growth", "pair",

@@ -259,6 +259,11 @@ def _index_array(ns) -> np.ndarray:
     return entries.astype(np.int64)
 
 
+def _one_index(n) -> np.ndarray:
+    """The index n as a one-entry int64 array, refused as _index_array refuses it."""
+    return np.array([_integer(n, "an index")], dtype=np.int64)
+
+
 def _tolerance(tol: float, what: str = "tol") -> float:
     """tol, refused with a ValueError naming what unless it is positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
@@ -360,7 +365,7 @@ class CoefficientSequence:
     An optional ``rule`` extends the sequence lazily beyond the stored
     window; indices that neither covers read 0. ``values(ns)`` reads an
     index array, the window first, then the tail, and is the one way the
-    sequence is read: ``value(n)`` and ``c[n]`` are values([n]). A rule
+    sequence is read: ``value(n)`` and ``c[n]`` read it at one index. A rule
     with a ``values`` method of its own is evaluated on the array, any
     other callable once per index. == and hash() are by identity, as for
     SampledFunction.
@@ -412,18 +417,21 @@ class CoefficientSequence:
         return np.arange(-self.halfwidth, self.halfwidth + 1)
 
     def value(self, n: int) -> complex:
-        return complex(self.values([n])[0])
+        return complex(self.values(_one_index(n))[0])
 
     def values(self, ns) -> np.ndarray:
         """c_n for every n of an index array, as a complex array; see _index_array."""
         ns = _index_array(ns)
-        inside = (ns >= -self.halfwidth) & (ns <= self.halfwidth)  # abs(-2^63) < 0
-        if not inside.any():
+        slot = ns + self.halfwidth  # wraps around past int64, where it is outside either way
+        inside = slot.view(np.uint64) <= 2 * self.halfwidth
+        count = np.count_nonzero(inside)
+        if count == ns.size:
+            return np.asarray(self.coeffs[slot])  # a 0-d slot would index a scalar
+        if count == 0:
             return self._tail(ns)
         out = np.empty(ns.shape, dtype=complex)
-        out[inside] = self.coeffs[ns[inside] + self.halfwidth]
-        if not inside.all():
-            out[~inside] = self._tail(ns[~inside])
+        out[inside] = self.coeffs[slot[inside]]
+        out[~inside] = self._tail(ns[~inside])
         return out
 
     def __getitem__(self, n: int) -> complex:

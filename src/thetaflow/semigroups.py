@@ -27,9 +27,9 @@ Cost of a flow: one inverse FFT (see fourier._Spectrum), whose complex
 passes on real data of two or more axes skip the columns on which every
 symbol value sigma has |sigma| P < 2^53 2^-1022, P the spectrum's peak,
 and in memory two arrays, the product of spectrum and symbol and the
-result, which the returned function takes over. maximal_function and
-heat_residual take the magnitude of each real time slice in its own
-array and keep one running maximum.
+result, which the returned function takes over. heat_residual takes
+the magnitude of each real time slice in its own array and keeps one
+running maximum.
 
 Cost of subordination: the rule has about (ln 72 - ln t) / 0.15 nodes,
 whatever the grid, and the symbol costs one exp per (node, |n|^2) pair
@@ -75,8 +75,6 @@ _RATE_CAP = 1e3
 _MAX_NODES = 1024
 
 _COARSE_SPACING = 1e-2  # heat_residual warns on a coarser time grid
-_MAXIMAL_TIMES = np.geomspace(1e-3, 10.0, 64)  # maximal_function's default times
-_MAXIMAL_TIMES.flags.writeable = False
 
 
 class SubordinationError(RuntimeError):
@@ -346,33 +344,6 @@ def heat_residual(f: SampledFunction, t_grid: Sequence[float]) -> float:
         mismatch = spectrum.scaled(dudt + n2 * _decay(mid, n2))
         worst = max(worst, float(np.max(_magnitude(mismatch))))
     return worst
-
-
-def maximal_function(f: SampledFunction,
-                     t_samples: Optional[Sequence[float]] = None) -> SampledFunction:
-    """Pointwise max of |heat evolution of f| over the sampled times.
-
-    A lower bound for the true supremum over all t > 0 (the supremum is
-    approached as the smallest sampled time tends to 0). The default times
-    are 64 log-spaced ones from 1e-3 to 10. f is transformed forward once
-    per function (not at all if a flow has transformed it before); each
-    time costs one inverse transform.
-    """
-    if t_samples is None:
-        t_samples = _MAXIMAL_TIMES
-    ts = [float(t) for t in t_samples]
-    if not ts:
-        raise ValueError("t_samples must be nonempty")
-    if any(t <= 0 for t in ts):
-        raise ValueError("t_samples must be strictly positive")
-    for t in ts:
-        _require_time(t)
-    spectrum = _Spectrum(f)
-    n2 = spectrum.n2
-    best = np.zeros(f.grid.sizes)
-    for t in ts:
-        np.maximum(best, _magnitude(spectrum.scaled(_decay(t, n2))), out=best)
-    return SampledFunction._adopt(f.grid, best, "real")
 
 
 def _magnitude(values: np.ndarray) -> np.ndarray:

@@ -19,11 +19,11 @@ sizes (64 indices, doubling up to 2048); a scalar call evaluates the
 array form at one index. A pairing sum takes n = 0, then the chunks of
 n = +-1, +-2, ... in order, each added as one numpy sum, so a result
 depends only on its inputs. Declared growth classes are verified, not
-trusted. Membership ratios and the stop test of a tail scan have one
-evaluator: the closed form of a PowerRule tail searches that stop test
-for its stop index and steers the scan to the few indices that can hold
-the worst ratio, and fit_growth takes its constant from the same ratios,
-so a window is a member of its own fit.
+trusted. A PowerRule tail is decided in closed form, from its log ratio,
+at every int64 index; any other tail is scanned in chunks up to its stop,
+and a scan that reaches max_terms before it raises. fit_growth takes its
+constant from the ratios check_membership forms in a window, so a window
+is a member of its own fit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _index_array, _integer,
+from .fourier import (_MAX_INDEX, TWO_PI, CoefficientSequence, _integer, _one_index,
                       _tolerance)
 from .semigroups import _RATE_CAP, _decay, _require_time
 
@@ -55,8 +55,8 @@ _SLACK = 1.0 + 1e-12
 _CHUNK = 2048
 
 _PROBES = 128  # indices that one round of _first probes
+_INT64_MAX = 2**63 - 1  # the last index a PowerRule tail is decided at
 _FLOAT_CEIL = 2**1024 - 2**970  # the least integer that float() rounds past the float range
-_LOG_MAX = math.log(np.finfo(float).max)  # the largest argument of a finite exp
 _SMOOTHING_MARGIN = 1e-9  # added to the smoothing threshold against boundary ties
 _PAIR_TOL = 1e-14  # term tolerance of the pairings that take none
 _POSITIVITY_DEGREE = 6  # degree of the trig polynomials p whose |p|^2 positivity_check tests
@@ -75,12 +75,16 @@ def _chunks(lo: int, hi: int):
 def _first(pred: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:
     """Smallest m in lo..hi with pred(m), for pred monotone there; hi + 1 if none (lo if lo > hi).
 
-    pred maps an index array to booleans; a round probes _PROBES indices of lo..hi, hi among them.
+    pred maps an index array to booleans; a round probes _PROBES indices of lo..hi, lo and hi
+    among them, spaced geometrically from lo where hi - lo passes _PROBES * lo.
     """
     while True:
         span, steps = hi - lo, np.arange(_PROBES)
         if span < _PROBES:
             ms = np.arange(lo, hi + 1)
+        elif span > _PROBES * lo:  # lo + span^(i / (_PROBES - 2)), and lo
+            inner = np.geomspace(1, span, _PROBES - 1)[:-1].astype(np.int64)
+            ms = lo + np.concatenate(([0], inner, [span]))
         else:  # lo + span * i / (_PROBES - 1), in int64 without overflow
             q, r = divmod(span, _PROBES - 1)
             ms = lo + q * steps + r * steps // (_PROBES - 1)
@@ -163,7 +167,7 @@ class GrowthClass:
         return self.constant == 0.0
 
     def bound(self, n: int) -> float:
-        return self.bounds(_index_array([n]))[0].item()
+        return self.bounds(_one_index(n))[0].item()
 
     def bounds(self, ns: np.ndarray) -> np.ndarray:
         """bound(n) over an index array."""
@@ -174,7 +178,7 @@ class _ArrayRule:
     """A rule defined by its array form; the scalar form evaluates one int64 index."""
 
     def __call__(self, n: int):
-        return self.values(_index_array([n]))[0].item()
+        return self.values(_one_index(n))[0].item()
 
 
 @dataclass(frozen=True)
@@ -285,6 +289,9 @@ class DerivativeBound:
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """check_membership's verdict, its worst ratio |c_n| / bound(n) and that n, and the last
+    |n| checked: 2^63 - 1 for a PowerRule tail that is a member at every int64 index."""
+
     ok: bool
     worst_n: Optional[int]
     worst_ratio: float
@@ -326,130 +333,123 @@ class PositivityResult:
         return self.positive
 
 
-def _ratios(v: np.ndarray, b: np.ndarray, log_ratio=None) -> np.ndarray:
-    """|c_n| / bound(n) elementwise; inf where only the bound is 0, and for NaN.
-
-    Where both sides are infinite the ratio is exp(log_ratio(mask)) if a
-    log magnitude is known (log_ratio given), and inf otherwise.
-    """
+def _ratios(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|c_n| / bound(n) elementwise; inf where only the bound is 0, where both are inf, or NaN."""
     r = np.where(v == 0.0, 0.0, np.inf)
-    both_inf = np.isinf(v) & np.isinf(b)
     with np.errstate(over="ignore"):
-        np.divide(v, b, out=r, where=(b > 0.0) & ~both_inf)
-    if log_ratio is not None and both_inf.any():
-        # math.exp: numpy's SIMD exp is an ulp off libm for a few percent of inputs
-        r[both_inf] = [math.exp(x) if x <= _LOG_MAX else math.inf
-                       for x in log_ratio(both_inf).tolist()]
+        np.divide(v, b, out=r, where=(b > 0.0) & ~(np.isinf(v) & np.isinf(b)))
     r[np.isnan(r)] = np.inf
     return r
 
 
-def _log_ratio(rule: PowerRule, g: GrowthClass, ns: np.ndarray) -> np.ndarray:
-    """ln(|rule(n)| / bound(n)) = |n|^k ln|b| - (ln c + |n|^K ln B) over an index array."""
-    A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which _ratios makes inf
-        return _index_powers(ns, rule.order) * A - (D + _index_powers(ns, g.order) * C)
+def _log_form(rule: PowerRule, g: GrowthClass):
+    """ln(|rule(m)| / bound(m)) for m >= 1 as (terms, D): the sum of coef * m^order - D.
 
-
-def _tail_ratios(c: CoefficientSequence, g: GrowthClass, tol: float, ns: np.ndarray):
-    """|c_n| / bound(n) and |c_-n| / bound(n) at tail indices ns > 0, and the mask of stops.
-
-    A scan stops at a ratio above the slack, or where the bound and both
-    magnitudes are below tol. Where both sides overflow, a PowerRule ratio
-    comes from log magnitudes; for any other rule it is inf, a violation.
+    The terms (coef, order) come in increasing order, without zero
+    coefficients. Equal orders share one, ln(|b| / B), so that a flat tail
+    is exactly -ln c. A zero base gives -inf (ratio 0), else a zero constant inf.
     """
-    b, rule = g.bounds(ns), c.rule
-    with np.errstate(over="ignore"):
-        vp = np.abs(c.values(ns))
-        if isinstance(rule, PowerRule):  # |c_-n| = |c_n|
-            vm = vp
-            rp = rm = _ratios(vp, b, lambda at: _log_ratio(rule, g, ns[at]))
-        else:
-            vm = np.abs(c.values(-ns))
-            rp, rm = _ratios(vp, b), _ratios(vm, b)
-    return rp, rm, (np.maximum(rp, rm) > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
+    b, B, k, K = abs(rule.base), g.base, rule.order, g.order
+    if b == 0.0 or g.constant == 0.0:
+        return [], (math.inf if b == 0.0 else -math.inf)
+    if k == K:  # b - B is exact where b is within a factor 2 of B
+        a = math.log1p((b - B) / B) if B / 2 <= b <= 2 * B else math.log(b) - math.log(B)
+        terms = [(a, k)]
+    else:
+        terms = sorted([(math.log(b), k), (-math.log(B), K)], key=lambda t: t[1])
+    return [t for t in terms if t[0] != 0.0], math.log(g.constant)
+
+
+def _log_ratio(terms, D: float, ns: np.ndarray) -> np.ndarray:
+    """The log ratio of _log_form over tail indices ns >= 1.
+
+    Two terms are formed as m^lo (p + q m^(hi - lo)) - D, so that no
+    inf - inf arises where both powers overflow.
+    """
+    if not terms:
+        return np.full(ns.shape, -D)
+    (p, lo), *rest = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = p + rest[0][0] * _index_powers(ns, rest[0][1] - lo) if rest else p
+        return _index_powers(ns, lo) * f - D
 
 
 def _scan(c: CoefficientSequence, g: GrowthClass, tol: float, lo: int, hi: int,
           worst_ratio: float, worst_n: Optional[int]):
     """Check the tail indices lo..hi of c and their negatives in chunks, up to the first stop.
 
-    Returns the worst ratio and its index (the first on ties, n before -n),
-    and the last index checked.
+    A scan stops at a ratio above the slack, or where the bound and both
+    magnitudes are below tol. Returns the worst ratio and its index (the
+    first on ties, n before -n), and the stop; raises ValueError naming
+    lo..hi if there is no stop there.
     """
-    checked = lo - 1
     for ns in _chunks(lo, hi):
-        rp, rm, stops = _tail_ratios(c, g, tol, ns)
+        b = g.bounds(ns)
+        with np.errstate(over="ignore"):
+            vp, vm = np.abs(c.values(ns)), np.abs(c.values(-ns))
+        rp, rm = _ratios(vp, b), _ratios(vm, b)
         r = np.maximum(rp, rm)
+        stops = (r > _SLACK) | ((b < tol) & (np.maximum(vp, vm) < tol))
         end = int(np.argmax(stops)) if stops.any() else ns.size - 1
         i = int(np.argmax(r[:end + 1]))
         if r[i] > worst_ratio:
             worst_ratio, worst_n = float(r[i]), int(ns[i]) if rp[i] >= rm[i] else -int(ns[i])
-        checked = int(ns[end])
         if stops.any():
-            break
-    return worst_ratio, worst_n, checked
+            return worst_ratio, worst_n, int(ns[end])
+    raise ValueError(f"membership undecided: the tail scan of |n| = {lo}..{hi} met neither "
+                     f"a violation nor values and bound below tol; raise max_terms")
 
 
-def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, m0: int, M: int,
+def _power_tail(c: CoefficientSequence, g: GrowthClass, tol: float, m0: int,
                 worst_ratio: float, worst_n: Optional[int]):
-    """_scan of the tail m0..M of c, whose rule is a PowerRule, steered by its closed form.
+    """_scan's result for the tail m0..2^63 - 1 of c, a PowerRule tail, in closed form.
 
-    The log ratio A m^k - C m^K - D (A = ln|b|, C = ln B, D = ln c) has
-    at most one interior extremum. On either side of it the ratio, the
-    rule and the bound are monotone, so the scan's stop mask holds there
-    from the first index or on a suffix (except where rule and bound cross
-    tol within the slack of each other), and one _first search per piece
-    finds the stop. Up to the stop, the worst ratio lies where the log
-    ratio is within rounding of its maximum, and only those tie spans are
-    scanned: a few indices, m0 alone when the ratio is exactly 1 (equal
-    bases and orders, constant 1), all when it is flat otherwise.
+    The log ratio L(m) has at most one interior extremum mc. On either side
+    of it L, the rule and the bound are monotone, so the stop test, exp(L)
+    above the slack or bound and |rule| below tol, holds there from the
+    first index or on a suffix (except where rule and bound cross tol within
+    the slack of each other): one _first search per side finds the stop,
+    2^63 - 1 without one. Up to it, L peaks at m0, floor(mc), floor(mc) + 1
+    or the stop; the first of these where it peaks is the witness.
     """
     rule = c.rule
-    k, K, cuts, mc = rule.order, g.order, [m0, M + 1], None
-    A, C, D = math.log(abs(rule.base)), math.log(g.base), math.log(g.constant)
-    if k != K and A * C != 0.0 and K * C / (k * A) > 0.0:
-        mc = (K * C / (k * A)) ** (1.0 / (k - K))
-        if m0 <= mc < M:
+    terms, D = _log_form(rule, g)
+    cuts, tops = [m0, _INT64_MAX + 1], [m0]
+    if len(terms) == 2:
+        (p, lo), (q, hi) = terms
+        r = -lo * p / (hi * q)
+        if r > 0.0 and m0 <= (mc := r ** (1.0 / (hi - lo))) < _INT64_MAX:
             cuts.insert(1, int(mc) + 1)
-    pieces = [(a, z - 1) for a, z in zip(cuts, cuts[1:])]
+            tops += [int(mc), int(mc) + 1]
 
-    stops = lambda ms: _tail_ratios(c, g, tol, ms)[2]
-    stop = next((s for a, z in pieces if (s := _first(stops, a, z)) <= z), M)
+    def stops(ms):
+        with np.errstate(over="ignore"):
+            low = (g.bounds(ms) < tol) & (np.abs(rule.values(ms)) < tol)
+            return (np.exp(_log_ratio(terms, D, ms)) > _SLACK) | low
 
-    if k == K and abs(rule.base) == g.base and g.constant == 1.0:
-        near = lambda ms: ms == m0  # |c_m| and bound(m) are one float: the ratio is 1 or 0
-    else:
-        tops = [m for m in (m0, stop) + ((int(mc), int(mc) + 1) if mc is not None else ())
-                if m0 <= m <= stop]
-        top = float(_log_ratio(rule, g, np.array(tops)).max())
-        slack = 16 * _EPS * (abs(A) * stop**k + abs(C) * stop**K + abs(D) + 1.0)
-        near = lambda ms: _log_ratio(rule, g, ms) >= top - slack
-    for a, z in pieces:  # the ties are a prefix or a suffix of each piece
-        z = min(z, stop)
-        s, e = ((a, _first(lambda ms: ~near(ms), a, z) - 1) if near(np.array([a]))[0]
-                else (_first(near, a, z), z))
-        worst_ratio, worst_n, last = _scan(c, g, tol, s, e, worst_ratio, worst_n)
-        # Where the ratio hovers at the slack, its rounding is not monotone
-        # and the search can land past a stop that the span's scan meets.
-        if s <= last < stop and stops(np.array([last]))[0]:
-            stop = last
-            break
-    return worst_ratio, worst_n, stop
+    stop = next((s for a, z in zip(cuts, cuts[1:]) if (s := _first(stops, a, z - 1)) < z),
+                _INT64_MAX)
+    tops = np.array([m for m in tops if m < stop] + [stop])
+    L = _log_ratio(terms, D, tops)
+    i = int(np.argmax(L))
+    with np.errstate(over="ignore"):
+        r = float(np.exp(L[i:i + 1])[0])  # the exp of the stop test
+    return (r, int(tops[i]), stop) if r > worst_ratio else (worst_ratio, worst_n, stop)
 
 
 def check_membership(c: CoefficientSequence, g: GrowthClass,
                      tol: float = 1e-14, max_terms: int = 1_000_000) -> MembershipResult:
-    """Test |c_n| <= bound(n) over the window and, via the rule, the tail.
+    """Test |c_n| <= bound(n), up to a relative slack of 1e-12, over the window and the tail.
 
-    The tail check runs until both the class bound and the rule values drop
-    below tol (or max_terms); it stops at the first tail violation. The
-    witness reports the worst index and ratio |c_n| / bound(n) seen. Where
-    both sides overflow, a PowerRule ratio is taken from log magnitudes;
-    any other inf against inf counts as a violation. All ratios come from
-    one array evaluator. A PowerRule tail is steered in closed form to its
-    stop index and to the indices that can hold the worst ratio, which are
-    scanned in chunks as every other tail is, so both give one result. tol
+    The tail check runs up to its stop: the first violation, or the first
+    index where the class bound and the rule values are both below tol.
+    The witness reports the worst index and ratio |c_n| / bound(n) up to
+    there, and checked_up_to the stop. A PowerRule tail is decided in
+    closed form from its log ratio at every int64 index, overflow
+    included; one that never stops is a member at every index and reports
+    checked_up_to = 2^63 - 1. Any other rule is scanned in chunks up to
+    max_terms at most, where inf against inf counts as a violation, and a
+    scan that reaches max_terms before its stop raises ValueError. tol
     must be positive and finite, and max_terms an integer.
     """
     tol, max_terms = _tolerance(tol), _integer(max_terms, "max_terms")
@@ -459,13 +459,13 @@ def check_membership(c: CoefficientSequence, g: GrowthClass,
     i = int(np.argmax(r))
     worst_ratio, worst_n = (float(r[i]), int(idx[i])) if r[i] > 0.0 else (0.0, None)
     checked = c.halfwidth
-    if c.rule is not None and worst_ratio <= _SLACK and c.halfwidth < max_terms:
-        rule = c.rule
-        closed = (isinstance(rule, PowerRule) and g.constant > 0.0
-                  and 0.0 < abs(rule.base) < math.inf
-                  and max(rule.order, g.order) * math.log10(max_terms) < 300)
-        worst_ratio, worst_n, checked = (_power_tail if closed else _scan)(
-            c, g, tol, c.halfwidth + 1, max_terms, worst_ratio, worst_n)
+    if c.rule is not None and worst_ratio <= _SLACK:
+        if isinstance(c.rule, PowerRule):
+            worst_ratio, worst_n, checked = _power_tail(c, g, tol, c.halfwidth + 1,
+                                                        worst_ratio, worst_n)
+        else:
+            worst_ratio, worst_n, checked = _scan(c, g, tol, c.halfwidth + 1, max_terms,
+                                                  worst_ratio, worst_n)
     return MembershipResult(worst_ratio <= _SLACK, worst_n, worst_ratio, checked)
 
 

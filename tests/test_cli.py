@@ -636,6 +636,19 @@ class TestCommands:
         captured = capsys.readouterr()
         assert (captured.out if code == 0 else captured.err).startswith(printed)
 
+    def test_membership_past_max_terms_is_an_error(self, capsys, monkeypatch):
+        # A tail without a closed form whose scan reaches max_terms first is undecided:
+        # one error line and exit 1, where it printed "member: true". Files hold power
+        # rules only, so the handler is given the distribution directly.
+        F = UltraDistribution(CoefficientSequence.from_rule(4, lambda n: 0.999999 ** abs(n)))
+        monkeypatch.setattr("thetaflow.cli.load_ultra", lambda path: F)
+        assert main(["ultra", "check-membership", "--dist", "F.json", "--kind", "test",
+                     "--base", "0.9999989", "--order", "1", "--constant", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: membership undecided: the tail scan of "
+                                       "|n| = 5..1000000 ")
+
     def test_ultra_evolve_comb_serializes(self, tmp_path):
         F = UltraDistribution(
             CoefficientSequence.from_rule(6, PowerRule(1.0, 1)),

@@ -365,6 +365,13 @@ class TestCoefficientSequence:
             assert c.values(ns).ravel().tobytes() == expected.tobytes()
         assert c.values([]).shape == (0,)
 
+    def test_int64_ends_are_outside_the_window(self):
+        # n + halfwidth wraps around past 2^63 - 1; such an n still reads the tail.
+        c = CoefficientSequence(3, np.arange(7.0), lambda n: -1.0)
+        ns = [-(2**63), 2**63 - 1, 2**63 - 3, -4, -3, 3, 4]
+        assert c.values(ns).real.tolist() == [-1.0, -1.0, -1.0, -1.0, 0.0, 6.0, -1.0]
+        assert c.values(np.int64(3)).shape == ()
+
 
 class CountingRule:
     """Opaque rule n -> 0.9^|n| e^(0.7 i n) that records each index it is asked; raises at fail_at."""

@@ -19,7 +19,6 @@ from thetaflow.semigroups import (
     bochner_scalar,
     generator_apply,
     heat_residual,
-    maximal_function,
     poisson_evolve_d,
     poisson_evolve_kernel,
     poisson_evolve_multiplier,
@@ -577,53 +576,6 @@ class TestHeatResidual:
             heat_residual(_cos(g), (0.3, 0.2, 0.4))
 
 
-class TestMaximalFunction:
-    def test_bounded_by_max_for_nonnegative_input(self):
-        g = PeriodicGrid.line(256)
-        f = random_nonnegative(g, 8, np.random.default_rng(7))
-        star = maximal_function(f)
-        assert float(np.max(star.values.real)) <= float(np.max(f.values.real)) + 1e-12
-
-    def test_cosine_approaches_abs_as_tmin_drops(self):
-        g = _grid()
-        f = _cos(g)
-        for tmin in (1e-2, 1e-4):
-            star = maximal_function(f, np.geomspace(tmin, 10, 64))
-            expected = math.exp(-tmin) * np.abs(np.cos(g.points))
-            assert np.all(star.values.real >= expected - 1e-12)
-            gap = float(np.max(np.abs(star.values.real - np.abs(np.cos(g.points)))))
-            assert gap <= 2 * tmin
-
-    def test_l2_bound_observed(self):
-        # Observed constant for the sampled sup; asserts finiteness with
-        # the empirical factor-2 margin.
-        g = PeriodicGrid.line(256)
-        for seed in range(3):
-            f = random_bandlimited(g, 8, np.random.default_rng(seed))
-            star = maximal_function(f)
-            assert star.norm(2) <= 2.0 * f.norm(2)
-
-    def test_empty_times_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            maximal_function(_cos(_grid()), [])
-
-    def test_one_forward_transform(self, monkeypatch):
-        g = PeriodicGrid((64, 48))
-        f = random_bandlimited(g, 6, np.random.default_rng(22))
-        ref = np.zeros(g.sizes)
-        for t in np.geomspace(1e-3, 10.0, 64):
-            ref = np.maximum(ref, np.abs(theta_evolve_d(f, t).values))
-        # The reference loop has transformed f already: count on a fresh copy.
-        fresh = SampledFunction(g, f.values, kind="real")
-        calls = _count_fft_calls(monkeypatch)
-        star = maximal_function(fresh)
-        assert calls.count("rfftn") == 1
-        assert np.max(np.abs(star.values.real - ref)) <= 1e-15
-        calls.clear()
-        assert np.array_equal(maximal_function(fresh).values, star.values)
-        assert calls.count("rfftn") == 0
-
-
 class TestMultidim:
     @pytest.mark.parametrize("kind", ["heat", "poisson", "laplacian"])
     def test_every_kind_on_any_grid(self, kind):
@@ -715,8 +667,6 @@ class TestNonFiniteTime:
     def test_sampled_times(self, t):
         # -inf is refused by the positivity check before the finiteness one.
         with pytest.raises(ValueError, match="finite|positive"):
-            maximal_function(_cos(_grid(16)), [0.1, t])
-        with pytest.raises(ValueError, match="finite|positive"):
             heat_residual(_cos(_grid(16)), (0.1, 0.2, t) if t > 0 else (t, 0.1, 0.2))
 
 
@@ -743,7 +693,6 @@ class TestRealPath:
         lambda f: circular_convolve(f, f),
         lambda f: kernel(0.1, f.grid),
         lambda f: poisson_kernel(0.6, f.grid),
-        maximal_function,
     ])
     def test_real_outputs_are_frozen_float64(self, make):
         out = make(random_bandlimited(_grid(64), 6, np.random.default_rng(15)))
@@ -1009,8 +958,7 @@ class TestFlowMemory:
         rng = np.random.default_rng(52)
         vals = rng.normal(size=sizes) + (1j * rng.normal(size=sizes) if kind == "complex" else 0)
         f = SampledFunction(PeriodicGrid(sizes), vals, kind=kind)
-        flows = dict(_KEPT_FLOWS, maximal=lambda f: maximal_function(f, [0.1, 0.2]))
-        for name, flow in flows.items():
+        for name, flow in _KEPT_FLOWS.items():
             out = flow(f)
             spec = fourier._Spectrum(f).spec
             assert not out.values.flags.writeable, name

@@ -6,9 +6,10 @@ import threading
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thetaflow import ultradist
@@ -109,17 +110,17 @@ class TestMembership:
         assert not res.ok
 
     def test_exponential_dual_member_in_closed_form(self):
-        # A 1e6-term scan took seconds; the closed form returns its result.
+        # A 1e6-term scan took seconds; the closed form decides every int64 index.
         c = seq_from_rule(6, PowerRule(2.0, 1))
         g = GrowthClass("dual", 2.0, 1, 1.0)
         check_membership(c, g)
         t0 = time.perf_counter()
         res = check_membership(c, g)
         assert time.perf_counter() - t0 < 0.05
-        assert res == MembershipResult(True, -6, 1.0, 1_000_000)
+        assert res == MembershipResult(True, -6, 1.0, 2**63 - 1)
 
     def test_high_order_power_tail_is_scanned(self):
-        # (1e6)^60 is no float, so this class is checked by the chunked scan.
+        # (1e6)^60 is no float; the tail stops at once, where both sides are 0.
         c = seq_from_rule(3, PowerRule(0.5, 60))
         res = check_membership(c, GrowthClass("test", 0.5, 60, 1.0))
         assert res == MembershipResult(True, -1, 1.0, 4)
@@ -157,11 +158,10 @@ class TestMembership:
         assert 1.0 < res.worst_ratio < 1.0001
 
     def test_overflowing_member_passes(self):
+        # max_terms bounds scans only: a PowerRule tail is decided at every index.
         c = seq_from_rule(8, PowerRule(2.0, 1))
         res = check_membership(c, GrowthClass("dual", 2.0, 1, 1.0), max_terms=3000)
-        assert res.ok
-        assert res.checked_up_to == 3000
-        assert res.worst_ratio == pytest.approx(1.0, rel=1e-12)
+        assert res == MembershipResult(True, -8, 1.0, 2**63 - 1)
 
     def test_undecidable_overflow_is_not_a_pass(self):
         # A rule without a known log magnitude: inf against inf is undecided.
@@ -207,22 +207,145 @@ def _scan_membership(c, g, tol, max_terms):
     """Brute-force oracle: the window from the library, the tail scanned term by term.
 
     The tail loop is the scalar scan check_membership ran before its
-    PowerRule tails were decided in closed form.
+    PowerRule tails were decided in closed form. Returns the result and
+    whether the scan met its stop by max_terms.
     """
     w = check_membership(CoefficientSequence(c.halfwidth, c.coeffs), g, tol, max_terms)
     worst, worst_n, checked = w.worst_ratio, w.worst_n, c.halfwidth
-    if worst <= 1.0 + 1e-12:
-        for n in range(c.halfwidth + 1, max_terms + 1):
-            v, b = abs(c.rule(n)), g.bound(n)
-            r = v / b if b > 0.0 else (math.inf if v > 0.0 else 0.0)
-            if r != r:
-                r = _log_ratio_oracle(c.rule, g, n)
-            checked = n
-            if r > worst:
-                worst, worst_n = r, n
-            if r > 1.0 + 1e-12 or (b < tol and v < tol):
-                break
-    return MembershipResult(worst <= 1.0 + 1e-12, worst_n, worst, checked)
+    if worst > 1.0 + 1e-12:
+        return w, True
+    for n in range(c.halfwidth + 1, max_terms + 1):
+        v, b = abs(c.rule(n)), g.bound(n)
+        r = v / b if b > 0.0 else (math.inf if v > 0.0 else 0.0)
+        if r != r:
+            r = _log_ratio_oracle(c.rule, g, n)
+        checked = n
+        if r > worst:
+            worst, worst_n = r, n
+        if r > 1.0 + 1e-12 or (b < tol and v < tol):
+            return MembershipResult(worst <= 1.0 + 1e-12, worst_n, worst, checked), True
+    return MembershipResult(True, worst_n, worst, checked), False
+
+
+def _round_off(rule, g, m, combined=True):
+    """Round-off of a log ratio at m, formed in floats: 8 eps times the size of its terms.
+
+    combined, equal orders share one term m^k ln(|b| / B), as the closed
+    form takes them; the scalar scan takes m^k ln|b| and m^K ln B apart.
+    Where large terms cancel, this is far above the slack's 1e-12.
+    """
+    A = math.log(abs(rule.base)) if rule.base else 0.0
+    C, D = math.log(g.base), math.log(g.constant) if g.constant else 0.0
+    size = lambda coef, order: abs(coef) * float(m) ** order if coef else 0.0
+    try:
+        terms = ([size(A - C, rule.order)] if combined and rule.order == g.order
+                 else [size(A, rule.order), size(C, g.order)])
+    except OverflowError:
+        return math.inf
+    return 8 * sys.float_info.epsilon * (sum(terms) + abs(D))
+
+
+def _assert_agrees_with_scan(seq, g, tol, max_terms):
+    """The closed form against the scalar scan to max_terms: the same verdict and stop where
+    the scan met its stop, and a stop past max_terms where it did not.
+
+    The worst ratios agree within the scan's round-off: past overflow it
+    takes m^k ln|b| - m^K ln B - ln c in floats, which cancel.
+    """
+    res = check_membership(seq, g, tol, max_terms)
+    scan, stopped = _scan_membership(seq, g, tol, max_terms)
+    rel = 1e-12 + _round_off(seq.rule, g, abs(scan.worst_n or 0), combined=False)
+    assert res.worst_ratio >= scan.worst_ratio * (1 - rel)
+    if stopped:
+        assert (res.ok, res.checked_up_to) == (scan.ok, scan.checked_up_to)
+        assert res.worst_ratio == pytest.approx(scan.worst_ratio, rel=rel)
+    else:
+        assert res.checked_up_to > max_terms
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _exact_tail(rule, g, hw, tol):
+    """Exact oracle of a PowerRule tail: its stop, where its log ratio peaks up to it, and more.
+
+    L(m) = m^k ln|b| - ln c - m^K ln B is taken in 50 digits from the float
+    inputs, as m^k (ln|b| - ln B) - ln c for k = K. The stop is the first
+    m > hw where L(m) > ln(1 + 1e-12) or where bound and |b|^(m^k) are below
+    tol as floats (the library's), and 2^63 - 1 without one. L is monotone
+    on either side of its one interior extremum mc, so each side is
+    bisected, and up to the stop it peaks at hw + 1, floor(mc),
+    floor(mc) + 1 or the stop. Returns the stop, the first index where L
+    peaks, the ratio exp(L) there, and the float m -> L(m) - ln(1 + 1e-12).
+    """
+    b, B, c = abs(rule.base), g.base, g.constant
+    k, K, lo = rule.order, g.order, hw + 1
+    with mpmath.workdps(50):
+        ln = lambda x: mpmath.log(mpmath.mpf(x)) if x else -mpmath.inf
+        thr = ln(1.0 + 1e-12)
+        L = lambda m: (-mpmath.inf if not b else mpmath.inf if not c
+                       else m ** k * (ln(b) - ln(B)) - ln(c) if k == K
+                       else m ** k * ln(b) - m ** K * ln(B) - ln(c))
+        stops = lambda m: L(m) > thr or (g.bound(m) < tol and abs(rule(m)) < tol)
+        cuts, tops = [lo, INT64_MAX + 1], [lo]
+        if b and c and k != K and math.log(b) * math.log(B) > 0:
+            mc = int(mpmath.floor((k * ln(b) / (K * ln(B))) ** (mpmath.mpf(1) / (K - k))))
+            if lo <= mc < INT64_MAX:
+                cuts.insert(1, mc + 1)
+                tops += [mc, mc + 1]
+        stop = INT64_MAX
+        for a, z in zip(cuts, cuts[1:]):
+            z -= 1
+            if stops(a):
+                stop = a
+            elif stops(z):
+                while z - a > 1:  # stops is false at a and true at z
+                    mid = (a + z) // 2
+                    a, z = (a, mid) if stops(mid) else (mid, z)
+                stop = z
+            else:
+                continue
+            break
+        tops = [m for m in tops if m < stop] + [stop]
+        top = max(tops, key=lambda m: (L(m), -m))
+        ratio = float(mpmath.exp(L(top)))
+
+    def over(m):
+        with mpmath.workdps(50):
+            return float(L(m) - thr)
+    return stop, top, ratio, over
+
+
+def _agrees_with_exact(seq, g, tol):
+    """check_membership against _exact_tail: the same verdict and stop, and the worst ratio
+    within 1e-12 and the round-off of the log ratio at its witness.
+
+    The window is the library's, as in _scan_membership. A case that floats
+    cannot decide is left out (False): one whose log ratio, where it peaks,
+    at its stop or just before it, lies within 1e-13, or within its
+    round-off, of ln(1 + 1e-12).
+    """
+    res = check_membership(seq, g, tol)
+    window = check_membership(CoefficientSequence(seq.halfwidth, seq.coeffs), g, tol)
+    if not window.ok:
+        assert res == window
+        return True
+    stop, top, ratio, over = _exact_tail(seq.rule, g, seq.halfwidth, tol)
+    if any(abs(over(m)) < max(1e-13, _round_off(seq.rule, g, m))
+           for m in {top, stop, max(stop - 1, seq.halfwidth + 1)}):
+        return False
+    assert (res.ok, res.checked_up_to) == (over(top) <= 0.0, stop)
+    rel = 1e-12 + _round_off(seq.rule, g, abs(res.worst_n or 0))
+    assert res.worst_ratio == pytest.approx(max(window.worst_ratio, ratio), rel=rel)
+    return True
+
+
+# Bases 1 +- 10^-e, and bases within a few powers of ten of the float limits.
+_NEAR_ONE = st.builds(lambda s, e: 1.0 + s * 10.0 ** -e, st.sampled_from([-1.0, 1.0]),
+                      st.floats(3.0, 15.5))
+_EXTREME = (st.builds(lambda s, e: 10.0 ** (s * e), st.sampled_from([-1.0, 1.0]),
+                      st.floats(250.0, 307.0))
+            | st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
 
 
 class TestClosedFormMembership:
@@ -236,8 +359,7 @@ class TestClosedFormMembership:
         B = b if same_base else B
         c = 1.0 if unit_constant else c
         g = GrowthClass("test" if B < 1.0 else "dual", B, K, c)
-        seq = seq_from_rule(hw, PowerRule(b, k))
-        assert check_membership(seq, g, tol, max_terms) == _scan_membership(seq, g, tol, max_terms)
+        _assert_agrees_with_scan(seq_from_rule(hw, PowerRule(b, k)), g, tol, max_terms)
 
     @pytest.mark.parametrize("b, k, B, K, c", [
         (0.747, 2, 0.747, 3, 1.0),   # both sides underflow to 0 past the violation
@@ -251,66 +373,129 @@ class TestClosedFormMembership:
         g = GrowthClass("test" if B < 1.0 else "dual", B, K, c)
         seq = seq_from_rule(2, PowerRule(b, k))
         for tol in (1e-14, 1e-3):
-            assert (check_membership(seq, g, tol, 3000)
-                    == _scan_membership(seq, g, tol, 3000))
+            _assert_agrees_with_scan(seq, g, tol, 3000)
 
+    def test_a_violation_past_a_million_terms_is_found(self):
+        # The ratio (0.999999 / 0.9999989)^n / 1.5 first passes 1 at n = 4 054 647;
+        # a scan capped at max_terms = 10^6 reported ok=True.
+        c = seq_from_rule(4, PowerRule(0.999999, 1))
+        g = GrowthClass("test", 0.9999989, 1, 1.5)
+        res = check_membership(c, g)
+        assert not res.ok and res.worst_n == res.checked_up_to == 4_054_647
+        assert _exact_tail(c.rule, g, 4, 1e-14)[:3] == (4_054_647, 4_054_647,
+                                                        pytest.approx(res.worst_ratio, rel=1e-12))
 
-def _library_scan(c, g, tol, max_terms):
-    """check_membership with the tail checked by the library's chunked scan alone."""
-    w = check_membership(CoefficientSequence(c.halfwidth, c.coeffs), g, tol, max_terms)
-    if not w.ok:
-        return w
-    ratio, n, checked = ultradist._scan(c, g, tol, c.halfwidth + 1, max_terms,
-                                        w.worst_ratio, w.worst_n)
-    return MembershipResult(ratio <= 1.0 + 1e-12, n, ratio, checked)
+    def test_a_scan_that_runs_out_is_undecided(self):
+        # The opaque twin of the case above reached max_terms and returned ok=True.
+        c = seq_from_rule(4, lambda n: 0.999999 ** abs(n))
+        g = GrowthClass("test", 0.9999989, 1, 1.5)
+        for max_terms in (1_000_000, 3000, 4):
+            with pytest.raises(ValueError, match=r"^membership undecided: the tail scan of "
+                                                 rf"\|n\| = 5\.\.{max_terms} "):
+                check_membership(c, g, max_terms=max_terms)
+
+    def test_power_tails_are_never_scanned(self, monkeypatch):
+        # The rule type alone picks the closed form: zero bases, zero constants
+        # and order 60 too, and max_terms does not bound it.
+        def scan(*args):
+            raise AssertionError("a PowerRule tail was scanned")
+
+        monkeypatch.setattr(ultradist, "_scan", scan)
+        zeros = np.zeros(7)
+        cases = [
+            (PowerRule(0.0, 1), GrowthClass("dual", 2.0, 1, 1.0),
+             MembershipResult(True, None, 0.0, 2**63 - 1)),
+            (PowerRule(0.0, 1), GrowthClass("test", 0.5, 1, 1.0),
+             MembershipResult(True, None, 0.0, 47)),
+            (PowerRule(0.5, 1), GrowthClass("test", 0.5, 1, 0.0),
+             MembershipResult(False, 4, math.inf, 4)),
+            (PowerRule(2.0, 60), GrowthClass("dual", 2.0, 60, 1.0),
+             MembershipResult(True, 4, 1.0, 2**63 - 1))]
+        for rule, g, expected in cases:
+            assert check_membership(CoefficientSequence(3, zeros, rule), g,
+                                    max_terms=1) == expected, (rule, g)
+        assert check_membership(seq_from_rule(4, PowerRule(0.999999, 1)),
+                                GrowthClass("test", 0.9999989, 1, 1.5),
+                                max_terms=1).checked_up_to == 4_054_647
+
+    @given(b=st.one_of(_NEAR_ONE, _EXTREME, st.floats(0.3, 3.0), st.just(0.0)),
+           B=st.one_of(_NEAR_ONE, _EXTREME, st.floats(0.05, 3.0)),
+           k=st.sampled_from([1, 2, 3, 60]), K=st.sampled_from([1, 2, 3, 60]),
+           c=st.floats(0.1, 10.0) | st.sampled_from([1.0, 0.0, 1e-300, 1e300]),
+           hw=st.integers(0, 5), tol=st.sampled_from([1e-14, 1e-3, 2.0]),
+           mc=st.none() | st.floats(1.0, 1e7), negative=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_exact_oracle(self, b, B, k, K, c, hw, tol, mc, negative):
+        # mc, where given, places the interior extremum of the log ratio there.
+        if mc is not None and k != K and b not in (0.0, 1.0):  # ln B = k ln b / (K mc^(K - k))
+            x = math.log(k * abs(math.log(b)) / K) - (K - k) * math.log(mc)
+            assume(x < 6.5)
+            B = math.exp(math.copysign(math.exp(x), math.log(b)))
+        assume(0.0 < B < math.inf)
+        g = GrowthClass("test" if B < 1.0 else "dual", B, K, c)
+        assume(_agrees_with_exact(seq_from_rule(hw, PowerRule(-b if negative else b, k)), g, tol))
 
 
 class TestOneEvaluator:
     @given(st.floats(0.3, 3.0), st.integers(1, 3),
            st.sampled_from([0.0, 1e-13, -1e-13, 1e-4, -0.5]), st.integers(1, 3),
-           st.floats(0.1, 10.0), st.integers(0, 5), st.integers(1, 4000),
-           st.sampled_from([1e-14, 1e-3]), st.booleans())
-    @example(2.0001, 1, 2.0 / 2.0001 - 1.0, 1, 1.1, 8, 3000, 1e-14, False)  # log magnitude decides
-    @example(2.0, 1, 0.0, 1, 3.0, 6, 3000, 1e-14, False)  # flat past overflow
+           st.floats(0.1, 10.0), st.integers(0, 5), st.sampled_from([1e-14, 1e-3]),
+           st.booleans())
+    @example(2.0001, 1, 2.0 / 2.0001 - 1.0, 1, 1.1, 8, 1e-14, False)  # log magnitude decides
+    @example(2.0, 1, 0.0, 1, 3.0, 6, 1e-14, False)  # flat past overflow
     @settings(max_examples=60, deadline=None)
-    def test_closed_form_agrees_with_the_chunked_scan(self, b, k, dB, K, c, hw, max_terms,
-                                                      tol, unit_constant):
-        # Bases within rounding of each other make ties; bases above 1 overflow
-        # within max_terms, so some tails are decided in log magnitude.
+    def test_closed_form_agrees_with_the_exact_oracle(self, b, k, dB, K, c, hw, tol,
+                                                      unit_constant):
+        # Bases within rounding of each other make ties; bases above 1 overflow,
+        # so some tails are decided in log magnitude.
         B = b * (1.0 + dB)
         g = GrowthClass("test" if B < 1.0 else "dual", B, K, 1.0 if unit_constant else c)
-        seq = seq_from_rule(hw, PowerRule(b, k))
-        assert check_membership(seq, g, tol, max_terms) == _library_scan(seq, g, tol, max_terms)
+        assume(_agrees_with_exact(seq_from_rule(hw, PowerRule(b, k)), g, tol))
 
     def test_stop_inside_a_tie_span_is_the_stop(self):
-        # The ratio 1 + 1e-12 (the slack) is first passed at n = 1030; the
-        # stop search, misled by its non-monotone rounding, reported 1054.
+        # The ratio 1 + 1e-12 (the slack) is first passed at n = 1050; the scan's
+        # rounded ratios passed it at 1030, and the stop search, misled by their
+        # rounding, reported 1054.
         seq = seq_from_rule(5, PowerRule(2.3308526089474624, 1))
         g = GrowthClass("dual", 2.33085260894746, 1, 1.0)
         res = check_membership(seq, g, 2.0, 2513)
-        assert res == _library_scan(seq, g, 2.0, 2513)
-        assert res == MembershipResult(False, 1030, 1.0000000000010232, 1030)
+        assert res == MembershipResult(False, 1050, 1.0000000000010003, 1050)
+        assert _exact_tail(seq.rule, g, 5, 2.0)[:3] == (1050, 1050, 1.0000000000010003)
 
-    def test_near_tie_tails_agree_with_the_chunked_scan(self):
-        # Class bases within a few ulps of the rule's: the ratio creeps past
-        # the slack after hundreds of terms. 13 of these 300 stopped late.
+    def test_near_tie_tails_agree_with_the_exact_oracle(self):
+        # Class bases within a few ulps of the rule's: the ratio creeps past the
+        # slack after hundreds of terms, or many more. Their log ratios are exact
+        # to 1e-25, so a stop may differ from the exact one only where the ratio
+        # rounds across the slack: from the first stop to the index before the
+        # other, every ratio lies within an ulp of it.
         rng = np.random.default_rng(2020)
+        moved = 0
         for _ in range(300):
             k, b = int(rng.integers(1, 3)), float(rng.uniform(1.05, 3.0))
             B = float(f"{b:.14g}") if rng.random() < 0.5 else b * (1 - rng.uniform(-4, 4) * 1e-16)
             seq = seq_from_rule(int(rng.integers(0, 8)), PowerRule(b, k))
-            g = GrowthClass("dual", B, k, 1.0)
-            tol, max_terms = (1e-14, 2.0)[int(rng.integers(2))], int(rng.integers(100, 4000))
-            assert (check_membership(seq, g, tol, max_terms)
-                    == _library_scan(seq, g, tol, max_terms)), (b, B, k, tol, max_terms)
+            g, tol = GrowthClass("dual", B, k, 1.0), (1e-14, 2.0)[int(rng.integers(2))]
+            res = check_membership(seq, g, tol)
+            stop, top, ratio, over = _exact_tail(seq.rule, g, seq.halfwidth, tol)
+            if res.checked_up_to == seq.halfwidth:  # the window fails, as in _agrees_with_exact
+                assert res == check_membership(CoefficientSequence(seq.halfwidth, seq.coeffs), g)
+            elif (res.ok, res.checked_up_to) != (over(top) <= 0.0, stop):
+                moved += 1
+                lo, hi = sorted((res.checked_up_to, stop))
+                assert all(abs(over(m)) < 2.3e-16 for m in range(lo, hi)), (b, B, k, tol)
+            else:
+                assert res.worst_ratio == pytest.approx(max(1.0, ratio), rel=1e-12)
+        assert moved < 40  # 20 of these 300
 
     def test_high_order_overflow_is_decided_in_log_magnitude(self):
-        # (1e5)^60 is no float, so the scan decides; it took inf against inf
-        # at n = 2 for a violation, which the closed form (up to 1e4) did not.
+        # Past |n| ~ 1.4e5 both 2^(|n|^60) and its bound overflow: the ratio stays
+        # exactly 1 in log magnitude at every int64 index, whatever max_terms is.
         c = seq_from_rule(1, PowerRule(2.0, 60))
         g = GrowthClass("dual", 2.0, 60, 1.0)
-        assert check_membership(c, g, max_terms=10_000) == MembershipResult(True, -1, 1.0, 10_000)
-        assert check_membership(c, g, max_terms=100_000) == MembershipResult(True, -1, 1.0, 100_000)
+        for max_terms in (10_000, 100_000):
+            assert (check_membership(c, g, max_terms=max_terms)
+                    == MembershipResult(True, -1, 1.0, 2**63 - 1))
+        assert _exact_tail(c.rule, g, 1, 1e-14)[:3] == (2**63 - 1, 2, 1.0)
 
     def test_scalar_forms_past_the_float_range(self):
         # (1e6)^60 overflows a float: the value underflows, it is not inf.
@@ -336,6 +521,17 @@ class TestOneEvaluator:
             derivative_sequence(seq_from_rule(3, PowerRule(0.5, 1)), 1).value(7.5)
         assert PowerRule(0.5, 1)(np.int32(9)) == GrowthClass("test", 0.5, 1).bound(9) == 0.5**9
 
+    @pytest.mark.parametrize("n, error", [
+        (7.5, ValueError), (True, ValueError), (2**64, OverflowError), (-(2**64), OverflowError)])
+    def test_scalar_forms_refuse_bools_floats_and_wide_ints(self, n, error):
+        # The scalar forms read one int64 index, without the index arrays' object pass.
+        rule, g = PowerRule(0.5, 1), GrowthClass("test", 0.5, 1)
+        derived = derivative_sequence(seq_from_rule(3, rule), 1).rule
+        for read in (rule, derived, g.bound):
+            with pytest.raises(error, match=None if error is OverflowError
+                               else f"an index must be an integer, got {n!r}$"):
+                read(n)
+
     def test_reported_numbers_are_python_numbers(self):
         res = pair(comb(), seq_from_rule(12, PowerRule(0.5, 2)),
                    f_class=GrowthClass("test", 0.5, 2, 1.0))
@@ -344,14 +540,18 @@ class TestOneEvaluator:
                              GrowthClass("dual", 2.0, 1, 3.0), max_terms=3000)
         assert type(m.worst_ratio) is float and type(m.worst_n) is int
 
-    def test_flat_tie_is_scanned_in_chunks(self):
-        # Every tied index was evaluated one at a time: 3.4 s.
+    def test_flat_tie_is_decided_at_every_index(self):
+        # The ratio is 1/3 at every index. The tie was scanned up to max_terms, in
+        # 0.3 s, and its witness, n = 378 194 with ratio 0.3333333333382, was round-off.
         c = seq_from_rule(6, PowerRule(2.0, 1))
         g = GrowthClass("dual", 2.0, 1, 3.0)
-        t0 = time.perf_counter()
-        res = check_membership(c, g)
-        assert time.perf_counter() - t0 < 1.1
-        assert res == MembershipResult(True, 378194, 0.3333333333382416, 1_000_000)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = check_membership(c, g)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.005
+        assert res == MembershipResult(True, -6, 1 / 3, 2**63 - 1)
 
     def test_index_powers_round_once_from_the_exact_integer(self):
         rng = np.random.default_rng(11)
